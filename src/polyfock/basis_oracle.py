@@ -25,15 +25,18 @@ and lie in (0, 1].
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import gammaln
 
 from .multiindex import build_index_table
+
+_log = logging.getLogger("polyfock")
 
 
 def _as_tuple(p, n: int) -> tuple[int, ...]:
@@ -63,10 +66,11 @@ def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
     return total
 
 
-def _degree_indices(n: int, bound: int) -> Iterator[tuple[int, ...]]:
+def _degree_indices(n: int, bound: int) -> np.ndarray:
+    """All k in N_0^n with |k| <= bound, one per row in table order."""
     if bound < 0:
-        return iter(())
-    return iter(build_index_table(n, bound + 1))
+        return np.empty((0, n), dtype=np.intp)
+    return np.array(build_index_table(n, bound + 1).indices, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -102,60 +106,98 @@ class BasisElement:
 def _charge_classes(n: int, m: int, p_max: int):
     """Group monomials (|q| <= m-1, |p| <= p_max) by the charge p - q.
 
-    Yields (monomial list) per class, each list ordered by (|q|, q); the
-    class Gram matrices are dense and everything across classes is
-    orthogonal.
+    Returns ``(P, Q, starts)``: exponent arrays of shape (N, n), sorted by
+    (charge, |q|, q), and the offsets at which the classes start, with N
+    appended.  The class Gram matrices are dense and everything across
+    classes is orthogonal.
     """
-    classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    qs = list(_degree_indices(n, m - 1))
-    for p in _degree_indices(n, p_max):
-        for q in qs:
-            c = tuple(pe - qe for pe, qe in zip(p, q))
-            classes.setdefault(c, []).append((p, q))
-    for c in sorted(classes):
-        members = sorted(classes[c], key=lambda pq: (sum(pq[1]), pq[1]))
-        yield members
+    ps = _degree_indices(n, p_max)
+    qs = _degree_indices(n, m - 1)
+    P = np.repeat(ps, len(qs), axis=0)
+    Q = np.tile(qs, (len(ps), 1))
+    charge = P - Q
+    # np.lexsort sorts by its last key first.
+    keys = tuple(Q[:, ::-1].T) + (Q.sum(axis=1),) + tuple(charge[:, ::-1].T)
+    order = np.lexsort(keys)
+    P, Q, charge = P[order], Q[order], charge[order]
+    new = np.ones(len(charge), dtype=bool)
+    new[1:] = np.any(charge[1:] != charge[:-1], axis=1)
+    return P, Q, np.append(np.flatnonzero(new), len(charge))
 
 
-def _class_gram_scaled(members) -> np.ndarray:
-    """Gram matrix of norm-scaled class monomials; entries are alpha-free.
+# Elements per batched array; bounds the memory of the class batches.
+_BATCH_ELEMENTS = 1 << 19
 
+
+def _size_groups(starts: np.ndarray, n: int, width: int = 0):
+    """Batches of equal-size classes: yields (k, member rows of shape (batch, k)).
+
+    A class of size k counts as k * max(k * n, width) array elements (its
+    Gram index array, or ``width`` values per member); batches hold at most
+    ``_BATCH_ELEMENTS`` of them, so memory stays bounded at large
+    truncations.
+    """
+    sizes = np.diff(starts)
+    for k in np.unique(sizes):
+        k = int(k)
+        first = starts[:-1][sizes == k]
+        step = max(1, _BATCH_ELEMENTS // (k * max(k * n, width)))
+        for lo in range(0, len(first), step):
+            yield k, first[lo : lo + step, None] + np.arange(k)
+
+
+def _class_grams(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Gram matrices of norm-scaled class monomials; entries are alpha-free.
+
+    P, Q hold the exponents of classes of k monomials, shape (..., k, n).
     With hat{m} = m / ||m||, the (i, j) entry per coordinate is
-    s! / sqrt((a+b)! (c+d)!) with s = a + d = b + c, computed through
-    lgamma to stay in range.
+    s! / sqrt((a+b)! (c+d)!) with (a, b) from monomial i, (c, d) from
+    monomial j and s = a + d = b + c, computed through gammaln to stay in
+    range.  The diagonal is exactly 1.
     """
-    k = len(members)
-    G = np.eye(k)
-    for i in range(k):
-        p1, q1 = members[i]
-        for j in range(i + 1, k):
-            p2, q2 = members[j]
-            log_entry = 0.0
-            for a, b, c, d in zip(p1, q1, p2, q2):
-                s = a + d
-                log_entry += (math.lgamma(s + 1)
-                              - 0.5 * (math.lgamma(a + b + 1) + math.lgamma(c + d + 1)))
-            G[i, j] = G[j, i] = math.exp(log_entry)
-    return G
+    log_fact = gammaln(np.arange(P.max(initial=0) + Q.max(initial=0) + 1) + 1.0)
+    half = 0.5 * log_fact[P + Q].sum(axis=-1)
+    cross = log_fact[P[..., :, None, :] + Q[..., None, :, :]].sum(axis=-1)
+    return np.exp(cross - half[..., :, None] - half[..., None, :])
 
 
-def _class_factor_float(members, alpha: float):
-    """Coefficient matrix C (upper triangular) with raw-monomial columns.
+def _inverse_norms(P: np.ndarray, Q: np.ndarray, alpha: float) -> np.ndarray:
+    """1 / ||z^p conj(z)^q|| = prod_r sqrt(alpha^(p+q) / (p+q)!) per monomial."""
+    deg = P + Q
+    return np.exp(0.5 * (deg.sum(axis=-1) * math.log(alpha) - gammaln(deg + 1).sum(axis=-1)))
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x[:, r] ** e for e = 0..top by cumulative products, shape (n, top+1, len(x))."""
+    steps = np.repeat(x.T[:, None, :], top + 1, axis=1)
+    steps[:, 0] = 1
+    return np.cumprod(steps, axis=1)
+
+
+def _monomial_values(pow_x, pow_cx, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """x^p conj(x)^q from power tables, shape P.shape[:-1] + (points,)."""
+    out = pow_x[0, P[..., 0]] * pow_cx[0, Q[..., 0]]
+    for r in range(1, P.shape[-1]):
+        out *= pow_x[r, P[..., r]] * pow_cx[r, Q[..., r]]
+    return out
+
+
+def _class_factors_float(P, Q, starts, alpha: float) -> list[np.ndarray]:
+    """Coefficient matrix C (upper triangular) with raw-monomial columns, per class.
 
     Element j = sum_i C[i, j] * z^{p_i} conj(z)^{q_i} is the j-th
     Gram-Schmidt output (Cholesky realization: C = N L^{-T} with N the
     monomial normalizers).
     """
-    G = _class_gram_scaled(members)
-    L = np.linalg.cholesky(G)
-    C = np.linalg.solve(L, np.eye(len(members))).T  # L^{-T}, upper triangular
-    log_alpha = math.log(alpha)
-    scales = np.array([
-        math.exp(sum(0.5 * ((pe + qe) * log_alpha - math.lgamma(pe + qe + 1))
-                     for pe, qe in zip(p, q)))
-        for p, q in members
-    ])
-    return scales[:, None] * C
+    factors: list[np.ndarray] = [None] * (len(starts) - 1)
+    scales = _inverse_norms(P, Q, alpha)
+    for k, rows in _size_groups(starts, P.shape[1]):
+        L = np.linalg.cholesky(_class_grams(P[rows], Q[rows]))
+        inv_L = np.linalg.solve(L, np.broadcast_to(np.eye(k), L.shape))
+        C = scales[rows][:, :, None] * np.swapaxes(inv_L, -1, -2)
+        for cls, c in zip(np.searchsorted(starts, rows[:, 0]), C):
+            factors[cls] = c
+    return factors
 
 
 def _class_factor_exact(members, alpha: Fraction):
@@ -215,12 +257,15 @@ def build_orthonormal_basis(alpha, n: int, m: int, p_max: int,
         exact = isinstance(alpha, (int, Fraction)) and p_max <= 32
     if exact and not isinstance(alpha, (int, Fraction)):
         raise ValueError("exact route requires a rational alpha")
+    P, Q, starts = _charge_classes(n, m, p_max)
+    classes = [list(zip(map(tuple, P[lo:hi].tolist()), map(tuple, Q[lo:hi].tolist())))
+               for lo, hi in zip(starts[:-1], starts[1:])]
+    if exact:
+        factors = [_class_factor_exact(members, Fraction(alpha)) for members in classes]
+    else:
+        factors = _class_factors_float(P, Q, starts, float(alpha))
     out = []
-    for members in _charge_classes(n, m, p_max):
-        if exact:
-            C = _class_factor_exact(members, Fraction(alpha))
-        else:
-            C = _class_factor_float(members, float(alpha))
+    for members, C in zip(classes, factors):
         for j in range(len(members)):
             p, q = members[j]
             out.append(BasisElement(p=p, q=q, monomials=tuple(members[: j + 1]),
@@ -231,9 +276,13 @@ def build_orthonormal_basis(alpha, n: int, m: int, p_max: int,
 def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     """Truncated kernel sum over the orthonormal basis: sum_B B(w) conj(B(z)).
 
-    Streams charge class by charge class (elements are evaluated through
-    their coefficient matrices, never materialized), so large p_max
-    truncations stay affordable.  z and w broadcast over leading axes.
+    Charge classes of equal size are factored together: one batched
+    Cholesky of their Gram matrices and one batched triangular solve turn
+    the norm-scaled monomial values at w and z into basis-element values,
+    so elements are never materialized.  Batches are capped in size, so
+    large p_max truncations stay affordable.  z and w broadcast over
+    leading axes.  Logs the class count, the class-size histogram and the
+    smallest Cholesky pivot to the ``polyfock`` logger at DEBUG level.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -244,32 +293,25 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])
     z = np.broadcast_to(z, shape + (n,)).reshape(-1, n)
     w = np.broadcast_to(w, shape + (n,)).reshape(-1, n)
-    alpha_f = float(alpha)
-    log_alpha = math.log(alpha_f)
+    points = z.shape[0]
 
-    total = np.zeros(z.shape[0], dtype=complex)
-    for members in _charge_classes(n, m, p_max):
-        G = _class_gram_scaled(members)
-        L = np.linalg.cholesky(G)
-        k = len(members)
-        vals_w = np.empty((k, w.shape[0]), dtype=complex)
-        vals_z = np.empty((k, z.shape[0]), dtype=complex)
-        for i, (p, q) in enumerate(members):
-            log_scale = sum(0.5 * ((pe + qe) * log_alpha - math.lgamma(pe + qe + 1))
-                            for pe, qe in zip(p, q))
-            scale = math.exp(log_scale)
-            mw = np.full(w.shape[0], scale, dtype=complex)
-            mz = np.full(z.shape[0], scale, dtype=complex)
-            for r, (pe, qe) in enumerate(zip(p, q)):
-                if pe:
-                    mw *= w[:, r] ** pe
-                    mz *= z[:, r] ** pe
-                if qe:
-                    mw *= np.conj(w[:, r]) ** qe
-                    mz *= np.conj(z[:, r]) ** qe
-            vals_w[i] = mw
-            vals_z[i] = mz
-        ew = solve_triangular(L, vals_w, lower=True)
-        ez = solve_triangular(L, vals_z, lower=True)
-        total += np.sum(ew * np.conj(ez), axis=0)
+    P, Q, starts = _charge_classes(n, m, p_max)
+    scales = _inverse_norms(P, Q, float(alpha))
+    tables = [(_powers(x, max(p_max, 0)), _powers(np.conj(x), max(m - 1, 0))) for x in (w, z)]
+
+    total = np.zeros(points, dtype=complex)
+    pivot = math.inf
+    for k, rows in _size_groups(starts, n, width=2 * points):
+        L = np.linalg.cholesky(_class_grams(P[rows], Q[rows]))
+        pivot = min(pivot, float(np.min(np.diagonal(L, axis1=-2, axis2=-1))) ** 2)
+        # One triangular solve for both sides: columns [w points | z points].
+        values = np.concatenate([_monomial_values(pow_x, pow_cx, P[rows], Q[rows])
+                                 for pow_x, pow_cx in tables], axis=-1)
+        elements = solve_triangular(L, scales[rows][..., None] * values, lower=True)
+        total += np.sum(elements[..., :points] * np.conj(elements[..., points:]), axis=(0, 1))
+
+    sizes, counts = np.unique(np.diff(starts), return_counts=True)
+    _log.debug("kernel_via_basis n=%d m=%d p_max=%d: %d charge classes, class sizes %s, "
+               "smallest Cholesky pivot %.3e", n, m, p_max, len(starts) - 1,
+               dict(zip(sizes.tolist(), counts.tolist())), pivot)
     return total.reshape(shape)

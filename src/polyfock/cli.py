@@ -265,7 +265,6 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(
         n_max=args.n_max, m_max=args.m_max, p_max=args.p_max,
         alpha=args.alpha, order=args.order, seed=args.seed,
-        workers=args.workers,
     )
     report = run_suite(args.suite, config)
     reports = report.suites if report.suite == "all" else (report,)
@@ -362,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--alpha", type=float, default=1.0)
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--workers", type=int, default=4)
     p_verify.add_argument("--out", type=str, default=None,
                           help="also write the JSON report here")
     p_verify.set_defaults(fn=_cmd_verify)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -92,6 +93,25 @@ def check_laguerre_telescoping(a: ExactScalar, p: int) -> bool:
     return (lhs - total).is_zero()
 
 
+def _laguerre_product_sum(coords: Sequence[RationalPoly], p: int) -> RationalPoly:
+    """sum over |k| <= p of prod_r L_{k_r}(t_r), folded one coordinate at a time.
+
+    With S_n(b) = sum_{k<=b} L_k(t_n) and
+    S_r(b) = sum_{k<=b} L_k(t_r) S_{r+1}(b-k), the sum is S_1(p); this is
+    the same polynomial as the summand-by-summand expansion.
+    """
+    per_coord = [_laguerre_in(p, 0, c) for c in coords]
+    zero = RationalPoly.zero(coords[0].variables)
+
+    def fold(lag: list[RationalPoly], inner: list[RationalPoly], b: int) -> RationalPoly:
+        return sum((lag[k] * inner[b - k] for k in range(b + 1)), zero)
+
+    partial = list(accumulate(per_coord[-1]))
+    for lag in reversed(per_coord[1:-1]):
+        partial = [fold(lag, partial, b) for b in range(p + 1)]
+    return fold(per_coord[0], partial, p) if len(coords) > 1 else partial[p]
+
+
 def check_laguerre_decomposition(n: int, p: int) -> tuple[bool, int]:
     """Exact check of L_p^{(n)}(t_1+...+t_n) = sum over |k| <= p of prod_r L_{k_r}(t_r).
 
@@ -108,16 +128,8 @@ def check_laguerre_decomposition(n: int, p: int) -> tuple[bool, int]:
     for c in coords:
         total = total + c
     lhs = _laguerre_in(p, n, total)[p]
-
-    per_coord = [_laguerre_in(p, 0, c) for c in coords]
-    table = build_index_table(n, p + 1)
-    rhs = RationalPoly.zero(ring)
-    for k in table:
-        prod = per_coord[0][k[0]]
-        for r in range(1, n):
-            prod = prod * per_coord[r][k[r]]
-        rhs = rhs + prod
-    return (lhs - rhs).is_zero(), len(table)
+    rhs = _laguerre_product_sum(coords, p)
+    return (lhs - rhs).is_zero(), len(build_index_table(n, p + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,16 @@ reproducing property) or in extended precision (kernel-vs-basis to 1e-15 at
 truncation 128); the desk-scale substitutes here are documented next to
 each suite.
 
-Cases inside a suite are independent and pure, so they run on a small
-thread pool; reports are assembled sorted by case id and are deterministic
-for a fixed seed.
+Cases inside a suite are independent and pure.  They run one after
+another in the calling thread (the work holds the interpreter lock, so a
+thread pool would not overlap it); reports are sorted by case id and are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from itertools import product as cartesian
 from typing import Callable, Sequence
@@ -87,7 +87,6 @@ class SuiteConfig:
     alpha: float = 1.0
     order: int | None = None
     seed: int = 7
-    workers: int = 4
 
 
 @dataclass(frozen=True)
@@ -151,20 +150,13 @@ def _resolve(suite: str, config: SuiteConfig) -> dict:
 
 
 def _run_cases(jobs: Sequence[tuple[str, Callable[[], float]]],
-               tolerance_of: Callable[[str], float],
-               workers: int) -> tuple[CaseResult, ...]:
-    def run_one(job):
-        case_id, fn = job
+               tolerance_of: Callable[[str], float]) -> tuple[CaseResult, ...]:
+    results = []
+    for case_id, fn in jobs:
         err = float(fn())
         tol = tolerance_of(case_id)
-        return CaseResult(id=case_id, max_error=err, tolerance=tol,
-                          passed=bool(err <= tol))
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
+        results.append(CaseResult(id=case_id, max_error=err, tolerance=tol,
+                                  passed=bool(err <= tol)))
     return tuple(sorted(results, key=lambda c: c.id))
 
 
@@ -206,7 +198,7 @@ def suite_laguerre(config: SuiteConfig) -> VerificationReport:
             return 0.0 if all(check_laguerre_telescoping(a, p) for p in range(p + 1)) else 1.0
         jobs.append((f"telescoping a={a}", job))
 
-    cases = _run_cases(jobs, lambda _: TOLERANCES["laguerre"], config.workers)
+    cases = _run_cases(jobs, lambda _: TOLERANCES["laguerre"])
     return _report("laguerre", params, cases, t0)
 
 
@@ -239,7 +231,7 @@ def suite_kernel_basis(config: SuiteConfig) -> VerificationReport:
             return float(np.max(np.abs(series - exact) / np.abs(exact)))
         jobs.append((f"kernel-basis n={n} m={m}", job))
 
-    cases = _run_cases(jobs, lambda _: TOLERANCES["kernel-basis"], config.workers)
+    cases = _run_cases(jobs, lambda _: TOLERANCES["kernel-basis"])
     return _report("kernel-basis", params, cases, t0)
 
 
@@ -257,10 +249,10 @@ def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
     center = np.concatenate((x, y)) / 2
     grid = tensor_grid(2 * n, order, center=center, scale=1 / math.sqrt(alpha))
 
-    ps = list(build_index_table(n, p_bound + 1))
-    qs = list(build_index_table(n, m))
-    acc = {(p, q): 0.0 + 0.0j for p in ps for q in qs}
-    chunk = 400_000
+    ps = build_index_table(n, p_bound + 1)
+    qs = build_index_table(n, m)
+    acc = np.zeros((len(ps), len(qs)), dtype=complex)
+    chunk = 1 << 15
     nodes = grid.nodes
     for start in range(0, nodes.shape[0], chunk):
         u = nodes[start : start + chunk, :n]
@@ -271,25 +263,29 @@ def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
                 * np.conj(kernel_F(spec, z, w))
                 * np.exp(-alpha * np.sum(u * u + v * v, axis=-1))
                 * (alpha / math.pi) ** n)
-        pow_w = {(r, e): w[:, r] ** e for r in range(n) for e in range(p_bound + 1)}
-        pow_cw = {(r, e): np.conj(w[:, r]) ** e for r in range(n) for e in range(m)}
-        for p in ps:
-            term_p = base.copy()
-            for r, e in enumerate(p):
-                if e:
-                    term_p = term_p * pow_w[(r, e)]
-            for q in qs:
-                term = term_p
-                for r, e in enumerate(q):
-                    if e:
-                        term = term * pow_cw[(r, e)]
-                acc[(p, q)] += np.sum(term)
+        acc += (_monomial_rows(w, ps) * base) @ _monomial_rows(np.conj(w), qs).T
 
-    worst = 0.0
-    for (p, q), got in acc.items():
-        expected = np.prod(z ** np.array(p)) * np.prod(np.conj(z) ** np.array(q))
-        worst = max(worst, abs(got - expected) / abs(expected))
-    return worst
+    p_exps, q_exps = np.array(ps.indices), np.array(qs.indices)
+    expected = (np.prod(z ** p_exps, axis=1)[:, None]
+                * np.prod(np.conj(z) ** q_exps, axis=1)[None, :])
+    return float(np.max(np.abs(acc - expected) / np.abs(expected)))
+
+
+def _monomial_rows(x: np.ndarray, table) -> np.ndarray:
+    """prod_r x[:, r] ** k_r for each multi-index k of the table, shape (len(table), len(x)).
+
+    In lexicographic order every index past the zero one follows the index
+    with its last nonzero entry lowered by one, so each row is an earlier
+    row times one coordinate.
+    """
+    out = np.empty((len(table), x.shape[0]), dtype=complex)
+    out[0] = 1
+    coords = np.ascontiguousarray(x.T)
+    for j, k in enumerate(table.indices[1:], start=1):
+        r = max(i for i, e in enumerate(k) if e)
+        lower = k[:r] + (k[r] - 1,) + k[r + 1 :]
+        np.multiply(out[table.position(lower) - 1], coords[r], out=out[j])
+    return out
 
 
 def suite_reproducing(config: SuiteConfig) -> VerificationReport:
@@ -311,7 +307,7 @@ def suite_reproducing(config: SuiteConfig) -> VerificationReport:
     def tol(case_id: str) -> float:
         return TOLERANCES["reproducing-6d"] if "n=3" in case_id else TOLERANCES["reproducing"]
 
-    cases = _run_cases(jobs, tol, config.workers)
+    cases = _run_cases(jobs, tol)
     return _report("reproducing", params, cases, t0)
 
 
@@ -337,7 +333,7 @@ def suite_sum_products(config: SuiteConfig) -> VerificationReport:
                 return float(np.max(np.abs(other - exact) / np.abs(exact)))
             jobs.append((f"sum-products n={n} m={m} form={form}", job))
 
-    cases = _run_cases(jobs, lambda _: TOLERANCES["sum-products"], config.workers)
+    cases = _run_cases(jobs, lambda _: TOLERANCES["sum-products"])
     return _report("sum-products", params, cases, t0)
 
 
@@ -387,7 +383,7 @@ def suite_fourier_laguerre(config: SuiteConfig) -> VerificationReport:
             return worst_num / worst_den
         jobs.append((f"fourier-laguerre inverse p={p:02d}", inverse))
 
-    cases = _run_cases(jobs, lambda _: TOLERANCES["fourier-laguerre"], config.workers)
+    cases = _run_cases(jobs, lambda _: TOLERANCES["fourier-laguerre"])
     return _report("fourier-laguerre", params, cases, t0)
 
 
@@ -417,7 +413,7 @@ def suite_fourier_kernel(config: SuiteConfig) -> VerificationReport:
             return worst_num / worst_den
         jobs.append((f"fourier-kernel n={n} m={m}", job))
 
-    cases = _run_cases(jobs, lambda _: TOLERANCES["fourier-kernel"], config.workers)
+    cases = _run_cases(jobs, lambda _: TOLERANCES["fourier-kernel"])
     return _report("fourier-kernel", params, cases, t0)
 
 

@@ -1,5 +1,6 @@
 """Tests for the moment-based orthonormal basis and its kernel reconstruction."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -9,6 +10,9 @@ from numpy.testing import assert_allclose
 
 from polyfock.basis_oracle import (
     BasisElement,
+    _charge_classes,
+    _class_grams,
+    _size_groups,
     build_orthonormal_basis,
     gaussian_monomial_inner,
     kernel_via_basis,
@@ -185,3 +189,60 @@ def test_streamed_kernel_matches_materialized_basis_sum():
     by_hand = sum(b(w) * np.conj(b(z)) for b in basis)
     streamed = kernel_via_basis(alpha, n, m, p_max, z, w)
     assert_allclose(streamed, by_hand, atol=1e-12)
+
+
+def test_batched_kernel_matches_exact_basis_sum():
+    rng = np.random.default_rng(21)
+    for n in (1, 2):
+        z = rng.uniform(-0.4, 0.4, (6, n)) + 1j * rng.uniform(-0.4, 0.4, (6, n))
+        w = rng.uniform(-0.4, 0.4, (6, n)) + 1j * rng.uniform(-0.4, 0.4, (6, n))
+        w[0] = z[0]
+        for m in (1, 2, 3):
+            for p_max in (0, 3, 8):
+                basis = build_orthonormal_basis(1, n=n, m=m, p_max=p_max, exact=True)
+                by_hand = sum(b(w) * np.conj(b(z)) for b in basis)
+                batched = kernel_via_basis(1, n, m, p_max, z, w)
+                assert_allclose(batched, by_hand, rtol=1e-13)
+
+
+def test_class_grams_match_normalized_moments():
+    for n in (1, 2):
+        for m in (1, 2, 3):
+            P, Q, starts = _charge_classes(n, m, 8)
+            checked = 0
+            for _, rows in _size_groups(starts, n):
+                for members, gram in zip(rows, _class_grams(P[rows], Q[rows])):
+                    pairs = list(zip(P[members], Q[members]))
+                    norms = [math.sqrt(gaussian_monomial_inner(1, p, q, p, q)) for p, q in pairs]
+                    expected = np.array([
+                        [float(gaussian_monomial_inner(1, p1, q1, p2, q2)) / (n1 * n2)
+                         for (p2, q2), n2 in zip(pairs, norms)]
+                        for (p1, q1), n1 in zip(pairs, norms)
+                    ])
+                    assert_allclose(gram, expected, rtol=0, atol=1e-15)
+                    checked += 1
+            assert checked == len(starts) - 1
+
+
+def test_charge_classes_are_sorted_and_complete():
+    n, m, p_max = 2, 3, 5
+    P, Q, starts = _charge_classes(n, m, p_max)
+    assert len(P) == math.comb(n + p_max, n) * math.comb(n + m - 1, n)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        charge = P[lo:hi] - Q[lo:hi]
+        assert (charge == charge[0]).all()
+        keys = [(sum(q), tuple(q)) for q in Q[lo:hi].tolist()]
+        assert keys == sorted(keys)
+    first = [tuple(c) for c in (P - Q)[starts[:-1]].tolist()]
+    assert first == sorted(set(first))
+
+
+def test_kernel_via_basis_logs_class_statistics(caplog):
+    z = np.array([[0.1 + 0.2j]])
+    with caplog.at_level(logging.DEBUG, logger="polyfock"):
+        kernel_via_basis(1.0, 1, 2, 4, z, z)
+    (record,) = [r for r in caplog.records if r.name == "polyfock"]
+    # charges -1..4: the charge -1 and 4 classes have one member, the rest two
+    assert "6 charge classes" in record.getMessage()
+    assert "{1: 2, 2: 4}" in record.getMessage()
+    assert "smallest Cholesky pivot" in record.getMessage()

@@ -15,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import roots_laguerre
 
+from polyfock.multiindex import build_index_table
 from polyfock.orthopoly import (
+    _laguerre_in,
+    _laguerre_product_sum,
     check_laguerre_decomposition,
     check_laguerre_of_sum,
     check_laguerre_telescoping,
@@ -94,6 +97,28 @@ def test_decomposition_summand_count_is_binomial():
             ok, count = check_laguerre_decomposition(n, p)
             assert ok
             assert count == math.comb(n + p, n)
+
+
+def _laguerre_product_sum_expanded(coords, p):
+    """Reference: the sum over |k| <= p expanded summand by summand."""
+    per_coord = [_laguerre_in(p, 0, c) for c in coords]
+    total = RationalPoly.zero(coords[0].variables)
+    for k in build_index_table(len(coords), p + 1):
+        prod = per_coord[0][k[0]]
+        for r in range(1, len(coords)):
+            prod = prod * per_coord[r][k[r]]
+        total = total + prod
+    return total
+
+
+def test_folded_product_sum_equals_expansion():
+    for n in range(1, 4):
+        ring = tuple(f"t{r}" for r in range(1, n + 1))
+        coords = [RationalPoly.variable(v, ring) for v in ring]
+        for p in range(6):
+            folded = _laguerre_product_sum(coords, p)
+            expanded = _laguerre_product_sum_expanded(coords, p)
+            assert folded == expanded
 
 
 # -- float track ------------------------------------------------------------

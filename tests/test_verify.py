@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import polyfock.verify as verify
+from polyfock.multiindex import build_index_table
 from polyfock.verify import (
     SUITES,
     CaseResult,
@@ -91,3 +94,13 @@ def test_all_aggregates_nested_reports(monkeypatch):
     # nested reports survive serialization
     decoded = VerificationReport.from_dict(report.to_dict())
     assert decoded == report
+
+
+def test_monomial_rows_match_direct_powers():
+    rng = np.random.default_rng(3)
+    for n, m in [(1, 6), (2, 6), (3, 3)]:
+        x = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        table = build_index_table(n, m)
+        rows = verify._monomial_rows(x, table)
+        direct = np.array([np.prod(x ** np.array(k), axis=1) for k in table])
+        assert_allclose(rows, direct, rtol=1e-14)
