@@ -127,7 +127,7 @@ def _points_payload(points: dict[str, np.ndarray]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# result builders (shared by the printing commands and `emit`)
+# result builders
 # ---------------------------------------------------------------------------
 
 def _build_indices(args) -> dict:
@@ -293,21 +293,10 @@ def _make_builder_cmd(kind: str, builder):
     return cmd
 
 
-def _cmd_emit(args) -> int:
-    if not args.out:
-        raise ValueError("emit requires --out")
-    builder = {"indices": _build_indices, "kernel": _build_kernel,
-               "fiber": _build_fiber, "symbol": _build_symbol}[args.kind]
-    payload = builder(args)
-    return _write_out(_render(payload, args.format, args.kind), args.out)
-
-
-def _add_common(parser: argparse.ArgumentParser, *, n=True, m=True, alpha=False,
-                sigma=False, order=False, seed=False, out=True, fmt=True):
-    if n:
-        parser.add_argument("--n", type=int, default=1, help="number of complex variables")
-    if m:
-        parser.add_argument("--m", type=int, default=1, help="order of polyanalyticity")
+def _add_common(parser: argparse.ArgumentParser, *, alpha=False, sigma=False,
+                order=False, seed=False):
+    parser.add_argument("--n", type=int, default=1, help="number of complex variables")
+    parser.add_argument("--m", type=int, default=1, help="order of polyanalyticity")
     if alpha:
         parser.add_argument("--alpha", type=float, default=1.0, help="weight parameter")
     if sigma:
@@ -316,34 +305,8 @@ def _add_common(parser: argparse.ArgumentParser, *, n=True, m=True, alpha=False,
         parser.add_argument("--order", type=int, default=None, help="quadrature order override")
     if seed:
         parser.add_argument("--seed", type=int, default=7, help="sample point seed")
-    if out:
-        parser.add_argument("--out", type=str, default=None, help="write to file instead of stdout")
-    if fmt:
-        parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_kernel_args(parser):
-    parser.add_argument("--space", choices=("F", "H", "G", "S", "true"), required=True)
-    _add_common(parser, alpha=True, sigma=True, seed=True)
-    parser.add_argument("--points", type=str, default=None,
-                        help="JSON file of evaluation points")
-    parser.add_argument("--beta", type=str, default=None,
-                        help="comma-separated type for --space true")
-
-
-def _add_fiber_args(parser):
-    _add_common(parser, alpha=True, order=True)
-    parser.add_argument("--xi", type=str, required=True, help="comma-separated frequency")
-    parser.add_argument("--input", type=str, required=True,
-                        help="function to transform, e.g. kernel:iy=0.5")
-
-
-def _add_symbol_args(parser):
-    _add_common(parser, order=True)
-    parser.add_argument("--g", type=str, required=True,
-                        help="vertical symbol, e.g. const:1 | poly:0,1 | sign | box:-1,1")
-    parser.add_argument("--xi-grid", dest="xi_grid", type=str, default="-8:8:17",
-                        help="frequency grid as lo:hi:count")
+    parser.add_argument("--out", type=str, default=None, help="write to file instead of stdout")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,33 +335,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="kernel evaluation")
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
     p_eval = kernel_sub.add_parser("eval", help="evaluate a kernel at points")
-    _add_kernel_args(p_eval)
+    p_eval.add_argument("--space", choices=("F", "H", "G", "S", "true"), required=True)
+    _add_common(p_eval, alpha=True, sigma=True, seed=True)
+    p_eval.add_argument("--points", type=str, default=None,
+                        help="JSON file of evaluation points")
+    p_eval.add_argument("--beta", type=str, default=None,
+                        help="comma-separated type for --space true")
     p_eval.set_defaults(fn=_make_builder_cmd("kernel", _build_kernel))
 
     p_fiber = sub.add_parser("fiber", help="fiber image under the joint transform")
-    _add_fiber_args(p_fiber)
+    _add_common(p_fiber, alpha=True)
+    p_fiber.add_argument("--xi", type=str, required=True, help="comma-separated frequency")
+    p_fiber.add_argument("--input", type=str, required=True,
+                         help="function to transform, e.g. kernel:iy=0.5")
     p_fiber.set_defaults(fn=_make_builder_cmd("fiber", _build_fiber))
 
     p_symbol = sub.add_parser("symbol", help="operator symbol on a frequency grid")
     symbol_sub = p_symbol.add_subparsers(dest="symbol_command", required=True)
     p_gamma = symbol_sub.add_parser("gamma", help="Toeplitz matrix symbol gamma_g")
-    _add_symbol_args(p_gamma)
+    _add_common(p_gamma, order=True)
+    p_gamma.add_argument("--g", type=str, required=True,
+                         help="vertical symbol, e.g. const:1 | poly:0,1 | sign | box:-1,1")
+    p_gamma.add_argument("--xi-grid", dest="xi_grid", type=str, default="-8:8:17",
+                         help="frequency grid as lo:hi:count")
     p_gamma.set_defaults(fn=_make_builder_cmd("symbol", _build_symbol))
-
-    p_emit = sub.add_parser("emit", help="write a payload to a file")
-    emit_sub = p_emit.add_subparsers(dest="kind", required=True)
-    e_indices = emit_sub.add_parser("indices")
-    _add_common(e_indices)
-    e_indices.set_defaults(fn=_cmd_emit, kind="indices")
-    e_kernel = emit_sub.add_parser("kernel")
-    _add_kernel_args(e_kernel)
-    e_kernel.set_defaults(fn=_cmd_emit, kind="kernel")
-    e_fiber = emit_sub.add_parser("fiber")
-    _add_fiber_args(e_fiber)
-    e_fiber.set_defaults(fn=_cmd_emit, kind="fiber")
-    e_symbol = emit_sub.add_parser("symbol")
-    _add_symbol_args(e_symbol)
-    e_symbol.set_defaults(fn=_cmd_emit, kind="symbol")
 
     return parser
 

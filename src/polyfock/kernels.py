@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import IndexTable, build_index_table, dimension
+from .multiindex import _validate_nm, build_index_table, dimension, index_products
 from .orthopoly import laguerre_eval, laguerre_eval_all, laguerre_fn_all
 
 
@@ -38,10 +38,9 @@ class KernelSpec:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"n and m must be positive, got n={self.n}, m={self.m}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _validate_nm(self.n, self.m)
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
     @property
     def d(self) -> int:
@@ -134,14 +133,7 @@ def kernel_F_products(spec: KernelSpec, z, w, form: str = "polynomials"):
         raise ValueError(f"form must be 'polynomials' or 'functions', got {form!r}")
 
     factors = pref * lag  # (m, ..., n)
-    table = build_index_table(spec.n, spec.m)
-    total = np.zeros(shape, dtype=complex)
-    for k in table:
-        prod = factors[k[0], ..., 0]
-        for r in range(1, spec.n):
-            prod = prod * factors[k[r], ..., r]
-        total = total + prod
-    return total
+    return sum(index_products(build_index_table(spec.n, spec.m), factors))
 
 
 def kernel_H(n: int, m: int, x, y, u, v):
@@ -149,6 +141,7 @@ def kernel_H(n: int, m: int, x, y, u, v):
 
     2^n exp(-(|u-x|^2 + |v-y|^2)/2 - i <u-x, v+y>) L_{m-1}^{(n)}(|u-x|^2 + |v-y|^2).
     """
+    _validate_nm(n, m)
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
@@ -163,21 +156,14 @@ def kernel_H_products(n: int, m: int, x, y, u, v):
     Per coordinate the factor is e^{-i (u_r-x_r)(v_r+y_r)} ell_{k_r}((u_r-x_r)^2 + (v_r-y_r)^2).
     Independent evaluation route for cross-checking ``kernel_H``.
     """
+    _validate_nm(n, m)
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
     t = du * du + dv * dv
     ell = laguerre_fn_all(m - 1, t)  # (m, ..., n)
     factors = np.exp(-1j * du * (v + y)) * ell
-    table = build_index_table(n, m)
-    shape = t.shape[:-1]
-    total = np.zeros(shape, dtype=complex)
-    for k in table:
-        prod = factors[k[0], ..., 0]
-        for r in range(1, n):
-            prod = prod * factors[k[r], ..., r]
-        total = total + prod
-    return (2.0**n) * total
+    return (2.0**n) * sum(index_products(build_index_table(n, m), factors))
 
 
 def kernel_G(n: int, m: int, x, y, u, v):
@@ -187,6 +173,7 @@ def kernel_G(n: int, m: int, x, y, u, v):
     the extra terms break translation covariance in (x, y), which is the
     point of carrying this kernel around.
     """
+    _validate_nm(n, m)
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
@@ -204,6 +191,7 @@ def kernel_S(n: int, m: int, sigma: float, z, w):
     note the analytic square in the exponent, not a squared modulus.  On
     real points with m = 1 this is the classical Gaussian RBF kernel.
     """
+    _validate_nm(n, m)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     z = _cpoint(z, n)

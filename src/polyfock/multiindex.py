@@ -14,12 +14,24 @@ in the width of matrix symbols.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 
+def _is_integer(value) -> bool:
+    """True for Python and NumPy integers; False for bool, floats and the rest."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _validate_nm(n: int, m: int) -> None:
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not (_is_integer(n) and _is_integer(m)):
         raise TypeError(f"n and m must be integers, got n={n!r}, m={m!r}")
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
@@ -95,3 +107,17 @@ def build_index_table(n: int, m: int) -> IndexTable:
     _validate_nm(n, m)
     indices = tuple(_enumerate(n, m - 1))
     return IndexTable(n=n, m=m, indices=indices)
+
+
+def index_products(table: IndexTable, factors) -> Iterator:
+    """Yield prod_r factors[k_r, ..., r] for each k of the table, in table order.
+
+    ``factors`` has shape (levels, ..., n) with levels >= m: entry
+    [p, ..., r] is the degree-p factor on coordinate r.  The product is
+    taken left to right over r, so every caller gets the same rounding.
+    """
+    for k in table:
+        prod = factors[k[0], ..., 0]
+        for r in range(1, table.n):
+            prod = prod * factors[k[r], ..., r]
+        yield prod

@@ -24,7 +24,6 @@ errors well below 1e-10, which the convergence tests pin down.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,24 +37,9 @@ MAX_ORDER = 128
 # below ~3M nodes.
 DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 
-ENV_ORDER = "POLYFOCK_QUAD_ORDER"
-
 
 def default_order(dim: int) -> int:
-    """Per-axis order used when a caller does not pin one.
-
-    The environment variable POLYFOCK_QUAD_ORDER, when set, overrides the
-    per-dimension table globally.
-    """
-    env = os.environ.get(ENV_ORDER)
-    if env is not None:
-        try:
-            order = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_ORDER} must be an integer, got {env!r}") from None
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"{ENV_ORDER} must lie in 1..{MAX_ORDER}, got {order}")
-        return order
+    """Per-axis order used when a caller does not pin one."""
     return DEFAULT_ORDERS.get(dim, 12)
 
 
@@ -91,17 +75,33 @@ class QuadratureGrid:
     scale: np.ndarray      # (dim,)
 
 
+def tensor_rule(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
+    """Tensor product of 1-D rules: (nodes (N, dim), weights (N,)).
+
+    ``per_axis`` holds one (nodes, weights) pair per axis; the last axis
+    varies fastest.  Nodes and weights are assembled one column at a time
+    (repeat/tile patterns) so no meshgrid temporaries of the full cube are
+    created.
+    """
+    sizes = [len(nodes) for nodes, _ in per_axis]
+    total = math.prod(sizes)
+    nodes = np.empty((total, len(per_axis)))
+    weights = np.ones(total)
+    for axis, (axis_nodes, axis_weights) in enumerate(per_axis):
+        inner = math.prod(sizes[axis + 1 :])
+        outer = total // (sizes[axis] * inner)
+        nodes[:, axis] = np.tile(np.repeat(axis_nodes, inner), outer)
+        weights *= np.tile(np.repeat(axis_weights, inner), outer)
+    return nodes, weights
+
+
 def tensor_grid(
     dim: int,
     order: int | None = None,
     center=None,
     scale=None,
 ) -> QuadratureGrid:
-    """Build the tensor rule with order**dim nodes mapped to center + scale*t.
-
-    Nodes and weights are assembled one column at a time (repeat/tile
-    patterns) so no meshgrid temporaries of the full cube are created.
-    """
+    """Build the tensor rule with order**dim nodes mapped to center + scale*t."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if order is None:
@@ -113,42 +113,30 @@ def tensor_grid(
 
     t, w = gauss_hermite_1d(order)
     compensated = w * np.exp(t * t)
-
-    total = order**dim
-    nodes = np.empty((total, dim))
-    weights = np.ones(total)
-    for axis in range(dim):
-        inner = order ** (dim - axis - 1)
-        outer = total // (order * inner)
-        column = np.tile(np.repeat(center[axis] + scale[axis] * t, inner), outer)
-        nodes[:, axis] = column
-        weights *= np.tile(np.repeat(scale[axis] * compensated, inner), outer)
+    nodes, weights = tensor_rule([(center[axis] + scale[axis] * t, scale[axis] * compensated)
+                                  for axis in range(dim)])
     return QuadratureGrid(dim=dim, order=order, nodes=nodes, weights=weights,
                           center=center, scale=scale)
+
+
+def _evaluate(evaluator: Callable, points: np.ndarray) -> np.ndarray:
+    """evaluator(points) as an array of one value per point."""
+    vals = np.asarray(evaluator(points))
+    if vals.shape != points.shape[:1]:
+        raise ValueError(f"evaluator returned shape {vals.shape} for {len(points)} points; "
+                         "it must take all points at once and return one value each")
+    return vals
 
 
 def integrate(evaluator: Callable, grid: QuadratureGrid, chunk: int = 262144):
     """Sum weight * evaluator(node) over the grid in bounded-memory chunks.
 
-    The evaluator is called on (N, dim) blocks and must return N values;
-    an evaluator that only accepts single dim-vectors is detected by its
-    output shape and looped over instead.
+    The evaluator is called on (N, dim) blocks and must return N values.
     """
     total = 0.0 + 0.0j
-    n = grid.nodes.shape[0]
-    vectorized = True
-    for start in range(0, n, chunk):
-        block = grid.nodes[start : start + chunk]
-        wblock = grid.weights[start : start + chunk]
-        if vectorized:
-            vals = np.asarray(evaluator(block))
-            if vals.shape != block.shape[:1]:
-                vectorized = False
-        if not vectorized:
-            vals = np.array([evaluator(pt) for pt in block])
-        total += np.sum(wblock * vals)
-    if np.iscomplexobj(np.asarray(total)) and np.imag(total) == 0:
-        return complex(total)
+    for start in range(0, grid.nodes.shape[0], chunk):
+        vals = _evaluate(evaluator, grid.nodes[start : start + chunk])
+        total += np.sum(grid.weights[start : start + chunk] * vals)
     return complex(total)
 
 
@@ -209,14 +197,13 @@ def fourier_1d_gaussian_type(
     """(2 pi)^{-1/2} integral of evaluator(u) e^{-i u xi} du.
 
     For evaluators decaying like exp(-(u - center)^2 / 2) times a bounded
-    factor.  The oscillation is carried by the rule itself; at order 64 the
+    factor; the evaluator takes the array of nodes and returns one value
+    per node.  The oscillation is carried by the rule itself; at order 64 the
     error stays below ~1e-10 for |xi| <= 10.
     """
     grid = tensor_grid(1, order, center=center, scale=math.sqrt(2.0))
     u = grid.nodes[:, 0]
-    vals = np.asarray(evaluator(u))
-    if vals.shape != u.shape:
-        vals = np.array([evaluator(pt) for pt in u])
+    vals = _evaluate(evaluator, u)
     phase = np.exp(-1j * u * xi)
     return complex(np.sum(grid.weights * vals * phase) / math.sqrt(2 * math.pi))
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelSpec, kernel_H, _cpoint, _rpoint
-from .multiindex import IndexTable, build_index_table
+from .multiindex import IndexTable, build_index_table, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import default_order, tensor_grid
 from .transforms import FieldFunction, FLAT, FOCK, _require
@@ -54,14 +54,8 @@ def q_matrix(table: IndexTable, xi, v) -> np.ndarray:
     v = _rpoint(v, n)
     t = (xi + 2 * v) / math.sqrt(2.0)
     psi = hermite_fn_table(table.m - 1, t)  # (m, ..., n)
-    cols = []
     front = 2 ** (n / 2) * math.pi ** (n / 4)
-    for k in table:
-        prod = psi[k[0], ..., 0]
-        for r in range(1, n):
-            prod = prod * psi[k[r], ..., r]
-        cols.append(front * prod)
-    return np.stack(cols, axis=-1)
+    return front * np.stack(list(index_products(table, psi)), axis=-1)
 
 
 def L_closed(table: IndexTable, xi, y, v):
@@ -256,13 +250,7 @@ def R_F_apply(
     vals = np.asarray(f((u + 1j * v) / math.sqrt(spec.alpha))) * phase
     t = (xi + 2 * v) / math.sqrt(2.0)
     psi = hermite_fn_table(table.m - 1, t)
-    cols = []
-    for k in table:
-        prod = psi[k[0], ..., 0]
-        for r in range(1, n):
-            prod = prod * psi[k[r], ..., r]
-        cols.append(prod)
-    big_psi = np.stack(cols, axis=-1)  # (N, d)
+    big_psi = np.stack(list(index_products(table, psi)), axis=-1)  # (N, d)
     comps = big_psi.T @ (grid.weights * vals) * math.pi ** (-3 * n / 4)
     return FiberVector(xi=xi, components=comps)
 

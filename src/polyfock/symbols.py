@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import _rpoint
-from .multiindex import IndexTable
+from .multiindex import IndexTable, index_products
 from .orthopoly import hermite_fn_table
-from .quadrature import default_order, gauss_hermite_1d, legendre_panels
+from .quadrature import default_order, gauss_hermite_1d, legendre_panels, tensor_rule
 
 # Gauss-Hermite tails are cut where e^{-t^2} has decayed to ~1e-35; the
 # Legendre panels for discontinuous axes cover the matching v-interval.
@@ -225,30 +225,10 @@ def _build_v_rule(xi_r: float, breakpoints: Sequence[float], order: int):
     return v, weights
 
 
-def _tensor_rule(per_axis: list[tuple[np.ndarray, np.ndarray]]):
-    n = len(per_axis)
-    sizes = [len(nodes) for nodes, _ in per_axis]
-    total = int(np.prod(sizes))
-    nodes = np.empty((total, n))
-    weights = np.ones(total)
-    for axis, (vn, vw) in enumerate(per_axis):
-        inner = int(np.prod(sizes[axis + 1 :])) if axis + 1 < n else 1
-        outer = total // (sizes[axis] * inner)
-        nodes[:, axis] = np.tile(np.repeat(vn, inner), outer)
-        weights *= np.tile(np.repeat(vw, inner), outer)
-    return nodes, weights
-
-
 def _psi_product_matrix(table: IndexTable, t: np.ndarray) -> np.ndarray:
     """Matrix [prod_r psi_{phi(j)_r}(t_r)]_{node, j}."""
     psi = hermite_fn_table(table.m - 1, t)  # (m, N, n)
-    cols = []
-    for k in table:
-        prod = psi[k[0], ..., 0]
-        for r in range(1, table.n):
-            prod = prod * psi[k[r], ..., r]
-        cols.append(prod)
-    return np.stack(cols, axis=-1)
+    return np.stack(list(index_products(table, psi)), axis=-1)
 
 
 def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
@@ -266,7 +246,7 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
         order = max(default_order(table.n), 48)
     per_axis = [_build_v_rule(float(xi[r]), g.breakpoints_on_axis(r), order)
                 for r in range(table.n)]
-    v, w = _tensor_rule(per_axis)
+    v, w = tensor_rule(per_axis)
     t = (xi + 2 * v) / math.sqrt(2.0)
     P = _psi_product_matrix(table, t)  # (N, d)
     gv = np.asarray(g(v))
@@ -308,7 +288,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
         else:
             t, w = gauss_hermite_1d(order)
             per_axis.append((t, w * np.exp(t * t)))
-    t, w = _tensor_rule(per_axis)
+    t, w = tensor_rule(per_axis)
     P = _psi_product_matrix(table, t)
     gv = np.asarray(g((t + eta / 2) / math.sqrt(2.0)))
     entries = P.T @ ((w * gv)[:, None] * P)

@@ -138,20 +138,17 @@ def test_symbol_gamma_csv_output(capsys):
     assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_emit_writes_file(tmp_path):
+def test_out_writes_file(tmp_path, capsys):
     out = tmp_path / "indices.json"
-    rc = main(["emit", "indices", "--n", "1", "--m", "4", "--out", str(out)])
+    rc = main(["indices", "--n", "1", "--m", "4", "--out", str(out)])
     assert rc == 0
+    assert capsys.readouterr().out == ""
     payload = json.loads(out.read_text())
     assert payload["d"] == 4
 
-    with pytest.raises(SystemExit) as err:
-        main(["emit", "indices", "--n", "1", "--m", "4"])
-    assert err.value.code == 2
 
-
-def test_emit_unwritable_path_returns_1(tmp_path, capsys):
-    rc = main(["emit", "indices", "--n", "1", "--m", "2",
+def test_out_unwritable_path_returns_1(tmp_path, capsys):
+    rc = main(["indices", "--n", "1", "--m", "2",
                "--out", str(tmp_path / "missing" / "x.json")])
     assert rc == 1
     assert "could not write" in capsys.readouterr().err
@@ -183,6 +180,17 @@ def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign",
               "--xi-grid", "0:1"])
+    assert err.value.code == 2
+
+    # the fiber image is closed form, so it takes no quadrature order
+    with pytest.raises(SystemExit) as err:
+        main(["fiber", "--n", "1", "--m", "2", "--xi", "0.5",
+              "--input", "kernel:iy=0.3", "--order", "8"])
+    assert err.value.code == 2
+
+    # `emit X --out FILE` is spelled `X --out FILE`
+    with pytest.raises(SystemExit) as err:
+        main(["emit", "indices", "--n", "1", "--m", "4", "--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
 
     # malformed points file

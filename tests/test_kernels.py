@@ -36,6 +36,34 @@ def test_spec_validation():
     assert KernelSpec(2, 3).d == 6
 
 
+_X = np.zeros(1)
+_E = np.zeros(0)  # a point of R^0 or C^0, so n = 0 gets past the shape check
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: KernelSpec(1.5, 2), TypeError),
+    (lambda: KernelSpec(True, 2), TypeError),
+    (lambda: KernelSpec(1, 2.0), TypeError),
+    (lambda: KernelSpec(1, 2, alpha=math.inf), ValueError),
+    (lambda: KernelSpec(1, 2, alpha=math.nan), ValueError),
+    (lambda: kernel_H(0, 1, _E, _E, _E, _E), ValueError),
+    (lambda: kernel_H(1, True, _X, _X, _X, _X), TypeError),
+    (lambda: kernel_H_products(0, 1, _E, _E, _E, _E), ValueError),
+    (lambda: kernel_H_products(1, 1.5, _X, _X, _X, _X), TypeError),
+    (lambda: kernel_G(0, 1, _E, _E, _E, _E), ValueError),
+    (lambda: kernel_S(0, 1, 1.0, _E, _E), ValueError),
+    (lambda: kernel_S(1, 0, 1.0, _X, _X), ValueError),
+], ids=["spec-n-float", "spec-n-bool", "spec-m-float", "spec-alpha-inf", "spec-alpha-nan",
+        "H-n0", "H-m-bool", "H-products-n0", "H-products-m-float", "G-n0", "S-n0", "S-m0"])
+def test_bad_n_m_alpha_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_spec_accepts_numpy_integers():
+    assert KernelSpec(np.int64(2), np.int32(3)).d == 6
+
+
 def test_pairing_convention():
     # <z, w> = sum_r z_r conj(w_r): linear in the first slot
     z = np.array([1 + 2j, 0 - 1j])

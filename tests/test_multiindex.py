@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
 
-from polyfock.multiindex import IndexTable, build_index_table, dimension
+from polyfock.multiindex import IndexTable, build_index_table, dimension, index_products
 
 
 def test_dimension_small_values():
@@ -27,6 +29,9 @@ def test_dimension_rejects_bad_input():
         dimension(2, 0)
     with pytest.raises(TypeError):
         dimension(2.0, 3)
+    with pytest.raises(TypeError):
+        dimension(True, 3)
+    assert dimension(np.int64(2), np.int32(3)) == 6
 
 
 def test_enumeration_order_n2_m3():
@@ -84,3 +89,21 @@ def test_table_is_frozen():
     with pytest.raises(AttributeError):
         table.n = 5
     assert isinstance(table, IndexTable)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_index_products_against_phi(n, m, dtype):
+    table = build_index_table(n, m)
+    rng = np.random.default_rng([n, m])
+    factors = rng.uniform(-2, 2, (m + 1, 5, 3, n)).astype(dtype)
+    if dtype is complex:
+        factors = factors + 1j * rng.uniform(-2, 2, factors.shape)
+    got = list(index_products(table, factors))
+    assert len(got) == table.d
+    for j in range(1, table.d + 1):
+        k = table.phi(j)
+        expected = np.prod([factors[k[r], :, :, r] for r in range(n)], axis=0)
+        assert got[j - 1].shape == (5, 3)
+        assert_allclose(got[j - 1], expected, rtol=1e-15, atol=0)

@@ -1,7 +1,6 @@
 """Tensor Gauss-Hermite grids against closed-form Gaussian integrals."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from polyfock.quadrature import (
     DEFAULT_ORDERS,
-    ENV_ORDER,
     MAX_ORDER,
     IntegrandSpec,
     default_order,
@@ -19,6 +17,7 @@ from polyfock.quadrature import (
     integrate_gaussian,
     legendre_panels,
     tensor_grid,
+    tensor_rule,
 )
 
 
@@ -50,13 +49,41 @@ def test_default_orders_table():
     assert default_order(9) == DEFAULT_ORDERS[6]
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_ORDER, "17")
-    assert default_order(1) == 17
-    assert default_order(4) == 17
-    monkeypatch.setenv(ENV_ORDER, "bogus")
-    with pytest.raises(ValueError):
-        default_order(1)
+@pytest.mark.parametrize("dim, order", [(1, 7), (2, 5), (3, 4)])
+def test_tensor_grid_is_tensor_rule_of_mapped_1d_rules(dim, order):
+    center = np.array([0.3, -1.2, 2.0])[:dim]
+    scale = np.array([0.7, 1.9, 1.1])[:dim]
+    grid = tensor_grid(dim, order, center=center, scale=scale)
+
+    t, w = gauss_hermite_1d(order)
+    per_axis = [(center[a] + scale[a] * t, scale[a] * (w * np.exp(t * t)))
+                for a in range(dim)]
+    nodes, weights = tensor_rule(per_axis)
+    assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(grid.weights, weights)
+
+    # the same cube spelled out with meshgrid; last axis fastest
+    mesh_nodes = np.meshgrid(*[pn for pn, _ in per_axis], indexing="ij")
+    mesh_weights = np.meshgrid(*[pw for _, pw in per_axis], indexing="ij")
+    expected_weights = np.ones(order**dim)
+    for axis_weights in mesh_weights:
+        expected_weights = expected_weights * axis_weights.ravel()
+    assert np.array_equal(nodes, np.stack([c.ravel() for c in mesh_nodes], axis=-1))
+    assert np.array_equal(weights, expected_weights)
+
+
+def test_tensor_rule_mixed_axis_lengths():
+    nodes, weights = tensor_rule([(np.array([1.0, 2.0]), np.array([0.5, 0.25])),
+                                  (np.array([10.0, 20.0, 30.0]), np.array([1.0, 2.0, 3.0]))])
+    assert nodes.tolist() == [[1, 10], [1, 20], [1, 30], [2, 10], [2, 20], [2, 30]]
+    assert weights.tolist() == [0.5, 1.0, 1.5, 0.25, 0.5, 0.75]
+
+
+def test_scalar_only_evaluators_are_rejected():
+    with pytest.raises(ValueError, match=r"shape \(\) for 9 points"):
+        integrate(lambda pt: 1.0, tensor_grid(2, 3))
+    with pytest.raises(ValueError, match=r"shape \(\) for 64 points"):
+        fourier_1d_gaussian_type(lambda u: 1.0, 0.0, 0.5)
 
 
 def test_gaussian_mass_is_one():

@@ -66,6 +66,18 @@ def test_q_shift_covariance():
         assert_allclose(lhs, rhs, rtol=1e-13)
 
 
+@pytest.mark.parametrize("n,m", [(1, 4), (2, 3), (3, 3)])
+def test_q_matrix_columns_are_q_eval(n, m):
+    table = build_index_table(n, m)
+    rng = np.random.default_rng([n, m])
+    xi = rng.uniform(-2, 2, n)
+    v = rng.uniform(-2, 2, (4, 5, n))
+    q = q_matrix(table, xi, v)
+    assert q.shape == (4, 5, table.d)
+    for j in range(1, table.d + 1):
+        assert_allclose(q[..., j - 1], q_eval(table, xi, table.phi(j), v), rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 3)])
 def test_fiber_orthonormality(n, m):
     table = build_index_table(n, m)

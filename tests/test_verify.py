@@ -36,6 +36,29 @@ def test_seed_fixes_the_sample():
     assert [c.max_error for c in other.cases] != [c.max_error for c in first.cases]
 
 
+def _sum_products_case(seed, case_id):
+    report = run_suite("sum-products", SuiteConfig(n_max=5, m_max=2, seed=seed))
+    assert len(report.cases) == 20
+    return next(case for case in report.cases if case.id == case_id)
+
+
+def test_sum_products_error_is_relative_to_batch_max():
+    # At this seed one sampled |kernel_F| is 5e-5 where the batch's largest
+    # is 50; a pointwise relative error there read 1.05e-11.
+    case = _sum_products_case(94210641, "sum-products n=5 m=2 form=polynomials")
+    assert case.passed
+    assert case.max_error < 1e-14
+
+
+def test_sum_products_still_catches_a_relative_error(monkeypatch):
+    products = verify.kernel_F_products
+    monkeypatch.setattr(verify, "kernel_F_products",
+                        lambda *args, **kwargs: products(*args, **kwargs) * (1 + 1e-9))
+    case = _sum_products_case(94210641, "sum-products n=5 m=2 form=polynomials")
+    assert not case.passed
+    assert case.max_error == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_small_exact_suite_passes():
     report = run_suite("laguerre", SuiteConfig(n_max=2, p_max=3))
     assert report.passed
