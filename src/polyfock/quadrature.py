@@ -37,6 +37,10 @@ MAX_ORDER = 128
 # below ~3M nodes.
 DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 
+# Largest tensor rule (float64 node coordinates plus weights) that
+# tensor_rule builds; the 6-D default grid takes about 167 MB of it.
+RULE_BYTES_BUDGET = 1 << 30
+
 
 def default_order(dim: int) -> int:
     """Per-axis order used when a caller does not pin one."""
@@ -81,10 +85,15 @@ def tensor_rule(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
     ``per_axis`` holds one (nodes, weights) pair per axis; the last axis
     varies fastest.  Nodes and weights are assembled one column at a time
     (repeat/tile patterns) so no meshgrid temporaries of the full cube are
-    created.
+    created.  A rule whose nodes and weights would take more than
+    ``RULE_BYTES_BUDGET`` bytes raises ValueError before any allocation.
     """
     sizes = [len(nodes) for nodes, _ in per_axis]
     total = math.prod(sizes)
+    size_bytes = total * (len(per_axis) + 1) * 8
+    if size_bytes > RULE_BYTES_BUDGET:
+        raise ValueError(f"tensor rule of {total} nodes ({'x'.join(map(str, sizes))}) needs "
+                         f"{size_bytes} bytes, over the {RULE_BYTES_BUDGET}-byte budget")
     nodes = np.empty((total, len(per_axis)))
     weights = np.ones(total)
     for axis, (axis_nodes, axis_weights) in enumerate(per_axis):

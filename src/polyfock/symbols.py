@@ -16,10 +16,17 @@ is carried as a second evaluation route.  For m >= 2 the gamma matrices of
 two symbols generally fail to commute, which is what distinguishes the
 polyanalytic calculus from the classical m = 1 (scalar) one.
 
-Quadrature: substituting t = (xi + 2v)/sqrt(2) turns every smooth axis into
-a textbook Gauss-Hermite integral.  The sign and box symbol kinds jump at
-axis-aligned breakpoints, so those axes use composite Gauss-Legendre panels
-split exactly at the jumps instead.
+Quadrature: every supported g is a sum of per-axis products,
+g(v) = sum_k c_k prod_p f_kp(v_p), so gamma_g(xi) is 2^{n/2} times a sum
+over k of Hadamard products of n one-dimensional m x m matrices
+M_kp[a, b] = int f_kp(v) psi_a(t) psi_b(t) dv, t = (xi_p + 2v)/sqrt(2),
+read at the table's multi-index coordinates.  Substituting t turns every
+smooth axis into a textbook Gauss-Hermite integral.  The sign and box kinds
+jump at axis-aligned breakpoints, so those axes use composite Gauss-Legendre
+panels split exactly at the jumps instead.  The cost is n one-dimensional
+quadratures per term rather than one order^n tensor rule.  The direct
+route of :func:`sigma_from_gamma` keeps the tensor rule and evaluates g
+itself, so it stays an independent check of that factorization.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import _rpoint
-from .multiindex import IndexTable, index_products
+from .multiindex import IndexTable, _is_integer, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import default_order, gauss_hermite_1d, legendre_panels, tensor_rule
 
@@ -69,8 +76,25 @@ class VerticalSymbol:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}; expected one of {KINDS}")
+        if not (_is_integer(self.n) and _is_integer(self.axis)):
+            raise TypeError(f"n and axis must be integers, got n={self.n!r}, axis={self.axis!r}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
+        if not 0 <= self.axis < self.n:
+            raise ValueError(f"axis {self.axis} outside 0..{self.n - 1}")
+        if self.kind == "gaussian-modulated-polynomial":
+            h = self.gauss_halfwidth
+            if len(self.gauss_center) != self.n or not np.all(np.isfinite(self.gauss_center)):
+                raise ValueError(f"gauss_center must be {self.n} finite numbers, "
+                                 f"got {self.gauss_center}")
+            if not (math.isfinite(h) and h > 0):
+                raise ValueError(f"halfwidth must be finite and positive, got {h}")
+        if self.kind == "box-indicator":
+            lo, hi = self.lo, self.hi
+            if len(lo) != self.n or len(hi) != self.n or np.any(np.isnan(lo + hi)):
+                raise ValueError(f"box needs {self.n} non-NaN bounds per side, got lo={lo}, hi={hi}")
+            if any(a >= b for a, b in zip(lo, hi)):
+                raise ValueError(f"box must have lo < hi on every axis, got lo={lo}, hi={hi}")
 
     # -- evaluation --------------------------------------------------------
 
@@ -163,24 +187,18 @@ def polynomial(terms, n: int = 1) -> VerticalSymbol:
 
 def gaussian_poly(terms, center=0.0, halfwidth: float = 1.0, n: int = 1) -> VerticalSymbol:
     """Polynomial times exp(-|v - center|^2 / (2 halfwidth^2))."""
-    if not halfwidth > 0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
     c = tuple(np.broadcast_to(np.asarray(center, dtype=float), (n,)).tolist())
     return VerticalSymbol(n, "gaussian-modulated-polynomial",
                           _normalize_terms(terms, n), c, float(halfwidth))
 
 
 def sign(axis: int = 0, n: int = 1) -> VerticalSymbol:
-    if not 0 <= axis < n:
-        raise ValueError(f"axis {axis} outside 0..{n - 1}")
     return VerticalSymbol(n, "sign-of-coordinate", axis=axis)
 
 
 def box(lo, hi, n: int = 1) -> VerticalSymbol:
     lo = tuple(np.broadcast_to(np.asarray(lo, dtype=float), (n,)).tolist())
     hi = tuple(np.broadcast_to(np.asarray(hi, dtype=float), (n,)).tolist())
-    if any(a >= b for a, b in zip(lo, hi)):
-        raise ValueError(f"box must have lo < hi on every axis, got lo={lo}, hi={hi}")
     return VerticalSymbol(n, "box-indicator", lo=lo, hi=hi)
 
 
@@ -231,27 +249,61 @@ def _psi_product_matrix(table: IndexTable, t: np.ndarray) -> np.ndarray:
     return np.stack(list(index_products(table, psi)), axis=-1)
 
 
+def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
+    """g as a sum of per-axis products: [(c_k, [f_k0, ..., f_k,n-1])].
+
+    g(v) = sum_k c_k prod_r f_kr(v_r), where each f_kr maps an array of
+    v_r values to real values of the same shape.
+    """
+    if g.kind == "sign-of-coordinate":
+        return [(1.0, [np.sign if r == g.axis else np.ones_like for r in range(g.n)])]
+    if g.kind == "box-indicator":
+        return [(1.0, [lambda v, a=a, b=b: ((v >= a) & (v <= b)).astype(float)
+                       for a, b in zip(g.lo, g.hi)])]
+    if g.kind == "gaussian-modulated-polynomial":
+        h2 = 2 * g.gauss_halfwidth ** 2
+        return [(coeff, [lambda v, e=e, c=c: v ** e * np.exp(-(v - c) ** 2 / h2)
+                         for e, c in zip(exps, g.gauss_center)])
+                for coeff, exps in g.terms]
+    # constant and polynomial: one monomial per term (v^0 = 1)
+    return [(coeff, [lambda v, e=e: v ** e for e in exps]) for coeff, exps in g.terms]
+
+
 def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
                    order: int | None = None) -> SymbolMatrix:
     """Matrix symbol gamma_g(xi) of the vertical multiplier g.
 
     entries[r-1, s-1] = 2^{n/2} int g(v) P_r(v) P_s(v) dv with
-    P_j(v) = prod_p psi_{phi(j)_p}((xi_p + 2 v_p)/sqrt(2)).  Assembled as a
-    weighted Gram matrix over one tensor rule, so symmetry is structural.
+    P_j(v) = prod_p psi_{phi(j)_p}((xi_p + 2 v_p)/sqrt(2)).  With g split
+    into per-axis products (:func:`_axis_factors`), each term is the
+    Hadamard product over p of the one-dimensional matrices
+    M_p = Psi diag(w f_p(v)) Psi^T, read at rows phi(r)_p and columns
+    phi(s)_p.  Every M_p is symmetrized, so a real g gives an exactly
+    symmetric matrix.  ``order`` is the Gauss-Hermite order of a smooth
+    axis, or the Gauss-Legendre order of each panel of a jump axis.
     """
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
     xi = _rpoint(xi, table.n)
     if order is None:
         order = max(default_order(table.n), 48)
-    per_axis = [_build_v_rule(float(xi[r]), g.breakpoints_on_axis(r), order)
-                for r in range(table.n)]
-    v, w = tensor_rule(per_axis)
-    t = (xi + 2 * v) / math.sqrt(2.0)
-    P = _psi_product_matrix(table, t)  # (N, d)
-    gv = np.asarray(g(v))
-    weighted = (w * gv)[:, None] * P
-    entries = 2 ** (table.n / 2) * (P.T @ weighted)
+    rules = []
+    for r in range(table.n):
+        v, w = _build_v_rule(float(xi[r]), g.breakpoints_on_axis(r), order)
+        psi = hermite_fn_table(table.m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))  # (m, N)
+        rules.append((v, w, psi))
+    columns = np.array(table.indices).T  # (n, d)
+    coeffs, blocks = [], []
+    for coeff, factors in _axis_factors(g):
+        per_axis = []
+        for f, (v, w, psi), cols in zip(factors, rules, columns):
+            M = (psi * (w * f(v))) @ psi.T
+            per_axis.append(((M + M.T) / 2)[:, cols])  # (m, d)
+        coeffs.append(coeff)
+        blocks.append(np.stack(per_axis, axis=-1))
+    # rows[j, k, s] = prod_p M_kp[phi(j)_p, phi(s)_p]
+    rows = np.stack(list(index_products(table, np.stack(blocks, axis=1))))
+    entries = 2 ** (table.n / 2) * sum(coeff * rows[:, k] for k, coeff in enumerate(coeffs))
     if g.is_real:
         entries = entries.real.astype(complex)
     return SymbolMatrix(xi=xi, entries=entries)

@@ -1,11 +1,17 @@
 """Tensor Gauss-Hermite grids against closed-form Gaussian integrals."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polyfock import quadrature
 from polyfock.quadrature import (
     DEFAULT_ORDERS,
     MAX_ORDER,
@@ -77,6 +83,53 @@ def test_tensor_rule_mixed_axis_lengths():
                                   (np.array([10.0, 20.0, 30.0]), np.array([1.0, 2.0, 3.0]))])
     assert nodes.tolist() == [[1, 10], [1, 20], [1, 30], [2, 10], [2, 20], [2, 30]]
     assert weights.tolist() == [0.5, 1.0, 1.5, 0.25, 0.5, 0.75]
+
+
+def test_tensor_rule_budget_is_checked_before_allocation(monkeypatch):
+    axis = (np.zeros(4), np.ones(4))
+    # 4^3 nodes, 3 coordinates and one weight each: 2048 bytes
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 2048)
+    nodes, _ = tensor_rule([axis] * 3)
+    assert nodes.shape == (64, 3)
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 2047)
+    with pytest.raises(ValueError, match=r"64 nodes \(4x4x4\) needs 2048 bytes"):
+        tensor_rule([axis] * 3)
+
+
+ADDRESS_SPACE_LIMIT = 2 << 30
+
+# Each snippet would allocate more than a gigabyte without the budget; the
+# child process runs it under a 2 GiB address-space limit, so a missing
+# guard ends in a MemoryError there rather than in the test runner.
+OVER_BUDGET = {
+    "tensor-rule-336-cubed": "tensor_rule([(np.zeros(336), np.ones(336))] * 3)",
+    "sigma-direct-box-n3": ("symbols.sigma_from_gamma(build_index_table(3, 3), "
+                            "symbols.box(-1.0, 1.0, n=3), [0.1, -0.2, 0.3], route='direct')"),
+}
+
+
+@pytest.mark.parametrize("call", OVER_BUDGET.values(), ids=OVER_BUDGET)
+def test_over_budget_rules_refused_under_address_space_limit(call):
+    root = Path(__file__).resolve().parent.parent
+    script = textwrap.dedent(f"""
+        import resource
+        import numpy as np
+        from polyfock import symbols
+        from polyfock.multiindex import build_index_table
+        from polyfock.quadrature import tensor_rule
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_LIMIT}, hard))
+        try:
+            {call}
+        except ValueError as exc:
+            print("refused:", exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "refused: tensor rule of" in result.stdout
+    assert "bytes, over the 1073741824-byte budget" in result.stdout
 
 
 def test_scalar_only_evaluators_are_rejected():

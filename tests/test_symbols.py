@@ -14,6 +14,7 @@ from polyfock.spectral import R_F_kernel_image, q_matrix
 from polyfock.symbols import (
     SymbolMatrix,
     VerticalSymbol,
+    _axis_factors,
     box,
     constant,
     convolution_symbol,
@@ -45,6 +46,25 @@ def _gamma_bruteforce_1d(table, g, xi, order):
     return out
 
 
+def _kind_samples(n, rng, imag=0.5j):
+    """One symbol of each kind in dimension n: an off-centre Gaussian, and
+    polynomial coefficients with imaginary part ``imag``."""
+    unit = [(0,) * n]
+    axes = [tuple(int(q == r) for q in range(n)) for r in range(n)]
+    squares = [tuple(2 * e for e in a) for a in axes]
+    cross = [tuple(1 for _ in range(n))]
+    return [
+        constant(0.8 - 0.3j, n=n),
+        polynomial([(c, e) for c, e in zip(rng.uniform(-1, 1, 2 * n + 2) + imag,
+                                           unit + axes + squares + cross)], n=n),
+        gaussian_poly([(c, e) for c, e in zip(rng.uniform(0.2, 1.5, n + 2),
+                                              unit + squares + cross)],
+                      center=rng.uniform(-1, 1, n), halfwidth=rng.uniform(0.7, 1.5), n=n),
+        sign(axis=n - 1, n=n),
+        box(rng.uniform(-1.5, -0.5, n), rng.uniform(0.5, 1.5, n), n=n),
+    ]
+
+
 def test_unit_symbol_gives_identity():
     for n, m in [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2)]:
         table = build_index_table(n, m)
@@ -65,7 +85,18 @@ def test_gamma_real_symmetric_for_real_symbols():
               gaussian_poly([1.0, 0.5], center=0.2, halfwidth=1.1)]:
         mat = gamma_toeplitz(table, g, [0.6])
         assert np.max(np.abs(mat.entries.imag)) == 0.0
-        assert_allclose(mat.entries, mat.entries.T, atol=1e-13)
+        assert np.array_equal(mat.entries, mat.entries.T)
+    # exact at every n: the one-dimensional factor matrices are symmetrized,
+    # so entries (r, s) and (s, r) multiply equal numbers in equal order
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        table = build_index_table(n, 3)
+        real = [g for g in _kind_samples(n, rng, imag=0.0) if g.is_real]
+        assert len(real) == 4
+        for g in real:
+            for xi in rng.uniform(-3.0, 3.0, (3, n)):
+                entries = gamma_toeplitz(table, g, xi).entries
+                assert np.array_equal(entries, entries.T), f"{g.kind} xi={xi}"
 
 
 def test_gamma_positive_semidefinite_for_nonnegative_symbols():
@@ -153,6 +184,62 @@ def test_sign_symbol_offdiagonal_closed_form():
     assert_allclose(mat.entries[0, 0], 0.0, atol=1e-12)
     assert_allclose(mat.entries[1, 1], 0.0, atol=1e-12)
     assert_allclose(mat.entries[0, 1], math.sqrt(2 / math.pi), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_axis_factors_reproduce_symbol(n):
+    rng = np.random.default_rng(40 + n)
+    v = rng.uniform(-2.0, 2.0, (200, n))
+    for g in _kind_samples(n, rng):
+        split = sum(coeff * np.prod([f(v[:, r]) for r, f in enumerate(factors)], axis=0)
+                    for coeff, factors in _axis_factors(g))
+        assert_allclose(split, g(v), rtol=1e-13, atol=1e-15, err_msg=g.kind)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 3)])
+def test_gamma_matches_direct_sigma_route(n, m):
+    # sigma_g(eta) = gamma_g(-eta / sqrt(2)); the direct route integrates
+    # g itself over a tensor rule, sharing no assembly with gamma_toeplitz
+    rng = np.random.default_rng(10 * n + m)
+    table = build_index_table(n, m)
+    for g in _kind_samples(n, rng):
+        if n == 3 and g.kind == "box-indicator":
+            continue  # the direct route's rule is over the allocation budget
+        for eta in rng.uniform(-3.0, 3.0, (3, n)):
+            gam = gamma_toeplitz(table, g, -eta / math.sqrt(2.0)).entries
+            direct = sigma_from_gamma(table, g, eta, route="direct").entries
+            assert_allclose(gam, direct, rtol=0, atol=1e-12, err_msg=f"{g.kind} eta={eta}")
+
+
+def test_gamma_and_direct_route_share_no_assembly(monkeypatch):
+    # gamma_toeplitz builds no tensor rule and never evaluates g; the direct
+    # sigma route never uses the per-axis split it is the check for
+    from polyfock import symbols
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called across the route boundary")
+
+    table = build_index_table(2, 3)
+    g = gaussian_poly([(1.0, (0, 0)), (0.5, (2, 1))], center=[0.3, -0.2], n=2)
+    with monkeypatch.context() as patch:
+        for name in ("tensor_rule", "_psi_product_matrix"):
+            patch.setattr(symbols, name, refuse)
+        patch.setattr(VerticalSymbol, "__call__", refuse)
+        gamma = gamma_toeplitz(table, g, [0.4, -1.0]).entries
+    monkeypatch.setattr(symbols, "_axis_factors", refuse)
+    direct = sigma_from_gamma(table, g, [-0.4 * math.sqrt(2.0), math.sqrt(2.0)],
+                              route="direct").entries
+    assert_allclose(gamma, direct, rtol=0, atol=1e-12)
+
+
+def test_gamma_box_n3_bounded_and_psd():
+    table = build_index_table(3, 4)
+    g = box([-1.0, -0.9, -1.1], [1.0, 1.1, 0.95], n=3)
+    for xi in ([0.1, -0.2, 0.05], [2.0, -1.0, 0.5], [-8.0, -8.0, -8.0]):
+        entries = gamma_toeplitz(table, g, xi).entries
+        assert np.all(np.isfinite(entries))
+        assert np.linalg.eigvalsh(entries)[0] >= -1e-9
+        assert np.linalg.norm(entries, 2) <= g.sup_bound() + 1e-8
 
 
 def test_gamma_dimension_mismatch():
@@ -309,8 +396,33 @@ def test_symbol_kind_validation():
         VerticalSymbol(1, "wavelet")
     with pytest.raises(ValueError):
         VerticalSymbol(0, "constant")
+    with pytest.raises(TypeError):
+        VerticalSymbol(1.5, "constant", ((1.0, (0,)),))
+    with pytest.raises(TypeError):
+        constant(1, n=True)
+    with pytest.raises(TypeError):
+        sign(axis=0.0, n=2)
+    with pytest.raises(TypeError):
+        sign(axis=True, n=2)
+    with pytest.raises(ValueError):
+        sign(axis=-1, n=2)
     with pytest.raises(ValueError):
         sign(axis=1, n=1)
+    with pytest.raises(ValueError):
+        box([-1.0, math.nan], [1.0, 1.0], n=2)
+    with pytest.raises(ValueError):
+        box(math.nan, 1.0)
+    with pytest.raises(ValueError):
+        VerticalSymbol(2, "box-indicator", lo=(-1.0,), hi=(1.0,))
+    with pytest.raises(ValueError):
+        gaussian_poly([1.0], center=[0.0, math.inf], n=2)
+    with pytest.raises(ValueError):
+        gaussian_poly([1.0], center=math.nan)
+    with pytest.raises(ValueError):
+        gaussian_poly([1.0], halfwidth=math.inf)
+    # NumPy integers are integers; half-infinite boxes are boxes
+    assert sign(axis=np.int64(1), n=np.int64(2)).axis == 1
+    assert box(-math.inf, 0.0).breakpoints_on_axis(0) == (-math.inf, 0.0)
     with pytest.raises(ValueError):
         box(1.0, -1.0)
     with pytest.raises(ValueError):
