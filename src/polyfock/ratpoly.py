@@ -1,10 +1,17 @@
 """Exact multivariate polynomials with rational coefficients.
 
-Small dict-backed polynomial ring over ``fractions.Fraction`` used as the
-zero-tolerance side of identity checks: two expressions agree as
-polynomials iff their difference normalizes to the empty term map.  Keys
-are exponent tuples aligned with ``variables``; zero coefficients are
-dropped eagerly so equality is structural.
+Small dict-backed polynomial ring used as the zero-tolerance side of
+identity checks: two expressions agree as polynomials iff their difference
+normalizes to the empty term map.  Keys are exponent tuples aligned with
+``variables``.
+
+A polynomial is stored as integer numerators over one common positive
+denominator, so the ring operations multiply and add Python ints and
+reduce by a single gcd at the end instead of normalizing a ``Fraction``
+per term.  The form is canonical: no zero numerators, ``_den > 0``,
+``gcd(_den, *numerators) == 1``, and the zero polynomial has ``_den == 1``.
+Equality and hashing therefore compare the stored numbers directly.
+``terms`` is the read view as ``{exponents: Fraction}``.
 
 Only the ring operations needed by the orthogonal-polynomial checks are
 implemented; this is an oracle, not a computer-algebra system.
@@ -12,7 +19,9 @@ implemented; this is an oracle, not a computer-algebra system.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -26,10 +35,24 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
 
 
-class RationalPoly:
-    """Polynomial in named variables with Fraction coefficients."""
+def _canonical(variables: tuple[str, ...], num: dict[tuple[int, ...], int],
+               den: int) -> "RationalPoly":
+    """The polynomial num / den; num holds no zeros and den > 0."""
+    g = math.gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    result = RationalPoly.__new__(RationalPoly)
+    result.variables = variables
+    result._num = num
+    result._den = den
+    return result
 
-    __slots__ = ("variables", "terms")
+
+class RationalPoly:
+    """Polynomial in named variables with exact rational coefficients."""
+
+    __slots__ = ("variables", "_num", "_den")
 
     def __init__(
         self,
@@ -48,7 +71,9 @@ class RationalPoly:
             val = _as_fraction(coeff)
             if val:
                 clean[key] = val
-        self.terms = clean
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -78,77 +103,61 @@ class RationalPoly:
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         self._check_ring(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        result = RationalPoly.__new__(RationalPoly)
-        result.variables = self.variables
-        result.terms = out
-        return result
+        den = math.lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        out = {e: c * f1 for e, c in self._num.items()}
+        for exps, coeff in other._num.items():
+            out[exps] = out.get(exps, 0) + coeff * f2
+        return _canonical(self.variables, {e: c for e, c in out.items() if c}, den)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
         return self + (-other)
 
     def __neg__(self) -> "RationalPoly":
-        result = RationalPoly.__new__(RationalPoly)
-        result.variables = self.variables
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return _canonical(self.variables, {e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other: "RationalPoly | Scalar") -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = get(key)
-                prod = c1 * c2
-                if acc is None:
-                    out[key] = prod
-                else:
-                    acc = acc + prod
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        result = RationalPoly.__new__(RationalPoly)
-        result.variables = self.variables
-        result.terms = out
-        return result
+        other_items = other._num.items()
+        for e1, c1 in self._num.items():
+            for e2, c2 in other_items:
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + c1 * c2
+        return _canonical(self.variables, {e: c for e, c in out.items() if c},
+                          self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "RationalPoly":
         c = _as_fraction(c)
-        result = RationalPoly.__new__(RationalPoly)
-        result.variables = self.variables
-        result.terms = {e: c * v for e, v in self.terms.items()} if c else {}
-        return result
+        if not c:
+            return _canonical(self.variables, {}, 1)
+        return _canonical(self.variables,
+                          {e: v * c.numerator for e, v in self._num.items()},
+                          self._den * c.denominator)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Nonzero coefficients as ``{exponent tuple: Fraction}`` (a fresh dict)."""
+        return {e: Fraction(c, self._den) for e, c in self._num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
+        return Fraction(self._num.get(tuple(int(e) for e in exps), 0), self._den)
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point, exact on Fraction inputs.
@@ -170,17 +179,19 @@ class RationalPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        return (self.variables == other.variables and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "RationalPoly(0)"
+        terms = self.terms
         bits = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
+        for exps in sorted(terms, key=lambda e: (sum(e), e)):
+            coeff = terms[exps]
             mono = "*".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.variables, exps)

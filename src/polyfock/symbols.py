@@ -40,7 +40,13 @@ import numpy as np
 from .kernels import _rpoint
 from .multiindex import IndexTable, _is_integer, index_products
 from .orthopoly import hermite_fn_table
-from .quadrature import default_order, gauss_hermite_1d, legendre_panels, tensor_rule
+from .quadrature import (
+    RULE_BYTES_BUDGET,
+    default_order,
+    gauss_hermite_1d,
+    legendre_panels,
+    tensor_rule,
+)
 
 # Gauss-Hermite tails are cut where e^{-t^2} has decayed to ~1e-35; the
 # Legendre panels for discontinuous axes cover the matching v-interval.
@@ -309,6 +315,21 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
     return SymbolMatrix(xi=xi, entries=entries)
 
 
+def _check_direct_budget(table: IndexTable, sizes: Sequence[int]) -> None:
+    """Refuse a direct-route rule whose arrays would exceed RULE_BYTES_BUDGET.
+
+    Per node, in float64 words: the rule (n coordinates and a weight), the
+    Hermite table (m values per axis), the psi-product matrix P (d reals)
+    and the weighted product w g P (d complex numbers).
+    """
+    total = math.prod(sizes)
+    size_bytes = total * (table.n + 1 + table.m * table.n + 3 * table.d) * 8
+    if size_bytes > RULE_BYTES_BUDGET:
+        raise ValueError(f"tensor rule of {total} nodes ({'x'.join(map(str, sizes))}) "
+                         f"with its psi products (d = {table.d}) needs {size_bytes} bytes, "
+                         f"over the {RULE_BYTES_BUDGET}-byte budget")
+
+
 def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
                      order: int | None = None, route: str = "via-gamma") -> SymbolMatrix:
     """Shifted-argument symbol sigma_g(eta) = gamma_g(-eta / sqrt(2)).
@@ -340,6 +361,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
         else:
             t, w = gauss_hermite_1d(order)
             per_axis.append((t, w * np.exp(t * t)))
+    _check_direct_budget(table, [len(nodes) for nodes, _ in per_axis])
     t, w = tensor_rule(per_axis)
     P = _psi_product_matrix(table, t)
     gv = np.asarray(g((t + eta / 2) / math.sqrt(2.0)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from itertools import product as cartesian
 from typing import Callable, Sequence
 
@@ -37,7 +37,13 @@ from .orthopoly import (
     hermite_fn,
     laguerre_fn,
 )
-from .quadrature import default_order, fourier_1d_gaussian_type, tensor_grid
+from .quadrature import (
+    default_order,
+    fourier_1d_gaussian_type,
+    gauss_hermite_1d,
+    tensor_grid,
+    tensor_rule,
+)
 from .spectral import L_closed, L_via_fourier
 
 SUITES = ("laguerre", "kernel-basis", "reproducing", "sum-products",
@@ -95,6 +101,8 @@ class CaseResult:
     max_error: float
     tolerance: float
     passed: bool
+    # Wall time of the case; not part of the result, so equal runs compare equal.
+    elapsed_seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,12 @@ def _run_cases(jobs: Sequence[tuple[str, Callable[[], float]]],
                tolerance_of: Callable[[str], float]) -> tuple[CaseResult, ...]:
     results = []
     for case_id, fn in jobs:
+        t0 = time.perf_counter()
         err = float(fn())
+        elapsed = time.perf_counter() - t0
         tol = tolerance_of(case_id)
         results.append(CaseResult(id=case_id, max_error=err, tolerance=tol,
-                                  passed=bool(err <= tol)))
+                                  passed=bool(err <= tol), elapsed_seconds=elapsed))
     return tuple(sorted(results, key=lambda c: c.id))
 
 
@@ -239,30 +249,39 @@ def suite_kernel_basis(config: SuiteConfig) -> VerificationReport:
 # suite: reproducing  (quadrature of f against the kernel section)
 # ---------------------------------------------------------------------------
 
+def _gaussian_rule(center: np.ndarray, alpha: float, order: int):
+    """Tensor rule for integrals against the Gaussian (alpha/pi)^n e^{-alpha|w|^2} on C^n.
+
+    ``center`` holds the 2n real coordinates (real parts, then imaginary
+    parts) the rule is placed at.  Each axis maps Gauss-Hermite nodes t to
+    x = c + t/sqrt(alpha) and carries the Gaussian in its weight,
+    (1/sqrt(alpha)) w e^{t^2 - alpha x^2} sqrt(alpha/pi); the exponent is
+    written as -alpha c^2 - 2 sqrt(alpha) c t, which stays small.  Summing
+    weight * f(node) approximates the Gaussian mean of f.
+    """
+    t, w = gauss_hermite_1d(order)
+    root = math.sqrt(alpha)
+    return tensor_rule([(c + t / root,
+                         w * np.exp(-alpha * c * c - 2 * root * c * t) / math.sqrt(math.pi))
+                        for c in center])
+
+
 def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
                        z: np.ndarray, order: int | None) -> float:
     """Max relative error of <w^p conj(w)^q, K_z> = z^p conj(z)^q over the range."""
     spec = KernelSpec(n, m, alpha)
     if order is None:
         order = default_order(2 * n)
-    x, y = np.real(z), np.imag(z)
-    center = np.concatenate((x, y)) / 2
-    grid = tensor_grid(2 * n, order, center=center, scale=1 / math.sqrt(alpha))
+    nodes, weights = _gaussian_rule(np.concatenate((np.real(z), np.imag(z))) / 2,
+                                    alpha, order)
 
     ps = build_index_table(n, p_bound + 1)
     qs = build_index_table(n, m)
     acc = np.zeros((len(ps), len(qs)), dtype=complex)
     chunk = 1 << 15
-    nodes = grid.nodes
     for start in range(0, nodes.shape[0], chunk):
-        u = nodes[start : start + chunk, :n]
-        v = nodes[start : start + chunk, n:]
-        w = u + 1j * v
-        weight = grid.weights[start : start + chunk]
-        base = (weight
-                * np.conj(kernel_F(spec, z, w))
-                * np.exp(-alpha * np.sum(u * u + v * v, axis=-1))
-                * (alpha / math.pi) ** n)
+        w = nodes[start : start + chunk, :n] + 1j * nodes[start : start + chunk, n:]
+        base = weights[start : start + chunk] * np.conj(kernel_F(spec, z, w))
         acc += (_monomial_rows(w, ps) * base) @ _monomial_rows(np.conj(w), qs).T
 
     p_exps, q_exps = np.array(ps.indices), np.array(qs.indices)

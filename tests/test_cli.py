@@ -226,3 +226,19 @@ def test_verify_command_failure_exit_code(monkeypatch, capsys):
     rc = main(["verify", "sum-products"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_case_lines_leave_out_case_timing(monkeypatch, capsys):
+    report = VerificationReport(
+        suite="laguerre", passed=True,
+        cases=(CaseResult(id="decomposition n=1 p=00", max_error=0.0, tolerance=0.0,
+                          passed=True, elapsed_seconds=1.25),),
+        elapsed_seconds=1.3, params={"seed": 7},
+    )
+    monkeypatch.setattr(cli, "run_suite", lambda name, config: report)
+    assert main(["verify", "laguerre"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "suite laguerre  (seed=7, 1.3s)",
+        "  PASS  decomposition n=1 p=00                     max_error=0.000e+00  tol=0.0e+00",
+        "suite laguerre: PASS (1 cases)",
+    ]

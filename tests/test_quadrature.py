@@ -105,6 +105,9 @@ OVER_BUDGET = {
     "tensor-rule-336-cubed": "tensor_rule([(np.zeros(336), np.ones(336))] * 3)",
     "sigma-direct-box-n3": ("symbols.sigma_from_gamma(build_index_table(3, 3), "
                             "symbols.box(-1.0, 1.0, n=3), [0.1, -0.2, 0.3], route='direct')"),
+    "sigma-direct-products-n3": ("symbols.sigma_from_gamma(build_index_table(3, 5), "
+                                 "symbols.constant(1.0, n=3), [0.1, -0.2, 0.3], order=128, "
+                                 "route='direct')"),
 }
 
 

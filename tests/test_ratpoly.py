@@ -1,13 +1,17 @@
 """Exact polynomial ring sanity checks.
 
-Everything here is Fraction arithmetic; equality means identical terms,
-not closeness.
+``RationalPoly`` keeps integer numerators over one common denominator; the
+results are compared against Fraction coefficients, and equality means
+identical terms, not closeness.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyfock import orthopoly
 from polyfock.ratpoly import RationalPoly
 
 
@@ -74,3 +78,92 @@ def test_structural_equality_ignores_zero_coefficients():
     p = x + y - y
     assert p == x
     assert len(p.terms) == 1
+
+
+# -- integer numerators against a Fraction-dict reference --------------------
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_scale(a, c):
+    return {e: c * v for e, v in a.items() if c * v}
+
+
+def _assert_canonical(p):
+    assert p._den > 0
+    assert all(isinstance(c, int) and c for c in p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+    if not p._num:
+        assert p._den == 1
+
+
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def _poly_pairs(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars).filter(lambda e: sum(e) <= 4)
+    terms = st.dictionaries(exps, _coeffs, max_size=6)
+    return tuple(f"x{i}" for i in range(nvars)), draw(terms), draw(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_poly_pairs(), c=_coeffs)
+def test_ring_matches_fraction_reference(pair, c):
+    ring, a, b = pair
+    ref_a = {e: v for e, v in a.items() if v}
+    ref_b = {e: v for e, v in b.items() if v}
+    p, q = RationalPoly(ring, a), RationalPoly(ring, b)
+    expected = {
+        "p": ref_a,
+        "p + q": _ref_add(ref_a, ref_b),
+        "p - q": _ref_add(ref_a, _ref_scale(ref_b, -1)),
+        "-p": _ref_scale(ref_a, -1),
+        "p * q": _ref_mul(ref_a, ref_b),
+        "p.scale(c)": _ref_scale(ref_a, c),
+    }
+    got = {"p": p, "p + q": p + q, "p - q": p - q, "-p": -p, "p * q": p * q,
+           "p.scale(c)": p.scale(c)}
+    for name, poly in got.items():
+        _assert_canonical(poly)
+        assert poly.terms == expected[name], name
+        rebuilt = RationalPoly(ring, expected[name])
+        assert poly == rebuilt and hash(poly) == hash(rebuilt), name
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    diff = p - p
+    assert diff.is_zero() and diff._den == 1 and diff == RationalPoly.zero(ring)
+
+
+def _decomposition_holds(n, p):
+    holds, count = orthopoly.check_laguerre_decomposition(n, p)
+    assert count == math.comb(n + p, n)
+    return holds
+
+
+def test_decomposition_detects_a_one_over_nine_factorial_perturbation(monkeypatch):
+    # The right-hand side of L_8^{(3)}(t1+t2+t3) has coefficients with
+    # denominators up to 8!; a change of 1/9! in one of them must not be lost.
+    assert _decomposition_holds(3, 8)
+    fold = orthopoly._laguerre_product_sum
+
+    def perturbed(coords, p):
+        rhs = fold(coords, p)
+        bump = RationalPoly(rhs.variables, {(p, 0, 0): Fraction(1, math.factorial(9))})
+        return rhs + bump
+
+    monkeypatch.setattr(orthopoly, "_laguerre_product_sum", perturbed)
+    assert not _decomposition_holds(3, 8)

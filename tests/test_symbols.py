@@ -232,6 +232,35 @@ def test_gamma_and_direct_route_share_no_assembly(monkeypatch):
     assert_allclose(gamma, direct, rtol=0, atol=1e-12)
 
 
+def test_direct_route_budget_counts_psi_products(monkeypatch):
+    from polyfock import symbols
+
+    # n = 1, m = 2 (d = 2) on 10 nodes: 10 * (1 + 1 + 2 + 3 * 2) * 8 = 800 bytes
+    table = build_index_table(1, 2)
+    monkeypatch.setattr(symbols, "RULE_BYTES_BUDGET", 800)
+    symbols._check_direct_budget(table, [10])
+    monkeypatch.setattr(symbols, "RULE_BYTES_BUDGET", 799)
+    with pytest.raises(ValueError, match=r"10 nodes \(10\) with its psi products "
+                                         r"\(d = 2\) needs 800 bytes"):
+        symbols._check_direct_budget(table, [10])
+
+
+def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
+    # A 128^3 rule alone is 67 MB, under the budget; with d = 35 its psi
+    # products would take 2.1 GB.  Nothing large may be built before refusing.
+    from polyfock import symbols
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    for name in ("tensor_rule", "hermite_fn_table", "_psi_product_matrix"):
+        monkeypatch.setattr(symbols, name, refuse)
+    with pytest.raises(ValueError, match=r"2097152 nodes \(128x128x128\) with its psi "
+                                         r"products \(d = 35\) needs 2080374784 bytes"):
+        sigma_from_gamma(build_index_table(3, 5), constant(1.0, n=3), [0.1, -0.2, 0.3],
+                         order=128, route="direct")
+
+
 def test_gamma_box_n3_bounded_and_psd():
     table = build_index_table(3, 4)
     g = box([-1.0, -0.9, -1.1], [1.0, 1.1, 0.95], n=3)

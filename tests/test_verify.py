@@ -127,3 +127,35 @@ def test_monomial_rows_match_direct_powers():
         rows = verify._monomial_rows(x, table)
         direct = np.array([np.prod(x ** np.array(k), axis=1) for k in table])
         assert_allclose(rows, direct, rtol=1e-14)
+
+
+def test_case_timing_round_trips_and_old_reports_load():
+    report = run_suite("laguerre", SuiteConfig(n_max=1, p_max=2))
+    times = [c.elapsed_seconds for c in report.cases]
+    assert all(t > 0 for t in times)
+    assert sum(times) <= report.elapsed_seconds + 1e-3
+
+    data = json.loads(json.dumps(report.to_dict()))
+    assert [c["elapsed_seconds"] for c in data["cases"]] == times
+    decoded = VerificationReport.from_dict(data)
+    assert [c.elapsed_seconds for c in decoded.cases] == times
+
+    for case in data["cases"]:
+        del case["elapsed_seconds"]
+    old = VerificationReport.from_dict(data)
+    assert old == report
+    assert all(c.elapsed_seconds == 0.0 for c in old.cases)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_gaussian_rule_moments(n, alpha):
+    # The folded weights integrate against (alpha/pi)^n e^{-alpha |w|^2}:
+    # mass 1, mean 0 and E|w_r|^2 = 1/alpha, at an off-centre placement.
+    center = np.array([0.3, -0.35, 0.25, 0.1])[: 2 * n]
+    nodes, weights = verify._gaussian_rule(center, alpha, verify.default_order(2 * n))
+    w = nodes[:, :n] + 1j * nodes[:, n:]
+    assert abs(np.sum(weights) - 1) <= 1e-13
+    for r in range(n):
+        assert abs(np.sum(weights * w[:, r])) <= 1e-13
+        assert abs(np.sum(weights * np.abs(w[:, r]) ** 2) - 1 / alpha) <= 1e-13
