@@ -55,6 +55,17 @@ closed_image = R_F_kernel_image(spec, y0, xi)
 print("kernel image residual:",
       float(np.max(np.abs(direct.components - closed_image.components))))
 
+# in two variables the integral is four-dimensional; R_F_apply contracts it
+# one (u_r, v_r) pair of axes at a time.  Its default order, 20 nodes per
+# axis, leaves a larger residual here than the 32 nodes of one variable.
+spec2 = KernelSpec(2, 3, alpha)
+y2, xi2 = np.array([0.5, -0.3]), np.array([0.8, -0.4])
+section2 = fock_function(lambda z: kernel_F(spec2, 1j * y2, z))
+direct2 = R_F_apply(spec2, section2, xi2)
+closed_image2 = R_F_kernel_image(spec2, y2, xi2)
+print("kernel image residual (n = 2):",
+      float(np.max(np.abs(direct2.components - closed_image2.components))))
+
 # integrating the squared image over xi recovers the section's squared
 # norm d e^{alpha |y|^2}
 norm_grid = tensor_grid(n, 48, center=0.0, scale=math.sqrt(2.0))

@@ -80,8 +80,14 @@ def kernel_F(spec: KernelSpec, z, w):
     """
     z = _cpoint(z, spec.n)
     w = _cpoint(w, spec.n)
-    ip = np.sum(w * np.conj(z), axis=-1)
-    dist2 = np.sum(np.abs(w - z) ** 2, axis=-1)
+    # Summed coordinate by coordinate: numpy reduces a short trailing axis
+    # far more slowly than it adds whole arrays.
+    ip = 0.0
+    dist2 = 0.0
+    for r in range(spec.n):
+        ip = ip + w[..., r] * np.conj(z[..., r])
+        d = w[..., r] - z[..., r]
+        dist2 = dist2 + (d.real * d.real + d.imag * d.imag)
     return np.exp(spec.alpha * ip) * laguerre_eval(spec.m - 1, spec.n, spec.alpha * dist2)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .kernels import KernelSpec, kernel_H, _cpoint, _rpoint
 from .multiindex import IndexTable, build_index_table, index_products
 from .orthopoly import hermite_fn_table
-from .quadrature import default_order, tensor_grid
+from .quadrature import RULE_BYTES_BUDGET, _evaluate, default_order, tensor_grid
 from .transforms import FieldFunction, FLAT, FOCK, _require
 
 
@@ -124,7 +124,7 @@ def fiber_project(
     if scale is None:
         scale = 1.0
     grid = tensor_grid(n, order, center=center, scale=scale)
-    vals = np.asarray(g_slice(grid.nodes))
+    vals = _evaluate(g_slice, grid.nodes)
     q = q_matrix(table, xi, grid.nodes)  # (N, d)
     comps = q.T @ (grid.weights * vals) / (2 * math.pi) ** (n / 2)
     return FiberVector(xi=xi, components=comps)
@@ -212,10 +212,31 @@ def R_H_apply(
     grid = _uv_grid(n, xi, order, u_center, v_center, u_scale, v_scale)
     u = grid.nodes[:, :n]
     v = grid.nodes[:, n:]
-    vals = np.asarray(g(u, v)) * np.exp(-1j * u @ xi)
+    vals = _evaluate(lambda nodes: g(nodes[:, :n], nodes[:, n:]), grid.nodes)
+    vals = vals * np.exp(-1j * u @ xi)
     q = q_matrix(table, xi, v)  # (N, d)
     comps = q.T @ (grid.weights * vals) / (2 * math.pi) ** n
     return FiberVector(xi=xi, components=comps)
+
+
+def _check_R_F_budget(n: int, order: int) -> None:
+    """Refuse an R_F_apply rule whose per-node arrays would exceed RULE_BYTES_BUDGET.
+
+    Per node, in float64 words: the rule (2n coordinates and a weight), the
+    complex points (2n) and the weighted values (4: f and f times weight).
+    """
+    total = order ** (2 * n)
+    size_bytes = total * (4 * n + 5) * 8
+    if size_bytes > RULE_BYTES_BUDGET:
+        raise ValueError(f"tensor rule of {total} nodes ({'x'.join([str(order)] * (2 * n))}) "
+                         f"with its points and values needs {size_bytes} bytes, "
+                         f"over the {RULE_BYTES_BUDGET}-byte budget")
+
+
+def _axis_nodes(grid, axis: int) -> np.ndarray:
+    """The 1-D nodes of one axis of a tensor grid (last axis fastest)."""
+    stride = grid.order ** (grid.dim - 1 - axis)
+    return grid.nodes[: stride * grid.order : stride, axis]
 
 
 def R_F_apply(
@@ -234,24 +255,36 @@ def R_F_apply(
         e^{-|u|^2/2 - |v|^2/2 - i<u, v> - i<u, xi>}
         prod_r psi_{phi(j)_r}((xi_r + 2 v_r)/sqrt(2)) du dv.
 
+    Everything but f is a product over r of a function of (u_r, v_r), so f
+    times the weights is evaluated once on the order^{2n} tensor grid and
+    contracted one (u_r, v_r) axis pair at a time against the (m, order,
+    order) factor of that pair.  Cost: order^{2n} evaluations of f plus
+    O(m * order^{2n}) for the contraction.  A rule whose per-node arrays
+    would exceed RULE_BYTES_BUDGET raises ValueError before f is called.
+
     Written out directly rather than composed from :func:`flatten` and
     :func:`R_H_apply`, so the two routes stay independent checks of the
     same operator.
     """
     _require(f, FOCK)
-    n = spec.n
-    table = build_index_table(spec.n, spec.m)
+    n, m = spec.n, spec.m
+    table = build_index_table(n, m)
     xi = _rpoint(xi, n)
+    if order is None:
+        order = default_order(2 * n)
+    _check_R_F_budget(n, order)
     grid = _uv_grid(n, xi, order, u_center, v_center, u_scale, v_scale)
-    u = grid.nodes[:, :n]
-    v = grid.nodes[:, n:]
-    phase = np.exp(-np.sum(u * u, axis=-1) / 2 - np.sum(v * v, axis=-1) / 2
-                   - 1j * np.sum(u * v, axis=-1) - 1j * (u @ xi))
-    vals = np.asarray(f((u + 1j * v) / math.sqrt(spec.alpha))) * phase
-    t = (xi + 2 * v) / math.sqrt(2.0)
-    psi = hermite_fn_table(table.m - 1, t)
-    big_psi = np.stack(list(index_products(table, psi)), axis=-1)  # (N, d)
-    comps = big_psi.T @ (grid.weights * vals) * math.pi ** (-3 * n / 4)
+    z = (grid.nodes[:, :n] + 1j * grid.nodes[:, n:]) / math.sqrt(spec.alpha)
+    cube = (_evaluate(f, z) * grid.weights).reshape((order,) * (2 * n))
+    for r in range(n):
+        u = _axis_nodes(grid, r)[:, None]
+        v = _axis_nodes(grid, n + r)
+        phase = np.exp(-u * u / 2 - v * v / 2 - 1j * u * (v + xi[r]))
+        psi = hermite_fn_table(m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))
+        # The u_r axis leads the cube and v_r sits after the n - r u axes
+        # left; the contraction appends the k_r axis at the end.
+        cube = np.tensordot(cube, phase[None, :, :] * psi[:, None, :], axes=([0, n - r], [1, 2]))
+    comps = cube[tuple(np.array(table.indices).T)] * math.pi ** (-3 * n / 4)
     return FiberVector(xi=xi, components=comps)
 
 

@@ -19,6 +19,7 @@ from polyfock.kernels import (
     pairing,
 )
 from polyfock.multiindex import build_index_table
+from polyfock.orthopoly import laguerre_eval
 
 
 def rand_points(rng, count, n, box=1.0):
@@ -79,6 +80,33 @@ def test_classical_fock_kernel_m1():
     got = kernel_F(spec, z, w)
     expected = np.exp(1.3 * np.sum(w * np.conj(z), axis=-1))
     assert_allclose(got, expected, rtol=1e-14)
+
+
+def kernel_F_trailing_axis(spec, z, w):
+    """kernel_F with its sums taken by reducing the trailing length-n axis."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if z.ndim == 0:
+        z = z.reshape(1)
+    ip = np.sum(w * np.conj(z), axis=-1)
+    dist2 = np.sum(np.abs(w - z) ** 2, axis=-1)
+    return np.exp(spec.alpha * ip) * laguerre_eval(spec.m - 1, spec.n, spec.alpha * dist2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_F_matches_trailing_axis_sums(n):
+    spec = KernelSpec(n, 3, 1.1)
+    rng = np.random.default_rng([17, n])
+    z = rand_points(rng, 40, n)
+    w = rand_points(rng, 40, n)
+    cases = [(z, w), (z[:, None, :], z[None, :, :]), (z[0], w)]
+    if n == 1:
+        cases.append((complex(z[0, 0]), w))
+    for a, b in cases:
+        got = kernel_F(spec, a, b)
+        ref = kernel_F_trailing_axis(spec, a, b)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_hermitian_symmetry():

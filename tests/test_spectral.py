@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 
 from polyfock.kernels import KernelSpec, kernel_F
 from polyfock.multiindex import build_index_table
-from polyfock.quadrature import tensor_grid
+from polyfock.orthopoly import hermite_fn_table
+from polyfock.quadrature import default_order, tensor_grid
 from polyfock.spectral import (
     FiberVector,
     L_closed,
@@ -29,7 +30,7 @@ from polyfock.spectral import (
     q_eval,
     q_matrix,
 )
-from polyfock.transforms import flatten, fock_function
+from polyfock.transforms import flat_function, flatten, fock_function
 
 
 def q_gram(table, xi, order=48):
@@ -201,6 +202,100 @@ def test_R_two_routes_on_kernel_sections():
         assert_allclose(direct.components, closed.components, atol=1e-7)
         assert_allclose(via_flat.components, closed.components, atol=1e-7)
         assert_allclose(direct.components, via_flat.components, atol=1e-7)
+
+
+def R_F_dense(spec, f, xi, order=None, v_center=None, u_scale=None, v_scale=None):
+    """R_F_apply's integral as one weighted sum over the whole 2n-dim grid.
+
+    The full phase and the q-style Hermite products are evaluated at every
+    node, then contracted with the values in one matrix-vector product.
+    """
+    n = spec.n
+    table = build_index_table(n, spec.m)
+    xi = np.asarray(xi, dtype=float)
+    order = default_order(2 * n) if order is None else order
+    center = np.concatenate((np.zeros(n), -xi / 2 if v_center is None else v_center))
+    scale = np.concatenate((np.full(n, math.sqrt(2.0) if u_scale is None else u_scale),
+                            np.full(n, 1.0 if v_scale is None else v_scale)))
+    grid = tensor_grid(2 * n, order, center=center, scale=scale)
+    u = grid.nodes[:, :n]
+    v = grid.nodes[:, n:]
+    phase = np.exp(-np.sum(u * u, axis=-1) / 2 - np.sum(v * v, axis=-1) / 2
+                   - 1j * np.sum(u * v, axis=-1) - 1j * (u @ xi))
+    vals = np.asarray(f((u + 1j * v) / math.sqrt(spec.alpha))) * phase
+    psi = hermite_fn_table(spec.m - 1, (xi + 2 * v) / math.sqrt(2.0))
+    big_psi = np.stack([np.prod([psi[kr, :, r] for r, kr in enumerate(k)], axis=0)
+                        for k in table], axis=-1)
+    return big_psi.T @ (grid.weights * vals) * math.pi ** (-3 * n / 4)
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (2, 4), (3, 2)])
+def test_R_F_apply_matches_dense_sum(n, m):
+    spec = KernelSpec(n, m, 1.3)
+    rng = np.random.default_rng([38, n, m])
+    y = rng.uniform(-0.8, 0.8, n)
+    xi = rng.uniform(-3, 3, n)
+    f = fock_function(lambda z: kernel_F(spec, 1j * y, z))
+    placements = [{}, dict(order=10, v_center=-xi / 3, u_scale=1.2, v_scale=0.9)]
+    for placement in placements:
+        got = R_F_apply(spec, f, xi, **placement).components
+        assert got.shape == (spec.d,)
+        assert_allclose(got, R_F_dense(spec, f, xi, **placement), rtol=0, atol=1e-13)
+
+
+def test_R_F_apply_shares_no_route_with_its_checks(monkeypatch):
+    from polyfock import spectral, transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called across the route boundary")
+
+    for name in ("q_matrix", "q_eval", "R_F_kernel_image", "R_H_apply"):
+        monkeypatch.setattr(spectral, name, refuse)
+    monkeypatch.setattr(transforms, "flatten", refuse)
+    spec = KernelSpec(2, 3)
+    y = np.array([0.3, -0.5])
+    R_F_apply(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)), [0.4, -1.0], order=8)
+
+
+def test_evaluators_must_return_one_value_per_node():
+    xi = [0.5]
+    table = build_index_table(1, 2)
+    calls = [
+        lambda: R_F_apply(KernelSpec(1, 2), fock_function(lambda z: np.ones(z.shape, complex)),
+                          xi, order=8),
+        lambda: R_H_apply(table, flat_function(lambda u, v: np.ones(u.shape)), xi, order=8),
+        lambda: fiber_project(table, xi, lambda v: np.ones(v.shape), order=8),
+    ]
+    for call, nodes in zip(calls, (64, 64, 8)):
+        with pytest.raises(ValueError, match=rf"returned shape \({nodes}, 1\) for {nodes} points"):
+            call()
+
+
+def test_R_F_budget_counts_points_and_values(monkeypatch):
+    from polyfock import spectral
+
+    # n = 1 at order 4: 16 nodes * (4 + 5) words * 8 bytes = 1152 bytes
+    spec = KernelSpec(1, 2)
+    f = fock_function(lambda z: kernel_F(spec, 0.2j, z))
+    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1152)
+    R_F_apply(spec, f, [0.5], order=4)
+    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1151)
+    with pytest.raises(ValueError, match=r"^tensor rule of 16 nodes \(4x4\) with its points "
+                                         r"and values needs 1152 bytes"):
+        R_F_apply(spec, f, [0.5], order=4)
+
+
+def test_R_F_refuses_large_rules_before_building_them(monkeypatch):
+    # n = 3 at order 16: the rule alone (940 MB) fits the budget, its points
+    # and values push the call to 2.3 GB.  The default order 12 (406 MB) fits.
+    from polyfock import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated or evaluated before the budget check")
+
+    monkeypatch.setattr(spectral, "tensor_grid", refuse)
+    with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\)"):
+        R_F_apply(KernelSpec(3, 2), fock_function(refuse), [0.1, 0.2, 0.3], order=16)
 
 
 def test_R_F_zero_input():
