@@ -67,14 +67,14 @@ print("sum of true-poly layers matches:",
 # ---------------------------------------------------------------------------
 x, y, u, v = (rng.uniform(-1, 1, (4, 2)) for _ in range(4))
 shift = rng.uniform(-1, 1, 2)
-before = kernel_H(2, 3, x, y, u, v)
-after = kernel_H(2, 3, x + shift, y, u + shift, v)
+before = kernel_H(spec, x, y, u, v)
+after = kernel_H(spec, x + shift, y, u + shift, v)
 print("\nflat kernel shift residual:", float(np.max(np.abs(after - before))))
 
-# Gaussian-RBF normalization: invariant under common real translation
-sigma = 0.8
+# Gaussian-RBF normalization (the same space, scale sigma = sqrt(alpha / 2)):
+# invariant under common real translation
 t = rng.uniform(-1, 1, 2)
-before = kernel_S(2, 3, sigma, z, w)
-after = kernel_S(2, 3, sigma, z + t, w + t)
+before = kernel_S(spec, z, w)
+after = kernel_S(spec, z + t, w + t)
 print("RBF kernel real-shift residual:",
       float(np.max(np.abs(after - before))))

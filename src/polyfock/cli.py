@@ -26,7 +26,7 @@ from .kernels import (
     kernel_true_poly,
 )
 from .multiindex import build_index_table
-from .spectral import R_F_kernel_image
+from .spectral import R_F_kernel_image, default_xi_grid
 from . import symbols
 from .symbols import VerticalSymbol, gamma_toeplitz
 from .verify import SUITES, SuiteConfig, run_suite
@@ -43,10 +43,7 @@ def _parse_xi_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--xi-grid expects lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("--xi-grid count must be at least 1")
-    return np.linspace(lo, hi, count)
+    return default_xi_grid(int(parts[2]), float(parts[0]), float(parts[1]))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -143,24 +140,22 @@ def _build_indices(args) -> dict:
 
 def _build_kernel(args) -> dict:
     n, m = args.n, args.m
+    spec = KernelSpec(n, m, args.alpha)
     points = (_load_points(args.points, args.space, n) if args.points
               else _default_points(args.space, n, args.seed))
     if args.space == "F":
-        values = kernel_F(KernelSpec(n, m, args.alpha), points["z"], points["w"])
+        values = kernel_F(spec, points["z"], points["w"])
     elif args.space == "true":
         beta = [int(b) for b in args.beta.split(",")] if args.beta else [m] * n
         if len(beta) != n:
             raise ValueError(f"--beta needs {n} comma-separated entries")
-        values = kernel_true_poly(KernelSpec(n, m, args.alpha), beta,
-                                  points["z"], points["w"])
+        values = kernel_true_poly(spec, beta, points["z"], points["w"])
     elif args.space == "S":
-        if args.sigma is None:
-            raise ValueError("--space S requires --sigma")
-        values = kernel_S(n, m, args.sigma, points["z"], points["w"])
+        values = kernel_S(spec, points["z"], points["w"])
     elif args.space == "H":
-        values = kernel_H(n, m, points["x"], points["y"], points["u"], points["v"])
+        values = kernel_H(spec, points["x"], points["y"], points["u"], points["v"])
     else:
-        values = kernel_G(n, m, points["x"], points["y"], points["u"], points["v"])
+        values = kernel_G(spec, points["x"], points["y"], points["u"], points["v"])
     out = {
         "space": args.space,
         "n": n,
@@ -168,10 +163,8 @@ def _build_kernel(args) -> dict:
         "points": _points_payload(points),
         "values": _complex_pairs(values),
     }
-    if args.space in ("F", "true"):
+    if args.space in ("F", "true", "S"):
         out["alpha"] = args.alpha
-    if args.space == "S":
-        out["sigma"] = args.sigma
     if args.space == "true":
         out["beta"] = beta
     return out
@@ -293,14 +286,11 @@ def _make_builder_cmd(kind: str, builder):
     return cmd
 
 
-def _add_common(parser: argparse.ArgumentParser, *, alpha=False, sigma=False,
-                order=False, seed=False):
+def _add_common(parser: argparse.ArgumentParser, *, alpha=False, order=False, seed=False):
     parser.add_argument("--n", type=int, default=1, help="number of complex variables")
     parser.add_argument("--m", type=int, default=1, help="order of polyanalyticity")
     if alpha:
         parser.add_argument("--alpha", type=float, default=1.0, help="weight parameter")
-    if sigma:
-        parser.add_argument("--sigma", type=float, default=None, help="RBF scale")
     if order:
         parser.add_argument("--order", type=int, default=None, help="quadrature order override")
     if seed:
@@ -336,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
     p_eval = kernel_sub.add_parser("eval", help="evaluate a kernel at points")
     p_eval.add_argument("--space", choices=("F", "H", "G", "S", "true"), required=True)
-    _add_common(p_eval, alpha=True, sigma=True, seed=True)
+    _add_common(p_eval, alpha=True, seed=True)
     p_eval.add_argument("--points", type=str, default=None,
                         help="JSON file of evaluation points")
     p_eval.add_argument("--beta", type=str, default=None,

@@ -66,11 +66,6 @@ def _rpoint(x, n: int) -> np.ndarray:
     return x
 
 
-def pairing(z, w, n: int):
-    """Hermitian pairing sum_r z_r conj(w_r) over the last axis."""
-    return np.sum(_cpoint(z, n) * np.conj(_cpoint(w, n)), axis=-1)
-
-
 def kernel_F(spec: KernelSpec, z, w):
     """Reproducing kernel K_z(w) of the polyanalytic Fock space.
 
@@ -142,12 +137,14 @@ def kernel_F_products(spec: KernelSpec, z, w, form: str = "polynomials"):
     return sum(index_products(build_index_table(spec.n, spec.m), factors))
 
 
-def kernel_H(n: int, m: int, x, y, u, v):
+def kernel_H(spec: KernelSpec, x, y, u, v):
     """Kernel of the flattened space on R^{2n}, indexed at (x, y), argument (u, v).
 
     2^n exp(-(|u-x|^2 + |v-y|^2)/2 - i <u-x, v+y>) L_{m-1}^{(n)}(|u-x|^2 + |v-y|^2).
+    Only spec.n and spec.m enter: the flattening rescales points by
+    sqrt(alpha), so every alpha gives this one kernel.
     """
-    _validate_nm(n, m)
+    n, m = spec.n, spec.m
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
@@ -156,13 +153,14 @@ def kernel_H(n: int, m: int, x, y, u, v):
     return (2.0**n) * np.exp(-t / 2 - 1j * phase) * laguerre_eval(m - 1, n, t)
 
 
-def kernel_H_products(n: int, m: int, x, y, u, v):
+def kernel_H_products(spec: KernelSpec, x, y, u, v):
     """Flattened-space kernel as 2^n sum over |k| <= m-1 of Laguerre-function products.
 
     Per coordinate the factor is e^{-i (u_r-x_r)(v_r+y_r)} ell_{k_r}((u_r-x_r)^2 + (v_r-y_r)^2).
-    Independent evaluation route for cross-checking ``kernel_H``.
+    Independent evaluation route for cross-checking ``kernel_H``; like it,
+    independent of spec.alpha.
     """
-    _validate_nm(n, m)
+    n, m = spec.n, spec.m
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
@@ -172,14 +170,15 @@ def kernel_H_products(n: int, m: int, x, y, u, v):
     return (2.0**n) * sum(index_products(build_index_table(n, m), factors))
 
 
-def kernel_G(n: int, m: int, x, y, u, v):
+def kernel_G(spec: KernelSpec, x, y, u, v):
     """Kernel of the twisted comparison space on R^{2n}.
 
     Same modulus as ``kernel_H`` but phase -i(<u-x, y+v> + <x,y> - <v,u>);
     the extra terms break translation covariance in (x, y), which is the
-    point of carrying this kernel around.
+    point of carrying this kernel around.  Like ``kernel_H``, independent
+    of spec.alpha.
     """
-    _validate_nm(n, m)
+    n, m = spec.n, spec.m
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
@@ -190,21 +189,19 @@ def kernel_G(n: int, m: int, x, y, u, v):
     return (2.0**n) * np.exp(-t / 2 - 1j * phase) * laguerre_eval(m - 1, n, t)
 
 
-def kernel_S(n: int, m: int, sigma: float, z, w):
-    """Kernel of the polyanalytic Gaussian-RBF space (alpha = 2 sigma^2).
+def kernel_S(spec: KernelSpec, z, w):
+    """Kernel of the polyanalytic Gaussian-RBF space, the alpha = 2 sigma^2 picture.
 
-    exp(-sigma^2 sum_r (w_r - conj(z_r))^2) L_{m-1}^{(n)}(2 sigma^2 |w - z|^2);
+    exp(-(alpha/2) sum_r (w_r - conj(z_r))^2) L_{m-1}^{(n)}(alpha |w - z|^2);
     note the analytic square in the exponent, not a squared modulus.  On
-    real points with m = 1 this is the classical Gaussian RBF kernel.
+    real points with m = 1 this is the classical Gaussian RBF kernel of
+    scale sigma = sqrt(alpha / 2).
     """
-    _validate_nm(n, m)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    z = _cpoint(z, n)
-    w = _cpoint(w, n)
+    z = _cpoint(z, spec.n)
+    w = _cpoint(w, spec.n)
     sq = np.sum((w - np.conj(z)) ** 2, axis=-1)
     dist2 = np.sum(np.abs(w - z) ** 2, axis=-1)
-    return np.exp(-sigma**2 * sq) * laguerre_eval(m - 1, n, 2 * sigma**2 * dist2)
+    return np.exp(-(spec.alpha / 2) * sq) * laguerre_eval(spec.m - 1, spec.n, spec.alpha * dist2)
 
 
 def kernel_F_gram(spec: KernelSpec, points) -> np.ndarray:

@@ -75,7 +75,7 @@ def L_via_fourier(table: IndexTable, xi, y, v, order: int | None = None):
     computed on a tensor rule centered at the kernel's Gaussian peak u = 0.
     Independent route against :func:`L_closed`.
     """
-    n, m = table.n, table.m
+    n = table.n
     xi = _rpoint(xi, n)
     y = _rpoint(y, n)
     v = _rpoint(v, n)
@@ -83,7 +83,7 @@ def L_via_fourier(table: IndexTable, xi, y, v, order: int | None = None):
         order = max(default_order(n), 48)
     grid = tensor_grid(n, order, center=0.0, scale=math.sqrt(2.0))
     u = grid.nodes
-    vals = kernel_H(n, m, np.zeros(n), y, u, v) * np.exp(-1j * u @ xi)
+    vals = kernel_H(KernelSpec(n, table.m), np.zeros(n), y, u, v) * np.exp(-1j * u @ xi)
     return complex(np.sum(grid.weights * vals)) / (2 * math.pi) ** (n / 2)
 
 
@@ -177,10 +177,19 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
     return FiberVector(xi=xi, components=comps)
 
 
-def _uv_grid(n: int, xi: np.ndarray, order: int | None,
+def _check_rule_budget(n: int, order: int, words: int) -> None:
+    """Refuse an order^{2n} rule whose per-node arrays, ``words`` float64
+    words per node, would exceed RULE_BYTES_BUDGET."""
+    total = order ** (2 * n)
+    size_bytes = total * words * 8
+    if size_bytes > RULE_BYTES_BUDGET:
+        raise ValueError(f"tensor rule of {total} nodes ({'x'.join([str(order)] * (2 * n))}) "
+                         f"with its points and values needs {size_bytes} bytes, "
+                         f"over the {RULE_BYTES_BUDGET}-byte budget")
+
+
+def _uv_grid(n: int, xi: np.ndarray, order: int,
              u_center, v_center, u_scale, v_scale):
-    if order is None:
-        order = default_order(2 * n)
     u_center = np.zeros(n) if u_center is None else _rpoint(u_center, n)
     v_center = -xi / 2 if v_center is None else _rpoint(v_center, n)
     center = np.concatenate((u_center, np.broadcast_to(v_center, (n,))))
@@ -204,11 +213,17 @@ def R_H_apply(
     components_j = (2 pi)^{-n} iint g(u, v) e^{-i<u, xi>} q_{phi(j), xi}(v) du dv.
     Supported inputs are kernel-derived (Gaussian envelopes); the default
     grid assumes decay e^{-|u|^2/2} in u centered at 0 and the q-factor
-    Gaussian in v, both overridable.
+    Gaussian in v, both overridable.  A rule whose per-node arrays would
+    exceed RULE_BYTES_BUDGET raises ValueError before anything is built.
     """
     _require(g, FLAT)
     n = table.n
     xi = _rpoint(xi, n)
+    if order is None:
+        order = default_order(2 * n)
+    # Per node: the rule (2n + 1), the complex values, phase and product
+    # (6), and the q matrix with its Hermite table (m n + 2d).
+    _check_rule_budget(n, order, (2 * n + 1) + 6 + (table.m * n + 2 * table.d))
     grid = _uv_grid(n, xi, order, u_center, v_center, u_scale, v_scale)
     u = grid.nodes[:, :n]
     v = grid.nodes[:, n:]
@@ -217,20 +232,6 @@ def R_H_apply(
     q = q_matrix(table, xi, v)  # (N, d)
     comps = q.T @ (grid.weights * vals) / (2 * math.pi) ** n
     return FiberVector(xi=xi, components=comps)
-
-
-def _check_R_F_budget(n: int, order: int) -> None:
-    """Refuse an R_F_apply rule whose per-node arrays would exceed RULE_BYTES_BUDGET.
-
-    Per node, in float64 words: the rule (2n coordinates and a weight), the
-    complex points (2n) and the weighted values (4: f and f times weight).
-    """
-    total = order ** (2 * n)
-    size_bytes = total * (4 * n + 5) * 8
-    if size_bytes > RULE_BYTES_BUDGET:
-        raise ValueError(f"tensor rule of {total} nodes ({'x'.join([str(order)] * (2 * n))}) "
-                         f"with its points and values needs {size_bytes} bytes, "
-                         f"over the {RULE_BYTES_BUDGET}-byte budget")
 
 
 def _axis_nodes(grid, axis: int) -> np.ndarray:
@@ -272,7 +273,9 @@ def R_F_apply(
     xi = _rpoint(xi, n)
     if order is None:
         order = default_order(2 * n)
-    _check_R_F_budget(n, order)
+    # Per node: the rule (2n coordinates and a weight), the complex points
+    # (2n) and the weighted values (4: f and f times weight).
+    _check_rule_budget(n, order, 4 * n + 5)
     grid = _uv_grid(n, xi, order, u_center, v_center, u_scale, v_scale)
     z = (grid.nodes[:, :n] + 1j * grid.nodes[:, n:]) / math.sqrt(spec.alpha)
     cube = (_evaluate(f, z) * grid.weights).reshape((order,) * (2 * n))

@@ -143,44 +143,32 @@ def check_intertwining(spec: KernelSpec, a, f: FieldFunction, x, y) -> float:
     return float(np.max(dev))
 
 
-def to_gaussian_picture(spec: KernelSpec, sigma: float, f: FieldFunction) -> FieldFunction:
+def to_gaussian_picture(spec: KernelSpec, f: FieldFunction) -> FieldFunction:
     """Multiply by exp(-sigma^2 sum z_r^2): Fock space onto the Gaussian-RBF space.
 
-    Only defined when alpha = 2 sigma^2; any other combination is a
-    different space and is rejected.
+    The RBF scale is sigma = sqrt(alpha / 2), so the exponent is
+    -(alpha / 2) sum z_r^2.
     """
     _require(f, FOCK)
-    _check_sigma(spec, sigma)
-    n = spec.n
+    n, half = spec.n, spec.alpha / 2
 
     def g(z):
         z = _cpoint(z, n)
-        return np.exp(-sigma**2 * np.sum(z * z, axis=-1)) * f(z)
+        return np.exp(-half * np.sum(z * z, axis=-1)) * f(z)
 
     return fock_function(g)
 
 
-def from_gaussian_picture(spec: KernelSpec, sigma: float, g: FieldFunction) -> FieldFunction:
-    """Inverse of :func:`to_gaussian_picture` (multiply by exp(+sigma^2 sum z_r^2))."""
+def from_gaussian_picture(spec: KernelSpec, g: FieldFunction) -> FieldFunction:
+    """Inverse of :func:`to_gaussian_picture` (multiply by exp(+(alpha/2) sum z_r^2))."""
     _require(g, FOCK)
-    _check_sigma(spec, sigma)
-    n = spec.n
+    n, half = spec.n, spec.alpha / 2
 
     def f(z):
         z = _cpoint(z, n)
-        return np.exp(sigma**2 * np.sum(z * z, axis=-1)) * g(z)
+        return np.exp(half * np.sum(z * z, axis=-1)) * g(z)
 
     return fock_function(f)
-
-
-def _check_sigma(spec: KernelSpec, sigma: float) -> None:
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not math.isclose(spec.alpha, 2 * sigma**2, rel_tol=1e-12):
-        raise ValueError(
-            f"Gaussian picture requires alpha = 2 sigma^2; got alpha={spec.alpha}, "
-            f"2 sigma^2={2 * sigma**2}"
-        )
 
 
 def fock_norm(spec: KernelSpec, f: FieldFunction, center=None, order: int | None = None) -> float:

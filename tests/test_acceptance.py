@@ -141,15 +141,15 @@ def test_criterion_8_structural_properties():
     # the twisted variant with deviation above the witness threshold
     x, y = rng.uniform(-1, 1, (2, 6, 2))
     u, v = rng.uniform(-1, 1, (2, 6, 2))
-    covariant = kernel_H(2, 3, x, y, u, v)
-    recentred = kernel_H(2, 3, np.zeros_like(x), y, u - x, v)
+    covariant = kernel_H(KernelSpec(2, 3), x, y, u, v)
+    recentred = kernel_H(KernelSpec(2, 3), np.zeros_like(x), y, u - x, v)
     check("flat kernel translation covariance exact",
           np.allclose(covariant, recentred, rtol=1e-13))
     # v = 0.4 keeps the common modulus away from the Laguerre zero at
     # |u-x|^2 + |v-y|^2 = 2, so the phase mismatch x (y - v) is visible
     wit_args = (np.array([1.0]), np.array([1.0]), np.array([0.0]), np.array([0.4]))
-    deviation = abs(kernel_G(1, 2, *wit_args)
-                    - kernel_G(1, 2, np.array([0.0]), wit_args[1],
+    deviation = abs(kernel_G(KernelSpec(1, 2), *wit_args)
+                    - kernel_G(KernelSpec(1, 2), np.array([0.0]), wit_args[1],
                                wit_args[2] - wit_args[0], wit_args[3]))
     check("twisted kernel breaks covariance (witness > 0.1)",
           float(deviation) > 0.1)

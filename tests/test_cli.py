@@ -68,7 +68,7 @@ def test_kernel_eval_points_file(tmp_path, capsys):
         "kernel", "eval", "--space", "H", "--n", "1", "--m", "3",
         "--points", str(path),
     ])
-    expected = kernel_H(1, 3,
+    expected = kernel_H(KernelSpec(1, 3),
                         np.asarray(pts["x"])[:, None], np.asarray(pts["y"])[:, None],
                         np.asarray(pts["u"])[:, None], np.asarray(pts["v"])[:, None])
     assert_allclose(_pairs_to_complex(payload["values"]), expected, rtol=1e-14)
@@ -82,13 +82,13 @@ def test_kernel_eval_complex_points_file(tmp_path, capsys):
     path.write_text(json.dumps({"z": z, "w": w}))
     payload = _run_json(capsys, [
         "kernel", "eval", "--space", "S", "--n", "1", "--m", "2",
-        "--sigma", "0.8", "--points", str(path),
+        "--alpha", "1.2800000000000002", "--points", str(path),
     ])
     zc = _pairs_to_complex(z)[:, None]
     wc = _pairs_to_complex(w)[:, None]
     assert_allclose(_pairs_to_complex(payload["values"]),
-                    kernel_S(1, 2, 0.8, zc, wc), rtol=1e-14)
-    assert payload["sigma"] == 0.8
+                    kernel_S(KernelSpec(1, 2, 2 * 0.8**2), zc, wc), rtol=1e-14)
+    assert payload["alpha"] == 2 * 0.8**2
 
 
 def test_kernel_eval_true_poly_default_type(capsys):
@@ -166,9 +166,9 @@ def test_usage_errors_exit_2(tmp_path):
         main(["kernel", "eval", "--space", "Q", "--n", "1", "--m", "1"])
     assert err.value.code == 2
 
-    # S without a scale
+    # S takes its scale from --alpha; --sigma is not an option
     with pytest.raises(SystemExit) as err:
-        main(["kernel", "eval", "--space", "S", "--n", "1", "--m", "1"])
+        main(["kernel", "eval", "--space", "S", "--n", "1", "--m", "1", "--sigma", "0.8"])
     assert err.value.code == 2
 
     # csv is defined only for matrix payloads

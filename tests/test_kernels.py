@@ -1,11 +1,13 @@
 """Reproducing kernels of the five spaces and their product decompositions."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from polyfock import kernels
 from polyfock.kernels import (
     KernelSpec,
     kernel_F,
@@ -16,7 +18,6 @@ from polyfock.kernels import (
     kernel_H_products,
     kernel_S,
     kernel_true_poly,
-    pairing,
 )
 from polyfock.multiindex import build_index_table
 from polyfock.orthopoly import laguerre_eval
@@ -38,38 +39,41 @@ def test_spec_validation():
 
 
 _X = np.zeros(1)
-_E = np.zeros(0)  # a point of R^0 or C^0, so n = 0 gets past the shape check
+_E = np.zeros(0)
 
 
+# The H-n0 to S-n0 rows call each kernel in the positional (n, m[, sigma])
+# form it took before it moved onto KernelSpec; that form is refused by arity.
 @pytest.mark.parametrize("call, error", [
     (lambda: KernelSpec(1.5, 2), TypeError),
     (lambda: KernelSpec(True, 2), TypeError),
+    (lambda: KernelSpec(1, True), TypeError),
     (lambda: KernelSpec(1, 2.0), TypeError),
     (lambda: KernelSpec(1, 2, alpha=math.inf), ValueError),
     (lambda: KernelSpec(1, 2, alpha=math.nan), ValueError),
-    (lambda: kernel_H(0, 1, _E, _E, _E, _E), ValueError),
-    (lambda: kernel_H(1, True, _X, _X, _X, _X), TypeError),
-    (lambda: kernel_H_products(0, 1, _E, _E, _E, _E), ValueError),
-    (lambda: kernel_H_products(1, 1.5, _X, _X, _X, _X), TypeError),
-    (lambda: kernel_G(0, 1, _E, _E, _E, _E), ValueError),
-    (lambda: kernel_S(0, 1, 1.0, _E, _E), ValueError),
-    (lambda: kernel_S(1, 0, 1.0, _X, _X), ValueError),
-], ids=["spec-n-float", "spec-n-bool", "spec-m-float", "spec-alpha-inf", "spec-alpha-nan",
-        "H-n0", "H-m-bool", "H-products-n0", "H-products-m-float", "G-n0", "S-n0", "S-m0"])
+    (lambda: kernel_H(0, 1, _E, _E, _E, _E), TypeError),
+    (lambda: kernel_H_products(0, 1, _E, _E, _E, _E), TypeError),
+    (lambda: kernel_G(0, 1, _E, _E, _E, _E), TypeError),
+    (lambda: kernel_S(0, 1, 1.0, _E, _E), TypeError),
+    (lambda: kernel_S(KernelSpec(1, 1, alpha=math.inf), _X, _X), ValueError),
+], ids=["spec-n-float", "spec-n-bool", "spec-m-bool", "spec-m-float", "spec-alpha-inf",
+        "spec-alpha-nan", "H-n0", "H-products-n0", "G-n0", "S-n0", "S-alpha-inf"])
 def test_bad_n_m_alpha_rejected(call, error):
     with pytest.raises(error):
         call()
 
 
+def test_every_kernel_takes_spec_first():
+    names = [name for name, fn in inspect.getmembers(kernels, inspect.isfunction)
+             if name.startswith("kernel_") and fn.__module__ == kernels.__name__]
+    assert len(names) == 8
+    for name in names:
+        first = next(iter(inspect.signature(getattr(kernels, name)).parameters.values()))
+        assert (first.name, first.annotation) == ("spec", "KernelSpec"), name
+
+
 def test_spec_accepts_numpy_integers():
     assert KernelSpec(np.int64(2), np.int32(3)).d == 6
-
-
-def test_pairing_convention():
-    # <z, w> = sum_r z_r conj(w_r): linear in the first slot
-    z = np.array([1 + 2j, 0 - 1j])
-    w = np.array([3 + 0j, 1 + 1j])
-    assert pairing(z, w, 2) == pytest.approx((1 + 2j) * 3 + (0 - 1j) * (1 - 1j))
 
 
 def test_classical_fock_kernel_m1():
@@ -182,28 +186,30 @@ def test_kernel_H_products_match():
     rng = np.random.default_rng(10)
     for n, m in [(1, 2), (2, 3), (3, 1)]:
         x, y, u, v = (rng.uniform(-1, 1, (7, n)) for _ in range(4))
-        assert_allclose(kernel_H_products(n, m, x, y, u, v),
-                        kernel_H(n, m, x, y, u, v), rtol=1e-11)
+        spec = KernelSpec(n, m)
+        assert_allclose(kernel_H_products(spec, x, y, u, v),
+                        kernel_H(spec, x, y, u, v), rtol=1e-11)
 
 
 def test_kernel_H_diagonal_and_translation_covariance():
     n, m = 2, 3
+    spec = KernelSpec(n, m)
     rng = np.random.default_rng(11)
     x, y, u, v = (rng.uniform(-1, 1, (5, n)) for _ in range(4))
-    diag = kernel_H(n, m, x, y, x, y)
+    diag = kernel_H(spec, x, y, x, y)
     assert_allclose(diag, 2 ** n * math.comb(n + m - 1, n) * np.ones(5), rtol=1e-13)
     # horizontal shift invariance: both arguments moved by the same a
     a = rng.uniform(-1, 1, n)
-    assert_allclose(kernel_H(n, m, x + a, y, u + a, v),
-                    kernel_H(n, m, x, y, u, v), rtol=1e-12)
+    assert_allclose(kernel_H(spec, x + a, y, u + a, v),
+                    kernel_H(spec, x, y, u, v), rtol=1e-12)
 
 
 def test_kernel_G_same_modulus_different_phase():
-    n, m = 2, 2
+    spec = KernelSpec(2, 2)
     rng = np.random.default_rng(12)
-    x, y, u, v = (rng.uniform(-1, 1, (6, n)) for _ in range(4))
-    kg = kernel_G(n, m, x, y, u, v)
-    kh = kernel_H(n, m, x, y, u, v)
+    x, y, u, v = (rng.uniform(-1, 1, (6, 2)) for _ in range(4))
+    kg = kernel_G(spec, x, y, u, v)
+    kh = kernel_H(spec, x, y, u, v)
     assert_allclose(np.abs(kg), np.abs(kh), rtol=1e-13)
     assert np.max(np.abs(kg - kh)) > 1e-3
 
@@ -214,11 +220,12 @@ def test_kernel_G_breaks_translation_covariance():
     x = np.array([1.0]); y = np.array([1.0])
     u = np.array([0.0]); v = np.array([0.0])
     zero = np.zeros(1)
-    lhs = kernel_G(1, 1, x, y, u, v)
-    rhs = kernel_G(1, 1, zero, y, u - x, v)
+    spec = KernelSpec(1, 1)
+    lhs = kernel_G(spec, x, y, u, v)
+    rhs = kernel_G(spec, zero, y, u - x, v)
     assert abs(lhs - rhs) > 0.1
-    assert abs(kernel_H(1, 1, x, y, u, v)
-               - kernel_H(1, 1, zero, y, u - x, v)) < 1e-14
+    assert abs(kernel_H(spec, x, y, u, v)
+               - kernel_H(spec, zero, y, u - x, v)) < 1e-14
 
 
 def test_kernel_S_from_weighted_fock():
@@ -229,18 +236,19 @@ def test_kernel_S_from_weighted_fock():
     z = rand_points(rng, 6, 2)
     w = rand_points(rng, 6, 2)
     factor = np.exp(-sigma**2 * np.sum(w**2 + np.conj(z) ** 2, axis=-1))
-    assert_allclose(kernel_S(2, 3, sigma, z, w),
+    assert_allclose(kernel_S(spec, z, w),
                     factor * kernel_F(spec, z, w), rtol=1e-12)
 
 
 def test_kernel_S_real_translation_invariance():
+    spec = KernelSpec(2, 2, 2 * 0.8**2)
     rng = np.random.default_rng(15)
     for _ in range(20):
         z = rand_points(rng, 1, 2)[0]
         w = rand_points(rng, 1, 2)[0]
         a = rng.uniform(-1, 1, 2)
-        assert abs(kernel_S(2, 2, 0.8, z + a, w + a)
-                   - kernel_S(2, 2, 0.8, z, w)) < 1e-13 * abs(kernel_S(2, 2, 0.8, z, w))
+        assert abs(kernel_S(spec, z + a, w + a)
+                   - kernel_S(spec, z, w)) < 1e-13 * abs(kernel_S(spec, z, w))
 
 
 def test_kernel_F_scaling_law():
@@ -267,8 +275,28 @@ def test_true_poly_diagonal_spot_value():
 def test_kernel_S_real_on_real_points():
     # for real z, w the RBF kernel is real
     x = np.linspace(-1, 1, 5)[:, None] + 0j
-    vals = kernel_S(1, 2, 0.7, x, x[::-1])
+    vals = kernel_S(KernelSpec(1, 2, 2 * 0.7**2), x, x[::-1])
     assert_allclose(np.imag(vals), 0.0, atol=1e-14)
+
+
+def kernel_S_sigma(n, m, sigma, z, w):
+    """kernel_S in its positional form with the RBF scale sigma as a parameter."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    sq = np.sum((w - np.conj(z)) ** 2, axis=-1)
+    dist2 = np.sum(np.abs(w - z) ** 2, axis=-1)
+    return np.exp(-sigma**2 * sq) * laguerre_eval(m - 1, n, 2 * sigma**2 * dist2)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 3), (3, 2)])
+def test_kernel_S_is_the_sigma_form_at_alpha_two_sigma_squared(n, m):
+    # alpha / 2 = sigma^2 and alpha = 2 sigma^2 hold exactly in floating point
+    rng = np.random.default_rng([18, n, m])
+    z = rand_points(rng, 12, n, box=2.0)
+    w = rand_points(rng, 12, n, box=2.0)
+    for sigma in (0.7, 0.8, 0.9):
+        got = kernel_S(KernelSpec(n, m, 2 * sigma**2), z, w)
+        assert np.array_equal(got, kernel_S_sigma(n, m, sigma, z, w))
 
 
 def test_scalar_point_convenience_n1():

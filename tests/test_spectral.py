@@ -298,6 +298,36 @@ def test_R_F_refuses_large_rules_before_building_them(monkeypatch):
         R_F_apply(KernelSpec(3, 2), fock_function(refuse), [0.1, 0.2, 0.3], order=16)
 
 
+def test_R_H_budget_counts_q_matrix_and_values(monkeypatch):
+    from polyfock import spectral
+
+    # n = 1, m = 2 at order 4: 16 nodes * ((2 + 1) + 6 + (2 + 2 * 2)) words
+    # * 8 bytes = 1920 bytes
+    spec = KernelSpec(1, 2)
+    table = build_index_table(1, 2)
+    g = flatten(spec, fock_function(lambda z: kernel_F(spec, 0.2j, z)))
+    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1920)
+    R_H_apply(table, g, [0.5], order=4)
+    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1919)
+    with pytest.raises(ValueError, match=r"^tensor rule of 16 nodes \(4x4\) with its points "
+                                         r"and values needs 1920 bytes"):
+        R_H_apply(table, g, [0.5], order=4)
+
+
+def test_R_H_refuses_large_rules_before_building_them(monkeypatch):
+    # n = 3, m = 1 at order 16: the rule alone (940 MB) fits the budget, its
+    # values, phase and q matrix push the call to 2.4 GB.
+    from polyfock import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated or evaluated before the budget check")
+
+    monkeypatch.setattr(spectral, "tensor_grid", refuse)
+    with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\) "
+                                         r"with its points and values needs 2415919104 bytes"):
+        R_H_apply(build_index_table(3, 1), flat_function(refuse), [0.1, 0.2, 0.3], order=16)
+
+
 def test_R_F_zero_input():
     spec = KernelSpec(1, 2)
     f = fock_function(lambda z: np.zeros(z.shape[:-1], dtype=complex))

@@ -64,7 +64,7 @@ def test_flattened_kernel_section_formula():
         x = rng.uniform(-1.5, 1.5, (1,))
         y = rng.uniform(-1.5, 1.5, (1,))
         root = math.sqrt(alpha)
-        expected = pref * kernel_H(1, 2, root * np.array([x0]), root * np.array([y0]), x, y)
+        expected = pref * kernel_H(spec, root * np.array([x0]), root * np.array([y0]), x, y)
         assert abs(g(x, y) - expected) < 1e-12 * abs(expected)
 
 
@@ -143,15 +143,40 @@ def test_translate_H_moves_first_argument_only():
     assert shifted(np.array([3.0]), np.array([2.0])) == pytest.approx(2.0 + 20.0)
 
 
+def to_gaussian_picture_sigma(sigma, f):
+    """to_gaussian_picture with the RBF scale sigma as a parameter."""
+    return fock_function(lambda z: np.exp(-sigma**2 * np.sum(z * z, axis=-1)) * f(z))
+
+
+def from_gaussian_picture_sigma(sigma, g):
+    """from_gaussian_picture with the RBF scale sigma as a parameter."""
+    return fock_function(lambda z: np.exp(sigma**2 * np.sum(z * z, axis=-1)) * g(z))
+
+
 def test_gaussian_picture_round_trip_and_guard():
     sigma = 0.75
     spec = KernelSpec(1, 2, 2 * sigma**2)
     f = kernel_section(spec, np.array([0.4 + 0.1j]))
-    back = from_gaussian_picture(spec, sigma, to_gaussian_picture(spec, sigma, f))
+    back = from_gaussian_picture(spec, to_gaussian_picture(spec, f))
     pts = np.array([[0.3 + 0.3j], [-0.6 - 0.2j]])
     assert_allclose(back(pts), f(pts), rtol=1e-13)
-    with pytest.raises(ValueError):
-        to_gaussian_picture(spec, sigma * 1.01, f)
+    # the scale comes from spec.alpha alone; the (spec, sigma, f) form is gone
+    with pytest.raises(TypeError):
+        to_gaussian_picture(spec, sigma, f)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 3), (3, 2)])
+def test_gaussian_picture_is_the_sigma_form_at_alpha_two_sigma_squared(n, m):
+    rng = np.random.default_rng([23, n, m])
+    z0 = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    pts = rng.uniform(-1.5, 1.5, (9, n)) + 1j * rng.uniform(-1.5, 1.5, (9, n))
+    for sigma in (0.7, 0.8, 0.9):
+        spec = KernelSpec(n, m, 2 * sigma**2)
+        f = kernel_section(spec, z0)
+        there = to_gaussian_picture(spec, f)
+        assert np.array_equal(there(pts), to_gaussian_picture_sigma(sigma, f)(pts))
+        assert np.array_equal(from_gaussian_picture(spec, there)(pts),
+                              from_gaussian_picture_sigma(sigma, there)(pts))
 
 
 def test_fock_norm_monomial():
