@@ -44,12 +44,10 @@ from .orthopoly import (
     laguerre_poly,
 )
 from .quadrature import (
-    IntegrandSpec,
     QuadratureGrid,
     fourier_1d_gaussian_type,
     gauss_hermite_1d,
     integrate,
-    integrate_gaussian,
     tensor_grid,
 )
 from .ratpoly import RationalPoly

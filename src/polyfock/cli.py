@@ -3,7 +3,7 @@
 Every command is a thin wrapper over the library: the CLI parses arguments,
 calls the same public functions a script would, and serializes the result.
 JSON is the canonical output format (complex numbers as [re, im] pairs);
-CSV is available for matrix payloads only.  Exit codes: 0 success, 1
+``symbol gamma`` also offers CSV for its matrices.  Exit codes: 0 success, 1
 verification failure or I/O error, 2 usage error.
 """
 
@@ -229,12 +229,10 @@ def _symbol_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _render(payload: dict, fmt: str, kind: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if kind != "symbol":
-        raise ValueError("csv output is only available for symbol matrices")
-    return _symbol_csv(payload)
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "csv":
+        return _symbol_csv(payload)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _write_out(text: str, path: str | None) -> int:
@@ -279,10 +277,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _make_builder_cmd(kind: str, builder):
+def _make_builder_cmd(builder):
     def cmd(args) -> int:
         payload = builder(args)
-        return _write_out(_render(payload, args.format, kind), args.out)
+        return _write_out(_render(payload, getattr(args, "format", "json")), args.out)
     return cmd
 
 
@@ -296,7 +294,6 @@ def _add_common(parser: argparse.ArgumentParser, *, alpha=False, order=False, se
     if seed:
         parser.add_argument("--seed", type=int, default=7, help="sample point seed")
     parser.add_argument("--out", type=str, default=None, help="write to file instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_indices = sub.add_parser("indices", help="enumerate the multi-index table")
     _add_common(p_indices)
-    p_indices.set_defaults(fn=_make_builder_cmd("indices", _build_indices))
+    p_indices.set_defaults(fn=_make_builder_cmd(_build_indices))
 
     p_kernel = sub.add_parser("kernel", help="kernel evaluation")
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
@@ -331,24 +328,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file of evaluation points")
     p_eval.add_argument("--beta", type=str, default=None,
                         help="comma-separated type for --space true")
-    p_eval.set_defaults(fn=_make_builder_cmd("kernel", _build_kernel))
+    p_eval.set_defaults(fn=_make_builder_cmd(_build_kernel))
 
     p_fiber = sub.add_parser("fiber", help="fiber image under the joint transform")
     _add_common(p_fiber, alpha=True)
     p_fiber.add_argument("--xi", type=str, required=True, help="comma-separated frequency")
     p_fiber.add_argument("--input", type=str, required=True,
                          help="function to transform, e.g. kernel:iy=0.5")
-    p_fiber.set_defaults(fn=_make_builder_cmd("fiber", _build_fiber))
+    p_fiber.set_defaults(fn=_make_builder_cmd(_build_fiber))
 
     p_symbol = sub.add_parser("symbol", help="operator symbol on a frequency grid")
     symbol_sub = p_symbol.add_subparsers(dest="symbol_command", required=True)
     p_gamma = symbol_sub.add_parser("gamma", help="Toeplitz matrix symbol gamma_g")
     _add_common(p_gamma, order=True)
+    p_gamma.add_argument("--format", choices=("json", "csv"), default="json")
     p_gamma.add_argument("--g", type=str, required=True,
                          help="vertical symbol, e.g. const:1 | poly:0,1 | sign | box:-1,1")
     p_gamma.add_argument("--xi-grid", dest="xi_grid", type=str, default="-8:8:17",
                          help="frequency grid as lo:hi:count")
-    p_gamma.set_defaults(fn=_make_builder_cmd("symbol", _build_symbol))
+    p_gamma.set_defaults(fn=_make_builder_cmd(_build_symbol))
 
     return parser
 

@@ -16,8 +16,7 @@ The Hermite functions use the normalized recurrence
     psi_{p+1}(t) = sqrt(2/(p+1)) t psi_p(t) - sqrt(p/(p+1)) psi_{p-1}(t),
 
 so every psi_p comes out unit-normalized in L^2(R) without ever touching
-factorials.  A Gaussian-free variant (psi_p scaled by e^{t^2/2}) is exposed
-for quadrature code that folds the Gaussian into its weights.
+factorials.
 """
 
 from __future__ import annotations
@@ -170,9 +169,13 @@ def laguerre_fn_all(p_max: int, t) -> np.ndarray:
     return np.exp(-t / 2) * laguerre_eval_all(p_max, 0.0, t)
 
 
-def _hermite_recurrence(p_max: int, t: np.ndarray, start: np.ndarray) -> np.ndarray:
-    out = np.empty((p_max + 1,) + t.shape, dtype=start.dtype)
-    out[0] = start
+def hermite_fn_table(p_max: int, t) -> np.ndarray:
+    """Hermite functions psi_0..psi_{p_max} at t, shape (p_max+1,) + t.shape."""
+    if p_max < 0:
+        raise ValueError(f"degree must be nonnegative, got {p_max}")
+    t = np.asarray(t, dtype=float)
+    out = np.empty((p_max + 1,) + t.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-t * t / 2)
     if p_max >= 1:
         out[1] = math.sqrt(2.0) * t * out[0]
     for p in range(1, p_max):
@@ -183,29 +186,7 @@ def _hermite_recurrence(p_max: int, t: np.ndarray, start: np.ndarray) -> np.ndar
     return out
 
 
-def hermite_fn_table(p_max: int, t) -> np.ndarray:
-    """Hermite functions psi_0..psi_{p_max} at t, shape (p_max+1,) + t.shape."""
-    if p_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {p_max}")
-    t = np.asarray(t, dtype=float)
-    start = np.full(t.shape, math.pi ** -0.25) * np.exp(-t * t / 2)
-    return _hermite_recurrence(p_max, t, start)
-
-
 def hermite_fn(p: int, t):
     """Hermite function psi_p(t), unit-normalized in L^2(R)."""
     return hermite_fn_table(p, t)[p]
 
-
-def hermite_poly_table(p_max: int, t) -> np.ndarray:
-    """Gaussian-free Hermite functions, psi_p(t) * e^{t^2/2}.
-
-    For quadrature rules that account for the e^{-t^2} factor in their
-    weights: products of two entries times such a weight reproduce
-    psi_i psi_j without evaluating huge exponentials.
-    """
-    if p_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {p_max}")
-    t = np.asarray(t, dtype=float)
-    start = np.full(t.shape, math.pi ** -0.25)
-    return _hermite_recurrence(p_max, t, start)

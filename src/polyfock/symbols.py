@@ -41,7 +41,7 @@ from .kernels import _rpoint
 from .multiindex import IndexTable, _is_integer, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
-    RULE_BYTES_BUDGET,
+    check_rule_budget,
     default_order,
     gauss_hermite_1d,
     legendre_panels,
@@ -315,21 +315,6 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
     return SymbolMatrix(xi=xi, entries=entries)
 
 
-def _check_direct_budget(table: IndexTable, sizes: Sequence[int]) -> None:
-    """Refuse a direct-route rule whose arrays would exceed RULE_BYTES_BUDGET.
-
-    Per node, in float64 words: the rule (n coordinates and a weight), the
-    Hermite table (m values per axis), the psi-product matrix P (d reals)
-    and the weighted product w g P (d complex numbers).
-    """
-    total = math.prod(sizes)
-    size_bytes = total * (table.n + 1 + table.m * table.n + 3 * table.d) * 8
-    if size_bytes > RULE_BYTES_BUDGET:
-        raise ValueError(f"tensor rule of {total} nodes ({'x'.join(map(str, sizes))}) "
-                         f"with its psi products (d = {table.d}) needs {size_bytes} bytes, "
-                         f"over the {RULE_BYTES_BUDGET}-byte budget")
-
-
 def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
                      order: int | None = None, route: str = "via-gamma") -> SymbolMatrix:
     """Shifted-argument symbol sigma_g(eta) = gamma_g(-eta / sqrt(2)).
@@ -338,6 +323,13 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
     computes the equivalent integral
     int g((t + eta/2)/sqrt(2)) prod psi_{phi(r)}(t) prod psi_{phi(s)}(t) dt
     from scratch; the two agree and back each other up.
+
+    The direct route builds a tensor rule.  Before it does,
+    :func:`check_rule_budget` counts n + 1 + m n + 3d float64 words per
+    node: the rule (n coordinates and a weight), the Hermite table (m
+    values per axis), the psi-product matrix P (d reals) and the weighted
+    product w g P (d complex numbers).  The temporaries of evaluating g
+    itself are not counted.
     """
     eta = _rpoint(eta, table.n)
     if route == "via-gamma":
@@ -361,7 +353,8 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
         else:
             t, w = gauss_hermite_1d(order)
             per_axis.append((t, w * np.exp(t * t)))
-    _check_direct_budget(table, [len(nodes) for nodes, _ in per_axis])
+    check_rule_budget([len(nodes) for nodes, _ in per_axis],
+                      table.n + 1 + table.m * table.n + 3 * table.d)
     t, w = tensor_rule(per_axis)
     P = _psi_product_matrix(table, t)
     gv = np.asarray(g((t + eta / 2) / math.sqrt(2.0)))

@@ -171,10 +171,13 @@ def test_usage_errors_exit_2(tmp_path):
         main(["kernel", "eval", "--space", "S", "--n", "1", "--m", "1", "--sigma", "0.8"])
     assert err.value.code == 2
 
-    # csv is defined only for matrix payloads
+    # --format is an option of `symbol gamma` only
     with pytest.raises(SystemExit) as err:
         main(["kernel", "eval", "--space", "F", "--n", "1", "--m", "1",
               "--format", "csv"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["indices", "--n", "1", "--m", "2", "--format", "json"])
     assert err.value.code == 2
 
     with pytest.raises(SystemExit) as err:

@@ -24,7 +24,6 @@ from polyfock.orthopoly import (
     check_laguerre_telescoping,
     hermite_fn,
     hermite_fn_table,
-    hermite_poly_table,
     laguerre_eval,
     laguerre_eval_all,
     laguerre_fn,
@@ -183,13 +182,6 @@ def test_hermite_fn_agrees_with_table():
     table = hermite_fn_table(8, t)
     for p in (0, 3, 8):
         assert_allclose(hermite_fn(p, t), table[p], rtol=1e-13)
-
-
-def test_hermite_gaussian_free_variant():
-    t = np.linspace(-5, 5, 11)
-    bare = hermite_poly_table(6, t)
-    full = hermite_fn_table(6, t)
-    assert_allclose(bare * np.exp(-t[None, :] ** 2 / 2), full, rtol=1e-12, atol=1e-15)
 
 
 def test_hermite_fn_known_values():

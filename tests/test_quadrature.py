@@ -15,16 +15,19 @@ from polyfock import quadrature
 from polyfock.quadrature import (
     DEFAULT_ORDERS,
     MAX_ORDER,
-    IntegrandSpec,
     default_order,
     fourier_1d_gaussian_type,
     gauss_hermite_1d,
     integrate,
-    integrate_gaussian,
     legendre_panels,
     tensor_grid,
     tensor_rule,
 )
+from polyfock.kernels import KernelSpec, kernel_F
+from polyfock.multiindex import build_index_table
+from polyfock.spectral import R_F_apply, R_H_apply
+from polyfock.symbols import constant, sigma_from_gamma
+from polyfock.transforms import flatten, fock_function
 
 
 def test_gauss_hermite_nodes_symmetric():
@@ -47,6 +50,13 @@ def test_tensor_grid_node_count_and_shape():
     grid = tensor_grid(3, order=5)
     assert grid.nodes.shape == (125, 3)
     assert grid.weights.shape == (125,)
+
+
+@pytest.mark.parametrize("placement", [dict(scale=math.nan), dict(center=math.inf),
+                                       dict(scale=math.inf), dict(center=[0.0, -math.inf])])
+def test_tensor_grid_rejects_non_finite_placement(placement):
+    with pytest.raises(ValueError, match="must be finite"):
+        tensor_grid(2, 4, **placement)
 
 
 def test_default_orders_table():
@@ -92,8 +102,35 @@ def test_tensor_rule_budget_is_checked_before_allocation(monkeypatch):
     nodes, _ = tensor_rule([axis] * 3)
     assert nodes.shape == (64, 3)
     monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 2047)
-    with pytest.raises(ValueError, match=r"64 nodes \(4x4x4\) needs 2048 bytes"):
+    with pytest.raises(ValueError, match=r"64 nodes \(4x4x4\) at 4 words per node needs 2048 bytes"):
         tensor_rule([axis] * 3)
+
+
+def test_one_budget_refuses_each_rule_at_its_own_word_count(monkeypatch):
+    # Only quadrature's budget is lowered; every rule builder must read it
+    # and count its own per-node words (n = 1, m = 2, so d = 2).
+    spec = KernelSpec(1, 2)
+    table = build_index_table(1, 2)
+    f = fock_function(lambda z: kernel_F(spec, 0.2j, z))
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 1000)
+    refusals = {
+        # 8^2 nodes * (4 + 5) words
+        r"64 nodes \(8x8\) at 9 words per node needs 4608 bytes":
+            lambda: R_F_apply(spec, f, [0.5], order=8),
+        # 8^2 nodes * ((2 + 1) + 6 + (2 + 2 * 2)) words
+        r"64 nodes \(8x8\) at 15 words per node needs 7680 bytes":
+            lambda: R_H_apply(table, flatten(spec, f), [0.5], order=8),
+        # 48 nodes * (1 + 1 + 2 + 3 * 2) words
+        r"48 nodes \(48\) at 10 words per node needs 3840 bytes":
+            lambda: sigma_from_gamma(table, constant(1.0), [0.3], route="direct"),
+        # 8^2 nodes * (2 + 1) words
+        r"64 nodes \(8x8\) at 3 words per node needs 1536 bytes":
+            lambda: tensor_rule([(np.zeros(8), np.ones(8))] * 2),
+    }
+    for message, call in refusals.items():
+        with pytest.raises(ValueError, match=rf"^tensor rule of {message}, "
+                                             r"over the 1000-byte budget$"):
+            call()
 
 
 ADDRESS_SPACE_LIMIT = 2 << 30
@@ -206,27 +243,6 @@ def test_offcenter_gaussian_needs_matching_grid():
     assert abs(bad - math.sqrt(math.pi)) > 1e-3
 
 
-def test_integrate_gaussian_places_grid():
-    spec = IntegrandSpec(
-        evaluator=lambda pts: np.exp(-((pts[:, 0] - 2.0) ** 2) / 2 - (pts[:, 1] + 1.0) ** 2 / 2),
-        gaussian_center=(2.0, -1.0),
-        gaussian_halfwidth=1.0,
-    )
-    val = integrate_gaussian(spec, order=20)
-    assert val == pytest.approx(2 * math.pi, rel=1e-12)
-
-
-def test_integrate_gaussian_rejects_misplaced_grid():
-    spec = IntegrandSpec(
-        evaluator=lambda pts: np.exp(-pts[:, 0] ** 2),
-        gaussian_center=(4.0,),
-        gaussian_halfwidth=1.0,
-    )
-    wrong = tensor_grid(1, 12, center=0.0, scale=1.0)
-    with pytest.raises(ValueError):
-        integrate_gaussian(spec, grid=wrong)
-
-
 def test_fourier_of_gaussian():
     # (2 pi)^{-1/2} int e^{-u^2/2} e^{-i u xi} du = e^{-xi^2/2}
     for xi in (-2.0, 0.0, 0.7, 3.1):
@@ -243,8 +259,21 @@ def test_legendre_panels_integrate_jump():
 
 
 def test_legendre_panels_subdivide_wide_intervals():
-    nodes, _ = legendre_panels([0.0, 50.0], 8, max_panel_width=2.5)
+    nodes, _ = legendre_panels([0.0, 50.0], 8)
     assert len(nodes) >= 8 * 20
+
+
+@pytest.mark.parametrize("breakpoints", [[0.0, math.inf], [-math.inf, 0.0, 1.0], [0.0, math.nan]])
+def test_legendre_panels_reject_non_finite_breakpoints(breakpoints):
+    with pytest.raises(ValueError, match="must be finite"):
+        legendre_panels(breakpoints, 4)
+
+
+def test_legendre_panels_order_validation():
+    with pytest.raises(TypeError, match="order must be an integer"):
+        legendre_panels([0.0, 1.0], 4.5)
+    with pytest.raises(ValueError):
+        legendre_panels([0.0, 1.0], MAX_ORDER + 1)
 
 
 def test_weights_are_overflow_compensated():

@@ -204,7 +204,7 @@ def test_R_two_routes_on_kernel_sections():
         assert_allclose(direct.components, via_flat.components, atol=1e-7)
 
 
-def R_F_dense(spec, f, xi, order=None, v_center=None, u_scale=None, v_scale=None):
+def R_F_dense(spec, f, xi, order=None):
     """R_F_apply's integral as one weighted sum over the whole 2n-dim grid.
 
     The full phase and the q-style Hermite products are evaluated at every
@@ -214,9 +214,8 @@ def R_F_dense(spec, f, xi, order=None, v_center=None, u_scale=None, v_scale=None
     table = build_index_table(n, spec.m)
     xi = np.asarray(xi, dtype=float)
     order = default_order(2 * n) if order is None else order
-    center = np.concatenate((np.zeros(n), -xi / 2 if v_center is None else v_center))
-    scale = np.concatenate((np.full(n, math.sqrt(2.0) if u_scale is None else u_scale),
-                            np.full(n, 1.0 if v_scale is None else v_scale)))
+    center = np.concatenate((np.zeros(n), -xi / 2))
+    scale = np.concatenate((np.full(n, math.sqrt(2.0)), np.full(n, 1.0)))
     grid = tensor_grid(2 * n, order, center=center, scale=scale)
     u = grid.nodes[:, :n]
     v = grid.nodes[:, n:]
@@ -236,11 +235,10 @@ def test_R_F_apply_matches_dense_sum(n, m):
     y = rng.uniform(-0.8, 0.8, n)
     xi = rng.uniform(-3, 3, n)
     f = fock_function(lambda z: kernel_F(spec, 1j * y, z))
-    placements = [{}, dict(order=10, v_center=-xi / 3, u_scale=1.2, v_scale=0.9)]
-    for placement in placements:
-        got = R_F_apply(spec, f, xi, **placement).components
+    for order in (None, 10):
+        got = R_F_apply(spec, f, xi, order=order).components
         assert got.shape == (spec.d,)
-        assert_allclose(got, R_F_dense(spec, f, xi, **placement), rtol=0, atol=1e-13)
+        assert_allclose(got, R_F_dense(spec, f, xi, order=order), rtol=0, atol=1e-13)
 
 
 def test_R_F_apply_shares_no_route_with_its_checks(monkeypatch):
@@ -272,16 +270,16 @@ def test_evaluators_must_return_one_value_per_node():
 
 
 def test_R_F_budget_counts_points_and_values(monkeypatch):
-    from polyfock import spectral
+    from polyfock import quadrature
 
     # n = 1 at order 4: 16 nodes * (4 + 5) words * 8 bytes = 1152 bytes
     spec = KernelSpec(1, 2)
     f = fock_function(lambda z: kernel_F(spec, 0.2j, z))
-    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1152)
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 1152)
     R_F_apply(spec, f, [0.5], order=4)
-    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1151)
-    with pytest.raises(ValueError, match=r"^tensor rule of 16 nodes \(4x4\) with its points "
-                                         r"and values needs 1152 bytes"):
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 1151)
+    with pytest.raises(ValueError, match=r"^tensor rule of 16 nodes \(4x4\) at 9 words per "
+                                         r"node needs 1152 bytes"):
         R_F_apply(spec, f, [0.5], order=4)
 
 
@@ -299,18 +297,18 @@ def test_R_F_refuses_large_rules_before_building_them(monkeypatch):
 
 
 def test_R_H_budget_counts_q_matrix_and_values(monkeypatch):
-    from polyfock import spectral
+    from polyfock import quadrature
 
     # n = 1, m = 2 at order 4: 16 nodes * ((2 + 1) + 6 + (2 + 2 * 2)) words
     # * 8 bytes = 1920 bytes
     spec = KernelSpec(1, 2)
     table = build_index_table(1, 2)
     g = flatten(spec, fock_function(lambda z: kernel_F(spec, 0.2j, z)))
-    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1920)
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 1920)
     R_H_apply(table, g, [0.5], order=4)
-    monkeypatch.setattr(spectral, "RULE_BYTES_BUDGET", 1919)
-    with pytest.raises(ValueError, match=r"^tensor rule of 16 nodes \(4x4\) with its points "
-                                         r"and values needs 1920 bytes"):
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 1919)
+    with pytest.raises(ValueError, match=r"^tensor rule of 16 nodes \(4x4\) at 15 words per "
+                                         r"node needs 1920 bytes"):
         R_H_apply(table, g, [0.5], order=4)
 
 
@@ -324,7 +322,7 @@ def test_R_H_refuses_large_rules_before_building_them(monkeypatch):
 
     monkeypatch.setattr(spectral, "tensor_grid", refuse)
     with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\) "
-                                         r"with its points and values needs 2415919104 bytes"):
+                                         r"at 18 words per node needs 2415919104 bytes"):
         R_H_apply(build_index_table(3, 1), flat_function(refuse), [0.1, 0.2, 0.3], order=16)
 
 

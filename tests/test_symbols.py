@@ -233,16 +233,16 @@ def test_gamma_and_direct_route_share_no_assembly(monkeypatch):
 
 
 def test_direct_route_budget_counts_psi_products(monkeypatch):
-    from polyfock import symbols
+    from polyfock import quadrature
 
     # n = 1, m = 2 (d = 2) on 10 nodes: 10 * (1 + 1 + 2 + 3 * 2) * 8 = 800 bytes
     table = build_index_table(1, 2)
-    monkeypatch.setattr(symbols, "RULE_BYTES_BUDGET", 800)
-    symbols._check_direct_budget(table, [10])
-    monkeypatch.setattr(symbols, "RULE_BYTES_BUDGET", 799)
-    with pytest.raises(ValueError, match=r"10 nodes \(10\) with its psi products "
-                                         r"\(d = 2\) needs 800 bytes"):
-        symbols._check_direct_budget(table, [10])
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 800)
+    sigma_from_gamma(table, constant(1.0), [0.3], order=10, route="direct")
+    monkeypatch.setattr(quadrature, "RULE_BYTES_BUDGET", 799)
+    with pytest.raises(ValueError, match=r"10 nodes \(10\) at 10 words per node "
+                                         r"needs 800 bytes"):
+        sigma_from_gamma(table, constant(1.0), [0.3], order=10, route="direct")
 
 
 def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
@@ -255,8 +255,8 @@ def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
 
     for name in ("tensor_rule", "hermite_fn_table", "_psi_product_matrix"):
         monkeypatch.setattr(symbols, name, refuse)
-    with pytest.raises(ValueError, match=r"2097152 nodes \(128x128x128\) with its psi "
-                                         r"products \(d = 35\) needs 2080374784 bytes"):
+    with pytest.raises(ValueError, match=r"2097152 nodes \(128x128x128\) at 124 words "
+                                         r"per node needs 2080374784 bytes"):
         sigma_from_gamma(build_index_table(3, 5), constant(1.0, n=3), [0.1, -0.2, 0.3],
                          order=128, route="direct")
 

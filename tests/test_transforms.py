@@ -77,6 +77,14 @@ def test_fock_norm_of_kernel_section():
     assert fock_norm(spec, f, center=z0) == pytest.approx(expected, rel=1e-9)
 
 
+def test_fock_norm_rejects_non_finite_center():
+    spec = KernelSpec(1, 3, 1.0)
+    f = kernel_section(spec, np.array([0.5 + 0.3j]))
+    for center in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            fock_norm(spec, f, center=np.array([center]))
+
+
 def test_flatten_is_isometric():
     spec = KernelSpec(1, 2, 2.0)
     z0 = np.array([0.3 - 0.4j])
