@@ -16,11 +16,12 @@ at m - 1.  Summing B(w) conj(B(z)) over the resulting orthonormal basis
 kernel up to a super-geometrically small truncation tail, which is what
 makes this an independent check of the closed form.
 
-Two factorization routes per class: exact rational LDL^T (alpha rational,
-moderate p_max), where orthogonality is exact and only the final
-normalization leaves the rationals; and a float Cholesky on norm-scaled
-monomials, whose class Gram entries s!/sqrt((a+b)!(c+d)!) are alpha-free
-and lie in (0, 1].
+:func:`build_orthonormal_basis` materializes the basis by exact rational
+Gram-Schmidt (alpha rational), where orthogonality is exact and only the
+final normalization leaves the rationals; it is the reference the
+streamed :func:`kernel_via_basis` is tested against.  The latter runs a
+batched float Cholesky on norm-scaled monomials, whose class Gram entries
+s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1].
 """
 
 from __future__ import annotations
@@ -182,24 +183,6 @@ def _monomial_values(pow_x, pow_cx, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_factors_float(P, Q, starts, alpha: float) -> list[np.ndarray]:
-    """Coefficient matrix C (upper triangular) with raw-monomial columns, per class.
-
-    Element j = sum_i C[i, j] * z^{p_i} conj(z)^{q_i} is the j-th
-    Gram-Schmidt output (Cholesky realization: C = N L^{-T} with N the
-    monomial normalizers).
-    """
-    factors: list[np.ndarray] = [None] * (len(starts) - 1)
-    scales = _inverse_norms(P, Q, alpha)
-    for k, rows in _size_groups(starts, P.shape[1]):
-        L = np.linalg.cholesky(_class_grams(P[rows], Q[rows]))
-        inv_L = np.linalg.solve(L, np.broadcast_to(np.eye(k), L.shape))
-        C = scales[rows][:, :, None] * np.swapaxes(inv_L, -1, -2)
-        for cls, c in zip(np.searchsorted(starts, rows[:, 0]), C):
-            factors[cls] = c
-    return factors
-
-
 def _class_factor_exact(members, alpha: Fraction):
     """Rational Gram-Schmidt: orthogonal columns over Q, normalized at the end.
 
@@ -243,29 +226,22 @@ def _class_factor_exact(members, alpha: Fraction):
     return C
 
 
-def build_orthonormal_basis(alpha, n: int, m: int, p_max: int,
-                            exact: bool | None = None) -> list[BasisElement]:
+def build_orthonormal_basis(alpha, n: int, m: int, p_max: int) -> list[BasisElement]:
     """Orthonormal basis of the span of z^p conj(z)^q, |q| <= m-1, |p| <= p_max.
 
-    ``exact`` defaults to using rational arithmetic when alpha is rational
-    and p_max <= 32, float Cholesky otherwise.  Output order is
-    deterministic: classes sorted by charge, elements by conj-degree.
+    Exact rational Gram-Schmidt, so alpha must be an int or a Fraction.
+    Output order is deterministic: classes sorted by charge, elements by
+    conj-degree.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    if exact is None:
-        exact = isinstance(alpha, (int, Fraction)) and p_max <= 32
-    if exact and not isinstance(alpha, (int, Fraction)):
-        raise ValueError("exact route requires a rational alpha")
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"the exact basis needs a rational alpha, got {alpha!r}")
     P, Q, starts = _charge_classes(n, m, p_max)
-    classes = [list(zip(map(tuple, P[lo:hi].tolist()), map(tuple, Q[lo:hi].tolist())))
-               for lo, hi in zip(starts[:-1], starts[1:])]
-    if exact:
-        factors = [_class_factor_exact(members, Fraction(alpha)) for members in classes]
-    else:
-        factors = _class_factors_float(P, Q, starts, float(alpha))
     out = []
-    for members, C in zip(classes, factors):
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        members = list(zip(map(tuple, P[lo:hi].tolist()), map(tuple, Q[lo:hi].tolist())))
+        C = _class_factor_exact(members, Fraction(alpha))
         for j in range(len(members)):
             p, q = members[j]
             out.append(BasisElement(p=p, q=q, monomials=tuple(members[: j + 1]),

@@ -44,6 +44,12 @@ MAX_ORDER = 128
 # below ~3M nodes.
 DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 
+# Per-axis order of the fiber and symbol integrals (L_via_fourier,
+# fiber_project, gamma_toeplitz, the direct sigma route).  Their integrands
+# carry Hermite functions or Fourier phases on every axis, so unlike
+# DEFAULT_ORDERS the order does not fall with the dimension.
+FIBER_ORDER = 48
+
 # Largest set of per-node float64 arrays that any tensor rule may carry
 # (see check_rule_budget); the 6-D default grid takes about 167 MB of it.
 RULE_BYTES_BUDGET = 1 << 30

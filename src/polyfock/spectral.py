@@ -28,7 +28,7 @@ import numpy as np
 from .kernels import KernelSpec, kernel_H, _cpoint, _rpoint
 from .multiindex import IndexTable, build_index_table, index_products
 from .orthopoly import hermite_fn_table
-from .quadrature import _evaluate, check_rule_budget, default_order, tensor_grid
+from .quadrature import FIBER_ORDER, _evaluate, check_rule_budget, default_order, tensor_grid
 from .transforms import FieldFunction, FLAT, FOCK, _require
 
 
@@ -80,7 +80,7 @@ def L_via_fourier(table: IndexTable, xi, y, v, order: int | None = None):
     y = _rpoint(y, n)
     v = _rpoint(v, n)
     if order is None:
-        order = max(default_order(n), 48)
+        order = FIBER_ORDER
     grid = tensor_grid(n, order, center=0.0, scale=math.sqrt(2.0))
     u = grid.nodes
     vals = kernel_H(KernelSpec(n, table.m), np.zeros(n), y, u, v) * np.exp(-1j * u @ xi)
@@ -114,7 +114,7 @@ def fiber_project(
     n = table.n
     xi = _rpoint(xi, n)
     if order is None:
-        order = max(default_order(n), 48)
+        order = FIBER_ORDER
     grid = tensor_grid(n, order, center=-xi / 2, scale=1.0)
     vals = _evaluate(g_slice, grid.nodes)
     q = q_matrix(table, xi, grid.nodes)  # (N, d)
@@ -272,6 +272,8 @@ def default_xi_grid(count: int = 64, lo: float = -8.0, hi: float = 8.0) -> np.nd
     """Uniform frequency grid used when a sweep does not specify one."""
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid ends must be finite, got {lo}:{hi}")
     return np.linspace(lo, hi, count)
 
 

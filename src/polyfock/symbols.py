@@ -41,8 +41,8 @@ from .kernels import _rpoint
 from .multiindex import IndexTable, _is_integer, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
+    FIBER_ORDER,
     check_rule_budget,
-    default_order,
     gauss_hermite_1d,
     legendre_panels,
     tensor_rule,
@@ -275,6 +275,14 @@ def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
     return [(coeff, [lambda v, e=e: v ** e for e in exps]) for coeff, exps in g.terms]
 
 
+def _frequency(x, n: int) -> np.ndarray:
+    """A frequency point of length n; nan or inf would only yield a nan matrix."""
+    x = _rpoint(x, n)
+    if not np.isfinite(x).all():
+        raise ValueError(f"frequency must be finite, got {x}")
+    return x
+
+
 def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
                    order: int | None = None) -> SymbolMatrix:
     """Matrix symbol gamma_g(xi) of the vertical multiplier g.
@@ -290,9 +298,9 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
     """
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
-    xi = _rpoint(xi, table.n)
+    xi = _frequency(xi, table.n)
     if order is None:
-        order = max(default_order(table.n), 48)
+        order = FIBER_ORDER
     rules = []
     for r in range(table.n):
         v, w = _build_v_rule(float(xi[r]), g.breakpoints_on_axis(r), order)
@@ -331,7 +339,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
     product w g P (d complex numbers).  The temporaries of evaluating g
     itself are not counted.
     """
-    eta = _rpoint(eta, table.n)
+    eta = _frequency(eta, table.n)
     if route == "via-gamma":
         inner = gamma_toeplitz(table, g, -eta / math.sqrt(2.0), order)
         return SymbolMatrix(xi=eta, entries=inner.entries)
@@ -340,7 +348,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
     if order is None:
-        order = max(default_order(table.n), 48)
+        order = FIBER_ORDER
 
     per_axis = []
     for r in range(table.n):

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, asdict, field
+from fractions import Fraction
 from itertools import product as cartesian
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -60,26 +61,6 @@ TOLERANCES = {
     "sum-products": 1e-11,
     "fourier-laguerre": 1e-8,
     "fourier-kernel": 1e-8,
-}
-
-# Widest parameters each suite accepts; beyond these the runtimes and
-# conditioning are untested, so configs are rejected rather than run.
-_LIMITS = {
-    "laguerre": dict(n_max=10, p_max=12),
-    "kernel-basis": dict(n_max=3, m_max=4, p_max=128),
-    "reproducing": dict(n_max=3, m_max=3, p_max=6),
-    "sum-products": dict(n_max=6, m_max=6),
-    "fourier-laguerre": dict(p_max=40),
-    "fourier-kernel": dict(n_max=2, m_max=5),
-}
-
-_DEFAULTS = {
-    "laguerre": dict(n_max=8, p_max=8),
-    "kernel-basis": dict(n_max=3, m_max=3, p_max=64),
-    "reproducing": dict(n_max=3, m_max=3, p_max=5),
-    "sum-products": dict(n_max=5, m_max=5),
-    "fourier-laguerre": dict(p_max=10),
-    "fourier-kernel": dict(n_max=2, m_max=4),
 }
 
 
@@ -138,17 +119,17 @@ class VerificationReport:
         )
 
 
+_Jobs = list[tuple[str, Callable[[], float]]]
+
+
 def _resolve(suite: str, config: SuiteConfig) -> dict:
-    params = dict(_DEFAULTS[suite])
-    limits = _LIMITS[suite]
-    for key in params:
-        given = getattr(config, key.replace("-", "_"), None)
-        if given is not None:
-            params[key] = given
-        cap = limits.get(key)
+    params = {}
+    for key, (default, cap) in _SUITE_TABLE[suite][1].items():
+        given = getattr(config, key)
+        params[key] = default if given is None else given
         if params[key] < (0 if key == "p_max" else 1):
             raise ValueError(f"{suite}: {key} = {params[key]} is below the minimum")
-        if cap is not None and params[key] > cap:
+        if params[key] > cap:
             raise ValueError(f"{suite}: {key} = {params[key]} exceeds supported limit {cap}")
     params["alpha"] = config.alpha
     params["seed"] = config.seed
@@ -157,43 +138,39 @@ def _resolve(suite: str, config: SuiteConfig) -> dict:
     return params
 
 
-def _run_cases(jobs: Sequence[tuple[str, Callable[[], float]]],
-               tolerance_of: Callable[[str], float]) -> tuple[CaseResult, ...]:
+def _run_cases(suite: str, jobs: _Jobs) -> tuple[CaseResult, ...]:
     results = []
     for case_id, fn in jobs:
         t0 = time.perf_counter()
         err = float(fn())
         elapsed = time.perf_counter() - t0
-        tol = tolerance_of(case_id)
+        tol = TOLERANCES["reproducing-6d" if suite == "reproducing" and "n=3" in case_id
+                         else suite]
         results.append(CaseResult(id=case_id, max_error=err, tolerance=tol,
                                   passed=bool(err <= tol), elapsed_seconds=elapsed))
     return tuple(sorted(results, key=lambda c: c.id))
 
 
-def _report(suite: str, params: dict, cases: tuple[CaseResult, ...],
-            t0: float) -> VerificationReport:
-    return VerificationReport(
-        suite=suite,
-        passed=all(c.passed for c in cases),
-        cases=cases,
-        elapsed_seconds=round(time.perf_counter() - t0, 3),
-        params=params,
-    )
+def _batch_error(got, expected) -> float:
+    """max |got - expected| / max |expected| over a batch of values.
+
+    Relative to the batch's largest |expected|: a pointwise ratio turns
+    round-off at a sampled near-zero of the expected values into error.
+    """
+    got, expected = np.asarray(got), np.asarray(expected)
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
 
 
 # ---------------------------------------------------------------------------
 # suite: laguerre  (exact identities)
 # ---------------------------------------------------------------------------
 
-def suite_laguerre(config: SuiteConfig) -> VerificationReport:
+def _laguerre_jobs(params: dict) -> _Jobs:
     """Exact decomposition, sum, and telescoping identities over Q."""
-    t0 = time.perf_counter()
-    params = _resolve("laguerre", config)
     n_max, p_max = params["n_max"], params["p_max"]
-    from fractions import Fraction
     shifts = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3))
 
-    jobs: list[tuple[str, Callable[[], float]]] = []
+    jobs = []
     for n, p in cartesian(range(1, n_max + 1), range(p_max + 1)):
         def job(n=n, p=p) -> float:
             ok, count = check_laguerre_decomposition(n, p)
@@ -207,9 +184,7 @@ def suite_laguerre(config: SuiteConfig) -> VerificationReport:
         def job(a=a, p=p_max) -> float:
             return 0.0 if all(check_laguerre_telescoping(a, p) for p in range(p + 1)) else 1.0
         jobs.append((f"telescoping a={a}", job))
-
-    cases = _run_cases(jobs, lambda _: TOLERANCES["laguerre"])
-    return _report("laguerre", params, cases, t0)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +199,7 @@ def _sample_disc(rng: np.random.Generator, count: int, n: int,
     return radius * np.exp(1j * phase)
 
 
-def suite_kernel_basis(config: SuiteConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    params = _resolve("kernel-basis", config)
+def _kernel_basis_jobs(params: dict) -> _Jobs:
     alpha = params["alpha"]
 
     jobs = []
@@ -240,9 +213,7 @@ def suite_kernel_basis(config: SuiteConfig) -> VerificationReport:
             series = kernel_via_basis(alpha, n, m, params["p_max"], z, w)
             return float(np.max(np.abs(series - exact) / np.abs(exact)))
         jobs.append((f"kernel-basis n={n} m={m}", job))
-
-    cases = _run_cases(jobs, lambda _: TOLERANCES["kernel-basis"])
-    return _report("kernel-basis", params, cases, t0)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +278,7 @@ def _monomial_rows(x: np.ndarray, table) -> np.ndarray:
     return out
 
 
-def suite_reproducing(config: SuiteConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    params = _resolve("reproducing", config)
+def _reproducing_jobs(params: dict) -> _Jobs:
     alpha = params["alpha"]
     order = params.get("order")
 
@@ -322,21 +291,14 @@ def suite_reproducing(config: SuiteConfig) -> VerificationReport:
                 z = _sample_disc(rng, 1, n, 0.35 * math.sqrt(n), 0.75 * math.sqrt(n))[0]
                 return _reproducing_error(n, m, alpha, p_bound, z, order)
             jobs.append((f"reproducing n={n} m={m}", job))
-
-    def tol(case_id: str) -> float:
-        return TOLERANCES["reproducing-6d"] if "n=3" in case_id else TOLERANCES["reproducing"]
-
-    cases = _run_cases(jobs, tol)
-    return _report("reproducing", params, cases, t0)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
 # suite: sum-products  (kernel vs per-coordinate product decompositions)
 # ---------------------------------------------------------------------------
 
-def suite_sum_products(config: SuiteConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    params = _resolve("sum-products", config)
+def _sum_products_jobs(params: dict) -> _Jobs:
     alpha = params["alpha"]
 
     jobs = []
@@ -348,24 +310,17 @@ def suite_sum_products(config: SuiteConfig) -> VerificationReport:
                 z = rng.uniform(-1, 1, (50, n)) + 1j * rng.uniform(-1, 1, (50, n))
                 w = rng.uniform(-1, 1, (50, n)) + 1j * rng.uniform(-1, 1, (50, n))
                 exact = kernel_F(spec, z, w)
-                other = kernel_F_products(spec, z, w, form=form)
-                # Relative to the batch's largest |kernel_F|: a pointwise ratio
-                # turns round-off at a sampled near-zero of the kernel into error.
-                return float(np.max(np.abs(other - exact)) / np.max(np.abs(exact)))
+                return _batch_error(kernel_F_products(spec, z, w, form=form), exact)
             jobs.append((f"sum-products n={n} m={m} form={form}", job))
-
-    cases = _run_cases(jobs, lambda _: TOLERANCES["sum-products"])
-    return _report("sum-products", params, cases, t0)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
 # suite: fourier-laguerre  (1D Fourier transform of Laguerre functions)
 # ---------------------------------------------------------------------------
 
-def suite_fourier_laguerre(config: SuiteConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    params = _resolve("fourier-laguerre", config)
-    order = params.get("order") or 64
+def _fourier_laguerre_jobs(params: dict) -> _Jobs:
+    order = params.get("order", 64)
     a_grid = np.array([0.0, 0.4, 1.0, 2.2])
     xi_grid = np.linspace(-6.0, 6.0, 13)
     u_grid = np.array([0.0, 0.3, 1.1, 2.4])
@@ -373,48 +328,38 @@ def suite_fourier_laguerre(config: SuiteConfig) -> VerificationReport:
     jobs = []
     for p in range(params["p_max"] + 1):
         def forward(p=p) -> float:
-            worst_num, worst_den = 0.0, 0.0
-            for a in a_grid:
-                closed = (math.sqrt(math.pi)
-                          * hermite_fn(p, (xi_grid + a) / math.sqrt(2.0))
-                          * hermite_fn(p, (xi_grid - a) / math.sqrt(2.0)))
-                quad = np.array([
-                    fourier_1d_gaussian_type(lambda u: laguerre_fn(p, u * u + a * a),
-                                             0.0, xi, order)
-                    for xi in xi_grid
-                ])
-                worst_num = max(worst_num, float(np.max(np.abs(quad - closed))))
-                worst_den = max(worst_den, float(np.max(np.abs(closed))))
-            return worst_num / worst_den
+            closed = [math.sqrt(math.pi)
+                      * hermite_fn(p, (xi_grid + a) / math.sqrt(2.0))
+                      * hermite_fn(p, (xi_grid - a) / math.sqrt(2.0))
+                      for a in a_grid]
+            quad = [[fourier_1d_gaussian_type(lambda u: laguerre_fn(p, u * u + a * a),
+                                              0.0, xi, order)
+                     for xi in xi_grid]
+                    for a in a_grid]
+            return _batch_error(quad, closed)
         jobs.append((f"fourier-laguerre forward p={p:02d}", forward))
 
         def inverse(p=p) -> float:
             # ell_p(u^2 + a^2) = 2^{-1/2} integral e^{i u xi} psi_p((xi+a)/sqrt2) psi_p((xi-a)/sqrt2) dxi
             grid = tensor_grid(1, order, center=0.0, scale=math.sqrt(2.0))
             xi = grid.nodes[:, 0]
-            worst_num, worst_den = 0.0, 0.0
+            quad, closed = [], []
             for a in a_grid:
                 pair = (hermite_fn(p, (xi + a) / math.sqrt(2.0))
                         * hermite_fn(p, (xi - a) / math.sqrt(2.0)))
                 for u in u_grid:
-                    quad = np.sum(grid.weights * pair * np.exp(1j * u * xi)) / math.sqrt(2.0)
-                    closed = laguerre_fn(p, u * u + a * a)
-                    worst_num = max(worst_num, abs(quad - closed))
-                    worst_den = max(worst_den, abs(closed))
-            return worst_num / worst_den
+                    quad.append(np.sum(grid.weights * pair * np.exp(1j * u * xi)) / math.sqrt(2.0))
+                    closed.append(laguerre_fn(p, u * u + a * a))
+            return _batch_error(quad, closed)
         jobs.append((f"fourier-laguerre inverse p={p:02d}", inverse))
-
-    cases = _run_cases(jobs, lambda _: TOLERANCES["fourier-laguerre"])
-    return _report("fourier-laguerre", params, cases, t0)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
 # suite: fourier-kernel  (horizontal Fourier transform of the kernel)
 # ---------------------------------------------------------------------------
 
-def suite_fourier_kernel(config: SuiteConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    params = _resolve("fourier-kernel", config)
+def _fourier_kernel_jobs(params: dict) -> _Jobs:
     order = params.get("order")
 
     jobs = []
@@ -422,46 +367,47 @@ def suite_fourier_kernel(config: SuiteConfig) -> VerificationReport:
         def job(n=n, m=m) -> float:
             rng = np.random.default_rng([params["seed"], n, m])
             table = build_index_table(n, m)
-            worst_num, worst_den = 0.0, 0.0
+            quad, closed = [], []
             for _ in range(20):
                 xi = rng.uniform(-1.5, 1.5, n)
                 y = rng.uniform(-1.0, 1.0, n)
                 v = rng.uniform(-1.0, 1.0, n)
-                closed = complex(L_closed(table, xi, y, v))
-                quad = L_via_fourier(table, xi, y, v, order=order)
-                worst_num = max(worst_num, abs(quad - closed))
-                worst_den = max(worst_den, abs(closed))
-            return worst_num / worst_den
+                closed.append(complex(L_closed(table, xi, y, v)))
+                quad.append(L_via_fourier(table, xi, y, v, order=order))
+            return _batch_error(quad, closed)
         jobs.append((f"fourier-kernel n={n} m={m}", job))
-
-    cases = _run_cases(jobs, lambda _: TOLERANCES["fourier-kernel"])
-    return _report("fourier-kernel", params, cases, t0)
+    return jobs
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-_SUITE_FN = {
-    "laguerre": suite_laguerre,
-    "kernel-basis": suite_kernel_basis,
-    "reproducing": suite_reproducing,
-    "sum-products": suite_sum_products,
-    "fourier-laguerre": suite_fourier_laguerre,
-    "fourier-kernel": suite_fourier_kernel,
+# One entry per suite: its job-list builder, params -> [(case id, job)],
+# and {param: (default, cap)}.  Beyond the caps the runtimes and
+# conditioning are untested, so configs are rejected rather than run.
+_SUITE_TABLE: dict[str, tuple[Callable[[dict], _Jobs], dict]] = {
+    "laguerre": (_laguerre_jobs, dict(n_max=(8, 10), p_max=(8, 12))),
+    "kernel-basis": (_kernel_basis_jobs, dict(n_max=(3, 3), m_max=(3, 4), p_max=(64, 128))),
+    "reproducing": (_reproducing_jobs, dict(n_max=(3, 3), m_max=(3, 3), p_max=(5, 6))),
+    "sum-products": (_sum_products_jobs, dict(n_max=(5, 6), m_max=(5, 6))),
+    "fourier-laguerre": (_fourier_laguerre_jobs, dict(p_max=(10, 40))),
+    "fourier-kernel": (_fourier_kernel_jobs, dict(n_max=(2, 2), m_max=(4, 5))),
 }
 
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
     """Run one named suite, or all of them under ``name='all'``.
 
-    The 'all' report nests the individual suite reports and passes iff
-    every one of them does.
+    A suite's cases take its ``TOLERANCES`` entry, except the n = 3
+    reproducing cases, which take ``reproducing-6d``.  The 'all' report
+    nests the individual suite reports and passes iff every one of them
+    does.
     """
     config = config or SuiteConfig()
+    t0 = time.perf_counter()
     if name == "all":
-        t0 = time.perf_counter()
-        reports = tuple(_SUITE_FN[s](config) for s in SUITES)
+        reports = tuple(run_suite(s, config) for s in SUITES)
         return VerificationReport(
             suite="all",
             passed=all(r.passed for r in reports),
@@ -470,6 +416,14 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationRepor
             params={"seed": config.seed, "alpha": config.alpha},
             suites=reports,
         )
-    if name not in _SUITE_FN:
+    if name not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    return _SUITE_FN[name](config)
+    params = _resolve(name, config)
+    cases = _run_cases(name, _SUITE_TABLE[name][0](params))
+    return VerificationReport(
+        suite=name,
+        passed=all(c.passed for c in cases),
+        cases=cases,
+        elapsed_seconds=round(time.perf_counter() - t0, 3),
+        params=params,
+    )

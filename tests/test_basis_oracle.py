@@ -97,36 +97,20 @@ def _basis_gram(alpha, basis):
 
 
 def test_basis_is_orthonormal_exact_route():
-    basis = build_orthonormal_basis(1, n=1, m=2, p_max=4, exact=True)
+    basis = build_orthonormal_basis(1, n=1, m=2, p_max=4)
     assert len(basis) == 10  # (p_max + 1) holomorphic degrees x 2 conj degrees
     G = _basis_gram(1, basis)
     assert_allclose(G, np.eye(len(basis)), atol=1e-12)
 
 
-def test_basis_is_orthonormal_float_route():
-    basis = build_orthonormal_basis(1.25, n=1, m=3, p_max=6, exact=False)
-    G = _basis_gram(Fraction(5, 4), basis)
-    assert_allclose(G, np.eye(len(basis)), atol=1e-10)
-
-
 def test_basis_orthonormal_two_variables():
-    basis = build_orthonormal_basis(2, n=2, m=2, p_max=2, exact=True)
+    basis = build_orthonormal_basis(2, n=2, m=2, p_max=2)
     G = _basis_gram(2, basis)
     assert_allclose(G, np.eye(len(basis)), atol=1e-12)
 
 
-def test_exact_and_float_routes_agree():
-    exact = build_orthonormal_basis(2, n=1, m=3, p_max=8, exact=True)
-    approx = build_orthonormal_basis(2, n=1, m=3, p_max=8, exact=False)
-    assert len(exact) == len(approx)
-    for be, bf in zip(exact, approx):
-        assert be.p == bf.p and be.q == bf.q
-        assert be.monomials == bf.monomials
-        assert_allclose(be.coeffs, bf.coeffs, atol=1e-10)
-
-
 def test_basis_element_evaluation():
-    basis = build_orthonormal_basis(1, n=1, m=1, p_max=2, exact=True)
+    basis = build_orthonormal_basis(1, n=1, m=1, p_max=2)
     # with m = 1 the basis is the holomorphic monomial ladder z^p / sqrt(p!)
     by_p = {b.p: b for b in basis}
     z = np.array([0.7 + 0.2j])
@@ -143,7 +127,7 @@ def test_build_basis_validation():
     with pytest.raises(ValueError):
         build_orthonormal_basis(1, n=1, m=2, p_max=-1)
     with pytest.raises(ValueError):
-        build_orthonormal_basis(1.3, n=1, m=2, p_max=4, exact=True)
+        build_orthonormal_basis(1.3, n=1, m=2, p_max=4)
 
 
 def test_kernel_reconstruction_matches_closed_form():
@@ -183,7 +167,7 @@ def test_kernel_reconstruction_hermitian_and_positive():
 
 def test_streamed_kernel_matches_materialized_basis_sum():
     alpha, n, m, p_max = 1, 1, 2, 6
-    basis = build_orthonormal_basis(alpha, n=n, m=m, p_max=p_max, exact=True)
+    basis = build_orthonormal_basis(alpha, n=n, m=m, p_max=p_max)
     z = np.array([0.4 + 0.1j])
     w = np.array([0.2 - 0.3j])
     by_hand = sum(b(w) * np.conj(b(z)) for b in basis)
@@ -199,7 +183,7 @@ def test_batched_kernel_matches_exact_basis_sum():
         w[0] = z[0]
         for m in (1, 2, 3):
             for p_max in (0, 3, 8):
-                basis = build_orthonormal_basis(1, n=n, m=m, p_max=p_max, exact=True)
+                basis = build_orthonormal_basis(1, n=n, m=m, p_max=p_max)
                 by_hand = sum(b(w) * np.conj(b(z)) for b in basis)
                 batched = kernel_via_basis(1, n, m, p_max, z, w)
                 assert_allclose(batched, by_hand, rtol=1e-13)

@@ -184,6 +184,10 @@ def test_usage_errors_exit_2(tmp_path):
         main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign",
               "--xi-grid", "0:1"])
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign",
+              "--xi-grid", "nan:1:2"])
+    assert err.value.code == 2
 
     # the fiber image is closed form, so it takes no quadrature order
     with pytest.raises(SystemExit) as err:

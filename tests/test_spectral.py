@@ -399,3 +399,9 @@ def test_fiber_sweep_shape_and_default_grid():
     assert rows.shape == (8, 2)
     assert default_xi_grid().shape == (64,)
     assert default_xi_grid()[0] == -8.0 and default_xi_grid()[-1] == 8.0
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (-1.0, math.inf), (-math.inf, 0.0)])
+def test_default_xi_grid_rejects_non_finite_ends(lo, hi):
+    with pytest.raises(ValueError, match="finite"):
+        default_xi_grid(4, lo, hi)

@@ -277,6 +277,20 @@ def test_gamma_dimension_mismatch():
         gamma_toeplitz(table, constant(1.0, n=2), [0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gamma_rejects_non_finite_frequency(bad):
+    table = build_index_table(2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        gamma_toeplitz(table, constant(1.0, n=2), [0.3, bad])
+
+
+@pytest.mark.parametrize("route", ["via-gamma", "direct"])
+def test_sigma_rejects_non_finite_frequency(route):
+    table = build_index_table(1, 2)
+    with pytest.raises(ValueError, match="finite"):
+        sigma_from_gamma(table, sign(), [math.nan], route=route)
+
+
 def test_sigma_two_routes_agree():
     rng = np.random.default_rng(11)
     symbols_1d = [polynomial([0.0, 1.0]),

@@ -10,7 +10,7 @@ import polyfock.verify as verify
 from polyfock.multiindex import build_index_table
 from polyfock.verify import (
     SUITES,
-    CaseResult,
+    TOLERANCES,
     SuiteConfig,
     VerificationReport,
     run_suite,
@@ -89,30 +89,37 @@ def test_config_limits_rejected():
         run_suite("spectral-gap")
 
 
-def test_all_aggregates_nested_reports(monkeypatch):
-    def stub(name, passed):
-        def run(config):
-            return VerificationReport(
-                suite=name,
-                passed=passed,
-                cases=(CaseResult(id=f"{name} only", max_error=0.0,
-                                  tolerance=1e-9, passed=passed),),
-                elapsed_seconds=0.0,
-                params={},
-            )
-        return run
+def test_fourier_laguerre_rejects_order_zero():
+    with pytest.raises(ValueError):
+        run_suite("fourier-laguerre", SuiteConfig(order=0))
 
-    monkeypatch.setattr(verify, "_SUITE_FN", {s: stub(s, True) for s in SUITES})
+
+def test_suite_table_matches_suites_and_tolerances():
+    assert tuple(verify._SUITE_TABLE) == SUITES
+    assert set(TOLERANCES) == set(SUITES) | {"reproducing-6d"}
+    for name, (_, table) in verify._SUITE_TABLE.items():
+        for key, (default, cap) in table.items():
+            assert getattr(SuiteConfig(), key) is None, (name, key)
+            assert (0 if key == "p_max" else 1) <= default <= cap, (name, key)
+
+
+def test_all_aggregates_nested_reports(monkeypatch):
+    def stub(*errors):
+        return (lambda params: [(f"case {i}", lambda e=e: e) for i, e in enumerate(errors)], {})
+
+    monkeypatch.setattr(verify, "_SUITE_TABLE", {s: stub(0.0) for s in SUITES})
     report = run_suite("all")
     assert report.passed
     assert tuple(r.suite for r in report.suites) == SUITES
     assert report.cases == ()
 
-    broken = {s: stub(s, True) for s in SUITES}
-    broken[SUITES[2]] = stub(SUITES[2], False)
-    monkeypatch.setattr(verify, "_SUITE_FN", broken)
+    broken = {s: stub(0.0) for s in SUITES}
+    broken[SUITES[2]] = stub(0.0, 1.0)  # one passing job, one failing job
+    monkeypatch.setattr(verify, "_SUITE_TABLE", broken)
     report = run_suite("all")
     assert not report.passed
+    assert [c.passed for c in report.suites[2].cases] == [True, False]
+    assert all(r.passed for i, r in enumerate(report.suites) if i != 2)
 
     # nested reports survive serialization
     decoded = VerificationReport.from_dict(report.to_dict())
