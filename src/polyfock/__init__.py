@@ -47,7 +47,8 @@ from .quadrature import (
     QuadratureGrid,
     fourier_1d_gaussian_type,
     gauss_hermite_1d,
-    integrate,
+    gaussian_mean_rule,
+    place_hermite,
     tensor_grid,
 )
 from .ratpoly import RationalPoly

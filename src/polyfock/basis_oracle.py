@@ -50,20 +50,18 @@ def _as_tuple(p, n: int) -> tuple[int, ...]:
 def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
     """Moment <z^p1 conj(z)^q1, z^p2 conj(z)^q2> against (alpha/pi)^n e^{-alpha|z|^2}.
 
-    Exact Fraction when alpha is an int or Fraction, float otherwise.
+    Exact: alpha must be an int or a Fraction, and the moment is a Fraction.
     """
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"the exact moments need a rational alpha, got {alpha!r}")
     n = len(np.atleast_1d(p1))
     p1, q1, p2, q2 = (_as_tuple(t, n) for t in (p1, q1, p2, q2))
-    exact = isinstance(alpha, (int, Fraction))
-    total = Fraction(1) if exact else 1.0
+    total = Fraction(1)
     for a, b, c, d in zip(p1, q1, p2, q2):
         if a + d != b + c:
-            return Fraction(0) if exact else 0.0
+            return Fraction(0)
         s = a + d
-        if exact:
-            total *= Fraction(math.factorial(s), 1) / Fraction(alpha) ** s
-        else:
-            total *= math.exp(math.lgamma(s + 1) - s * math.log(alpha))
+        total *= Fraction(math.factorial(s), 1) / Fraction(alpha) ** s
     return total
 
 

@@ -66,6 +66,14 @@ def _rpoint(x, n: int) -> np.ndarray:
     return x
 
 
+def _frequency(x, n: int) -> np.ndarray:
+    """A frequency point of length n; nan or inf would only yield nan results."""
+    x = _rpoint(x, n)
+    if not np.isfinite(x).all():
+        raise ValueError(f"frequency must be finite, got {x}")
+    return x
+
+
 def kernel_F(spec: KernelSpec, z, w):
     """Reproducing kernel K_z(w) of the polyanalytic Fock space.
 

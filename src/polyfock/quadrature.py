@@ -1,31 +1,37 @@
 """Quadrature rules for integrands with Gaussian envelopes, and their size budget.
 
-Every numerical cross-check in this library reduces to integrals of the form
+Every numerical cross-check in this library reduces to integrals over R^dim
+or C^n of a (bounded, mildly oscillatory or piecewise smooth) factor times a
+Gaussian.  Every rule here is a list of 1-D rules, one per axis, composed by
+one builder.  The vocabulary:
 
-    integral over R^dim of f(t) dt,    f(t) ~ (bounded, mildly oscillatory) * Gaussian,
-
-so one grid construction serves them all.  A grid is built from a 1D
-Gauss-Hermite rule, affinely mapped axis by axis (node -> center + scale*node),
-and stores *Lebesgue* weights: the Gauss-Hermite weight times e^{t^2} times
-the scale.  Summing weight * f(node) then approximates the plain integral of
-f, with the e^{-|t|^2} implicit in the rule cancelled against the integrand's
-own Gaussian decay.  When the affine map matches that Gaussian (center at its
-peak, scale = sqrt(2) * halfwidth), polynomial-times-Gaussian integrands of
-degree <= 2*order - 1 are integrated exactly.  Integrands that jump use
-composite Gauss-Legendre panels split at the jumps (:func:`legendre_panels`).
-
-The compensated weights w * e^{t^2} are O(1) in size; with the order capped
-at 128 the intermediate exp(t^2) stays below 1e112, far from overflow.
+* **Placement** (:func:`place_hermite`).  The raw Gauss-Hermite rule (t, w)
+  of :func:`gauss_hermite_1d` mapped to the nodes center + scale*t with
+  *Lebesgue* weights scale * w * e^{t^2}.  Summing weight * f(node) then
+  approximates the plain integral of f, with the e^{-t^2} implicit in the
+  rule cancelled against the integrand's own Gaussian decay.  When the
+  placement matches that Gaussian (center at its peak, scale = sqrt(2) *
+  halfwidth), polynomial-times-Gaussian integrands of degree <= 2*order - 1
+  are integrated exactly.  The compensated weights are O(1); with the order
+  capped at 128 the intermediate e^{t^2} stays below 1e112.
+* **Gaussian-mean rule** (:func:`gaussian_mean_rule`).  The mean against
+  (alpha/pi)^n e^{-alpha|w|^2} on C^n: the Gaussian is folded into the
+  weights, so summing weight * f(node) is the mean of f.  Its placement is
+  the Gaussian's own width, moved to the peak of what f adds to it.
+* **Legendre panels** (:func:`legendre_panels`).  Composite Gauss-Legendre
+  rules split at the points where an integrand jumps.
+* **Tensor rules** (:func:`tensor_rule`).  The one builder of
+  multi-dimensional rules from per-axis rules; :func:`tensor_grid` is the
+  placed Gauss-Hermite case and keeps the per-axis rules it was built from.
+* **Budget** (:func:`check_rule_budget`).  The one size check: any tensor
+  rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET`` is refused
+  before it is built.  :func:`tensor_rule` calls it for the rule itself; the
+  fiber integrals and the direct sigma route call it with their own
+  per-node word counts.
 
 Oscillatory Fourier factors e^{-i u xi} are handled by the same rules; for
 the frequency ranges used here (|xi| <= ~10) orders around 48-64 leave
 errors well below 1e-10, which the convergence tests pin down.
-
-This module alone holds the size policy: :func:`check_rule_budget` refuses
-any tensor rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET``.
-:func:`tensor_rule` calls it for the rule itself; the fiber integrals and
-the direct sigma route call it with their own per-node word counts before
-they build anything large.
 """
 
 from __future__ import annotations
@@ -53,9 +59,6 @@ FIBER_ORDER = 48
 # Largest set of per-node float64 arrays that any tensor rule may carry
 # (see check_rule_budget); the 6-D default grid takes about 167 MB of it.
 RULE_BYTES_BUDGET = 1 << 30
-
-# Nodes per evaluator call in integrate, which bounds its temporaries.
-INTEGRATE_CHUNK = 262144
 
 # Widest Gauss-Legendre panel of legendre_panels: each panel then resolves
 # a unit-scale Gaussian comfortably.
@@ -100,25 +103,29 @@ def check_rule_budget(sizes: Sequence[int], words_per_node: int) -> None:
                          f"over the {RULE_BYTES_BUDGET}-byte budget")
 
 
-def _broadcast_axis_param(value, dim: int, default: float) -> np.ndarray:
-    if value is None:
-        return np.full(dim, float(default))
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.shape == (1,):
-        arr = np.full(dim, arr[0])
-    if arr.shape != (dim,):
-        raise ValueError(f"expected scalar or length-{dim} vector, got shape {arr.shape}")
-    return arr
+def place_hermite(rule: tuple[np.ndarray, np.ndarray], center: float, scale: float):
+    """Gauss-Hermite rule placed at center + scale*t, with Lebesgue weights.
+
+    ``rule`` is the raw (t, w) of :func:`gauss_hermite_1d`.  Returns the
+    nodes center + scale*t and the weights scale * w * e^{t^2}, so summing
+    weight * f(node) approximates the plain integral of f.  ``center`` must
+    be finite and ``scale`` finite and positive.
+    """
+    if not (math.isfinite(center) and math.isfinite(scale)):
+        raise ValueError(f"center and scale must be finite, got center={center}, scale={scale}")
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    t, w = rule
+    return center + scale * t, scale * (w * np.exp(t * t))
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Affinely placed tensor Gauss-Hermite rule with Lebesgue weights."""
+    """Tensor product of 1-D rules, with the per-axis rules it was built from."""
 
-    dim: int
-    order: int
-    nodes: np.ndarray      # (order**dim, dim)
-    weights: np.ndarray    # (order**dim,), all positive
+    axes: tuple[tuple[np.ndarray, np.ndarray], ...]  # (nodes, weights) of each axis
+    nodes: np.ndarray      # (N, dim), last axis fastest
+    weights: np.ndarray    # (N,), all positive
 
 
 def tensor_rule(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
@@ -143,33 +150,48 @@ def tensor_rule(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
     return nodes, weights
 
 
-def tensor_grid(
-    dim: int,
-    order: int | None = None,
-    center=None,
-    scale=None,
-) -> QuadratureGrid:
-    """Build the tensor rule with order**dim nodes mapped to center + scale*t.
+def tensor_grid(dim: int, order: int | None = None, center=0.0, scale=1.0) -> QuadratureGrid:
+    """Tensor Gauss-Hermite rule of order**dim nodes, placed axis by axis.
 
-    ``center`` and ``scale`` are scalars or length-dim vectors (default 0
-    and 1); both must be finite and ``scale`` positive on every axis.
+    ``center`` and ``scale`` are scalars or length-dim vectors; each axis
+    is :func:`place_hermite` of the same order-point rule.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if order is None:
         order = default_order(dim)
-    center = _broadcast_axis_param(center, dim, 0.0)
-    scale = _broadcast_axis_param(scale, dim, 1.0)
-    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(scale))):
-        raise ValueError(f"center and scale must be finite, got center={center}, scale={scale}")
-    if np.any(scale <= 0):
-        raise ValueError("scale must be positive on every axis")
+    center, scale = (np.broadcast_to(np.asarray(p, dtype=float), (dim,)) for p in (center, scale))
+    rule = gauss_hermite_1d(order)
+    axes = tuple(place_hermite(rule, c, s) for c, s in zip(center, scale))
+    return QuadratureGrid(axes, *tensor_rule(axes))
 
+
+def gaussian_mean_rule(center, alpha: float, order: int | None = None):
+    """Tensor rule for the mean against (alpha/pi)^n e^{-alpha|w|^2} on C^n.
+
+    ``center`` holds the 2n real coordinates (real parts, then imaginary
+    parts) the rule is placed at; they must be finite, and alpha finite and
+    positive.  ``order`` defaults to :func:`default_order` of 2n.  Each axis
+    maps Gauss-Hermite nodes t to x = c + t/sqrt(alpha), the Gaussian's own
+    width, and carries the Gaussian in its weight,
+    (1/sqrt(alpha)) w e^{t^2 - alpha x^2} sqrt(alpha/pi); the exponent is
+    written as -alpha c^2 - 2 sqrt(alpha) c t, which stays small.  Summing
+    weight * f(node) approximates the Gaussian mean of f.  It is exact when
+    f(w) e^{-alpha|w|^2} is e^{-alpha|w - center|^2} times a polynomial of
+    degree <= 2*order - 1 in each coordinate, as |K_c|^2 e^{-alpha|w|^2} is
+    for a kernel section K_c.  Returns (nodes (N, 2n), weights (N,)).
+    """
+    center = np.asarray(center, dtype=float)
+    if not (np.all(np.isfinite(center)) and math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"center must be finite and alpha finite and positive, "
+                         f"got center={center}, alpha={alpha}")
+    if order is None:
+        order = default_order(len(center))
     t, w = gauss_hermite_1d(order)
-    compensated = w * np.exp(t * t)
-    nodes, weights = tensor_rule([(center[axis] + scale[axis] * t, scale[axis] * compensated)
-                                  for axis in range(dim)])
-    return QuadratureGrid(dim=dim, order=order, nodes=nodes, weights=weights)
+    root = math.sqrt(alpha)
+    return tensor_rule([(c + t / root,
+                         w * np.exp(-alpha * c * c - 2 * root * c * t) / math.sqrt(math.pi))
+                        for c in center])
 
 
 def _evaluate(evaluator: Callable, points: np.ndarray) -> np.ndarray:
@@ -181,37 +203,20 @@ def _evaluate(evaluator: Callable, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def integrate(evaluator: Callable, grid: QuadratureGrid):
-    """Sum weight * evaluator(node) over the grid in bounded-memory chunks.
-
-    The evaluator is called on (N, dim) blocks of at most INTEGRATE_CHUNK
-    nodes and must return N values.
-    """
-    total = 0.0 + 0.0j
-    for start in range(0, grid.nodes.shape[0], INTEGRATE_CHUNK):
-        vals = _evaluate(evaluator, grid.nodes[start : start + INTEGRATE_CHUNK])
-        total += np.sum(grid.weights[start : start + INTEGRATE_CHUNK] * vals)
-    return complex(total)
-
-
-def fourier_1d_gaussian_type(
-    evaluator: Callable,
-    center: float,
-    xi: float,
-    order: int = 64,
-):
+def fourier_1d_gaussian_type(evaluator: Callable, xi: float, order: int = 64):
     """(2 pi)^{-1/2} integral of evaluator(u) e^{-i u xi} du.
 
-    For evaluators decaying like exp(-(u - center)^2 / 2) times a bounded
-    factor; the evaluator takes the array of nodes and returns one value
-    per node.  The oscillation is carried by the rule itself; at order 64 the
-    error stays below ~1e-10 for |xi| <= 10.
+    For evaluators decaying like exp(-u^2 / 2) times a bounded factor; the
+    evaluator takes the array of nodes and returns one value per node.  The
+    oscillation is carried by the rule itself; at order 64 the error stays
+    below ~1e-10 for |xi| <= 10; a non-finite xi is refused.
     """
-    grid = tensor_grid(1, order, center=center, scale=math.sqrt(2.0))
-    u = grid.nodes[:, 0]
+    if not math.isfinite(xi):
+        raise ValueError(f"frequency must be finite, got {xi}")
+    u, weights = place_hermite(gauss_hermite_1d(order), 0.0, math.sqrt(2.0))
     vals = _evaluate(evaluator, u)
     phase = np.exp(-1j * u * xi)
-    return complex(np.sum(grid.weights * vals * phase) / math.sqrt(2 * math.pi))
+    return complex(np.sum(weights * vals * phase) / math.sqrt(2 * math.pi))
 
 
 def legendre_panels(breakpoints: Sequence[float], order: int) -> tuple[np.ndarray, np.ndarray]:

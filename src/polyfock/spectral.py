@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_H, _cpoint, _rpoint
+from .kernels import KernelSpec, kernel_H, _frequency, _rpoint
 from .multiindex import IndexTable, build_index_table, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import FIBER_ORDER, _evaluate, check_rule_budget, default_order, tensor_grid
@@ -37,7 +37,7 @@ def q_eval(table: IndexTable, xi, k, v):
     k = tuple(int(c) for c in np.atleast_1d(k))
     table.position(k)  # membership check
     n = table.n
-    xi = _rpoint(xi, n)
+    xi = _frequency(xi, n)
     v = _rpoint(v, n)
     t = (xi + 2 * v) / math.sqrt(2.0)
     out = np.full(t.shape[:-1], 2 ** (n / 2) * math.pi ** (n / 4))
@@ -50,7 +50,7 @@ def q_eval(table: IndexTable, xi, k, v):
 def q_matrix(table: IndexTable, xi, v) -> np.ndarray:
     """All fiber basis values q_{phi(j), xi}(v), stacked on a last axis of size d."""
     n = table.n
-    xi = _rpoint(xi, n)
+    xi = _frequency(xi, n)
     v = _rpoint(v, n)
     t = (xi + 2 * v) / math.sqrt(2.0)
     psi = hermite_fn_table(table.m - 1, t)  # (m, ..., n)
@@ -76,7 +76,7 @@ def L_via_fourier(table: IndexTable, xi, y, v, order: int | None = None):
     Independent route against :func:`L_closed`.
     """
     n = table.n
-    xi = _rpoint(xi, n)
+    xi = _frequency(xi, n)
     y = _rpoint(y, n)
     v = _rpoint(v, n)
     if order is None:
@@ -112,7 +112,7 @@ def fiber_project(
     width); slices with additional decay elsewhere converge anyway.
     """
     n = table.n
-    xi = _rpoint(xi, n)
+    xi = _frequency(xi, n)
     if order is None:
         order = FIBER_ORDER
     grid = tensor_grid(n, order, center=-xi / 2, scale=1.0)
@@ -145,7 +145,7 @@ def R_F_kernel_image(spec: KernelSpec, y, xi) -> FiberVector:
     """
     table = build_index_table(spec.n, spec.m)
     y = _rpoint(y, spec.n)
-    xi = _rpoint(xi, spec.n)
+    xi = _frequency(xi, spec.n)
     front = 2 ** (-spec.n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
     comps = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)
     return FiberVector(xi=xi, components=comps.astype(complex))
@@ -155,16 +155,21 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
     """Closed-form fiber image of the true-polyanalytic kernel section at z = i y.
 
     For type beta = phi(j0) + 1 only component j0 survives:
-    2^{-n/2} e^{alpha |y|^2 / 2} q_{phi(j0), xi}(sqrt(alpha) y).
+    2^{-n/2} e^{alpha |y|^2 / 2} q_{phi(j0), xi}(sqrt(alpha) y).  The
+    domain of beta is n integers >= 1 with |beta| - n <= m - 1.
     """
-    table = build_index_table(spec.n, spec.m)
+    n, m = spec.n, spec.m
     beta = tuple(int(b) for b in np.atleast_1d(beta))
+    if len(beta) != n or min(beta) < 1 or sum(beta) - n > m - 1:
+        raise ValueError(f"beta must be {n} integers >= 1 with |beta| - n <= m - 1 = {m - 1}, "
+                         f"got {beta}")
+    table = build_index_table(n, m)
     k = tuple(b - 1 for b in beta)
     j0 = table.position(k)
-    y = _rpoint(y, spec.n)
-    xi = _rpoint(xi, spec.n)
+    y = _rpoint(y, n)
+    xi = _frequency(xi, n)
     comps = np.zeros(table.d, dtype=complex)
-    front = 2 ** (-spec.n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
+    front = 2 ** (-n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
     comps[j0 - 1] = front * q_eval(table, xi, k, math.sqrt(spec.alpha) * y)
     return FiberVector(xi=xi, components=comps)
 
@@ -197,7 +202,7 @@ def R_H_apply(
     """
     _require(g, FLAT)
     n = table.n
-    xi = _rpoint(xi, n)
+    xi = _frequency(xi, n)
     if order is None:
         order = default_order(2 * n)
     check_rule_budget([order] * (2 * n), (2 * n + 1) + 6 + (table.m * n + 2 * table.d))
@@ -209,12 +214,6 @@ def R_H_apply(
     q = q_matrix(table, xi, v)  # (N, d)
     comps = q.T @ (grid.weights * vals) / (2 * math.pi) ** n
     return FiberVector(xi=xi, components=comps)
-
-
-def _axis_nodes(grid, axis: int) -> np.ndarray:
-    """The 1-D nodes of one axis of a tensor grid (last axis fastest)."""
-    stride = grid.order ** (grid.dim - 1 - axis)
-    return grid.nodes[: stride * grid.order : stride, axis]
 
 
 def R_F_apply(
@@ -249,16 +248,16 @@ def R_F_apply(
     _require(f, FOCK)
     n, m = spec.n, spec.m
     table = build_index_table(n, m)
-    xi = _rpoint(xi, n)
+    xi = _frequency(xi, n)
     if order is None:
         order = default_order(2 * n)
     check_rule_budget([order] * (2 * n), 4 * n + 5)
     grid = _uv_grid(n, xi, order)
     z = (grid.nodes[:, :n] + 1j * grid.nodes[:, n:]) / math.sqrt(spec.alpha)
-    cube = (_evaluate(f, z) * grid.weights).reshape((order,) * (2 * n))
+    cube = (_evaluate(f, z) * grid.weights).reshape([len(nodes) for nodes, _ in grid.axes])
     for r in range(n):
-        u = _axis_nodes(grid, r)[:, None]
-        v = _axis_nodes(grid, n + r)
+        u = grid.axes[r][0][:, None]
+        v = grid.axes[n + r][0]
         phase = np.exp(-u * u / 2 - v * v / 2 - 1j * u * (v + xi[r]))
         psi = hermite_fn_table(m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))
         # The u_r axis leads the cube and v_r sits after the n - r u axes

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _rpoint
+from .kernels import _frequency, _rpoint
 from .multiindex import IndexTable, _is_integer, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
@@ -45,6 +45,7 @@ from .quadrature import (
     check_rule_budget,
     gauss_hermite_1d,
     legendre_panels,
+    place_hermite,
     tensor_rule,
 )
 
@@ -243,10 +244,8 @@ def _build_v_rule(xi_r: float, breakpoints: Sequence[float], order: int):
     if breakpoints:
         cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
         return legendre_panels(cuts, order)
-    t, w = gauss_hermite_1d(order)
-    v = (math.sqrt(2.0) * t - xi_r) / 2
-    weights = w * np.exp(t * t) / math.sqrt(2.0)
-    return v, weights
+    # t = (xi_r + 2v)/sqrt(2), so v = -xi_r/2 + t/sqrt(2)
+    return place_hermite(gauss_hermite_1d(order), -xi_r / 2, math.sqrt(2.0) / 2)
 
 
 def _psi_product_matrix(table: IndexTable, t: np.ndarray) -> np.ndarray:
@@ -273,14 +272,6 @@ def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
                 for coeff, exps in g.terms]
     # constant and polynomial: one monomial per term (v^0 = 1)
     return [(coeff, [lambda v, e=e: v ** e for e in exps]) for coeff, exps in g.terms]
-
-
-def _frequency(x, n: int) -> np.ndarray:
-    """A frequency point of length n; nan or inf would only yield a nan matrix."""
-    x = _rpoint(x, n)
-    if not np.isfinite(x).all():
-        raise ValueError(f"frequency must be finite, got {x}")
-    return x
 
 
 def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
@@ -359,8 +350,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
             cuts = sorted({-T_CUT, T_CUT, *(b for b in brk_t if -T_CUT < b < T_CUT)})
             per_axis.append(legendre_panels(cuts, order))
         else:
-            t, w = gauss_hermite_1d(order)
-            per_axis.append((t, w * np.exp(t * t)))
+            per_axis.append(place_hermite(gauss_hermite_1d(order), 0.0, 1.0))
     check_rule_budget([len(nodes) for nodes, _ in per_axis],
                       table.n + 1 + table.m * table.n + 3 * table.d)
     t, w = tensor_rule(per_axis)
@@ -375,7 +365,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
 def weyl_symbol(table: IndexTable, a, xi) -> SymbolMatrix:
     """Symbol of the horizontal translation by a: the character e^{-i<xi, a>} I_d."""
     a = _rpoint(a, table.n)
-    xi = _rpoint(xi, table.n)
+    xi = _frequency(xi, table.n)
     phase = np.exp(-1j * float(xi @ a))
     return SymbolMatrix(xi=xi, entries=phase * np.eye(table.d, dtype=complex))
 
@@ -386,7 +376,7 @@ def convolution_symbol(table: IndexTable, h_hat: Callable, xi) -> SymbolMatrix:
     ``h_hat`` is the normalized Fourier transform
     (2 pi)^{-n/2} int h(x) e^{-i<x, xi>} dx of the convolution kernel.
     """
-    xi = _rpoint(xi, table.n)
+    xi = _frequency(xi, table.n)
     value = complex(h_hat(xi))
     return SymbolMatrix(xi=xi, entries=value * np.eye(table.d, dtype=complex))
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelSpec, _cpoint, _rpoint
-from .quadrature import tensor_grid
+from .quadrature import gaussian_mean_rule, tensor_grid
 
 FOCK = "fock"
 FLAT = "flat"
@@ -172,34 +172,34 @@ def from_gaussian_picture(spec: KernelSpec, g: FieldFunction) -> FieldFunction:
 
 
 def fock_norm(spec: KernelSpec, f: FieldFunction, center=None, order: int | None = None) -> float:
-    """Weighted L^2 norm of a Fock-side function by tensor quadrature.
+    """Weighted L^2 norm of a Fock-side function by Gaussian-mean quadrature.
 
     Computes ((alpha/pi)^n integral |f(z)|^2 e^{-alpha |z|^2} dA(z))^{1/2}
-    over C^n = R^{2n}.  ``center`` (a complex point) places the grid; for a
-    kernel section K_w pass center = w, where the weighted modulus peaks.
+    over C^n = R^{2n}, the Gaussian mean of |f|^2
+    (:func:`~polyfock.quadrature.gaussian_mean_rule`).  ``center`` (a complex
+    point) places the rule; for a kernel section K_w pass center = w, where
+    the weighted modulus peaks, and the default order is exact to round-off.
     """
     _require(f, FOCK)
-    n, alpha = spec.n, spec.alpha
+    n = spec.n
     c = np.zeros(2 * n) if center is None else np.concatenate(
         (np.real(_cpoint(center, n)), np.imag(_cpoint(center, n))))
-    grid = tensor_grid(2 * n, order, center=c, scale=math.sqrt(2 / alpha))
-
-    u = grid.nodes[:, :n]
-    v = grid.nodes[:, n:]
-    z = u + 1j * v
-    vals = np.abs(f(z)) ** 2 * np.exp(-alpha * np.sum(u * u + v * v, axis=-1))
-    total = float(np.sum(grid.weights * vals)) * (alpha / math.pi) ** n
-    return math.sqrt(max(total, 0.0))
+    nodes, weights = gaussian_mean_rule(c, spec.alpha, order)
+    vals = np.abs(f(nodes[:, :n] + 1j * nodes[:, n:])) ** 2
+    return math.sqrt(max(float(np.sum(weights * vals)), 0.0))
 
 
 def flat_norm(n: int, g: FieldFunction, center=None, order: int | None = None) -> float:
     """L^2 norm of a flattened-side function against (2 pi)^{-n} dx dy.
 
     ``center`` is a real 2n-vector (x-part then y-part) placing the grid.
+    The grid has unit width, the width of |g|^2 for a flattened kernel
+    section; for the flattened K_w, center = sqrt(alpha) (Re w, Im w) makes
+    the default order exact to round-off.
     """
     _require(g, FLAT)
     c = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
-    grid = tensor_grid(2 * n, order, center=c, scale=math.sqrt(2.0))
+    grid = tensor_grid(2 * n, order, center=c, scale=1.0)
     x = grid.nodes[:, :n]
     y = grid.nodes[:, n:]
     vals = np.abs(g(x, y)) ** 2

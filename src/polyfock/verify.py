@@ -38,13 +38,7 @@ from .orthopoly import (
     hermite_fn,
     laguerre_fn,
 )
-from .quadrature import (
-    default_order,
-    fourier_1d_gaussian_type,
-    gauss_hermite_1d,
-    tensor_grid,
-    tensor_rule,
-)
+from .quadrature import fourier_1d_gaussian_type, gaussian_mean_rule, tensor_grid
 from .spectral import L_closed, L_via_fourier
 
 SUITES = ("laguerre", "kernel-basis", "reproducing", "sum-products",
@@ -220,31 +214,12 @@ def _kernel_basis_jobs(params: dict) -> _Jobs:
 # suite: reproducing  (quadrature of f against the kernel section)
 # ---------------------------------------------------------------------------
 
-def _gaussian_rule(center: np.ndarray, alpha: float, order: int):
-    """Tensor rule for integrals against the Gaussian (alpha/pi)^n e^{-alpha|w|^2} on C^n.
-
-    ``center`` holds the 2n real coordinates (real parts, then imaginary
-    parts) the rule is placed at.  Each axis maps Gauss-Hermite nodes t to
-    x = c + t/sqrt(alpha) and carries the Gaussian in its weight,
-    (1/sqrt(alpha)) w e^{t^2 - alpha x^2} sqrt(alpha/pi); the exponent is
-    written as -alpha c^2 - 2 sqrt(alpha) c t, which stays small.  Summing
-    weight * f(node) approximates the Gaussian mean of f.
-    """
-    t, w = gauss_hermite_1d(order)
-    root = math.sqrt(alpha)
-    return tensor_rule([(c + t / root,
-                         w * np.exp(-alpha * c * c - 2 * root * c * t) / math.sqrt(math.pi))
-                        for c in center])
-
-
 def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
                        z: np.ndarray, order: int | None) -> float:
     """Max relative error of <w^p conj(w)^q, K_z> = z^p conj(z)^q over the range."""
     spec = KernelSpec(n, m, alpha)
-    if order is None:
-        order = default_order(2 * n)
-    nodes, weights = _gaussian_rule(np.concatenate((np.real(z), np.imag(z))) / 2,
-                                    alpha, order)
+    nodes, weights = gaussian_mean_rule(np.concatenate((np.real(z), np.imag(z))) / 2,
+                                        alpha, order)
 
     ps = build_index_table(n, p_bound + 1)
     qs = build_index_table(n, m)
@@ -333,7 +308,7 @@ def _fourier_laguerre_jobs(params: dict) -> _Jobs:
                       * hermite_fn(p, (xi_grid - a) / math.sqrt(2.0))
                       for a in a_grid]
             quad = [[fourier_1d_gaussian_type(lambda u: laguerre_fn(p, u * u + a * a),
-                                              0.0, xi, order)
+                                              xi, order)
                      for xi in xi_grid]
                     for a in a_grid]
             return _batch_error(quad, closed)

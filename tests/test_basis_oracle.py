@@ -67,11 +67,10 @@ def test_monomial_moments_factor_over_coordinates():
     assert gaussian_monomial_inner(alpha, (1, 1), (0, 1), (0, 1), (0, 0)) == 0
 
 
-def test_monomial_moments_float_route_tracks_exact():
-    for a, b, c, d in [(3, 1, 2, 0), (4, 2, 2, 0), (5, 5, 5, 5)]:
-        exact = gaussian_monomial_inner(Fraction(5, 4), [a], [b], [c], [d])
-        approx = gaussian_monomial_inner(1.25, [a], [b], [c], [d])
-        assert_allclose(approx, float(exact), rtol=1e-12)
+@pytest.mark.parametrize("alpha", [1.25, 1.0, math.sqrt(2.0)])
+def test_monomial_moments_refuse_float_alpha(alpha):
+    with pytest.raises(ValueError, match="rational alpha"):
+        gaussian_monomial_inner(alpha, [3], [1], [2], [0])
 
 
 def test_monomial_moment_validation():

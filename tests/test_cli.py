@@ -113,6 +113,14 @@ def test_fiber_matches_library(capsys):
     assert payload["xi"] == [0.7]
 
 
+@pytest.mark.parametrize("xi", ["nan", "inf", "-inf"])
+def test_fiber_rejects_non_finite_frequency(xi, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fiber", "--n", "1", "--m", "2", f"--xi={xi}", "--input", "kernel:iy=0.3"])
+    assert err.value.code == 2
+    assert "frequency must be finite" in capsys.readouterr().err
+
+
 def test_symbol_gamma_grid_matches_library(capsys):
     payload = _run_json(capsys, [
         "symbol", "gamma", "--n", "1", "--m", "2",

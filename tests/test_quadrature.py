@@ -18,8 +18,9 @@ from polyfock.quadrature import (
     default_order,
     fourier_1d_gaussian_type,
     gauss_hermite_1d,
-    integrate,
+    gaussian_mean_rule,
     legendre_panels,
+    place_hermite,
     tensor_grid,
     tensor_rule,
 )
@@ -57,6 +58,31 @@ def test_tensor_grid_node_count_and_shape():
 def test_tensor_grid_rejects_non_finite_placement(placement):
     with pytest.raises(ValueError, match="must be finite"):
         tensor_grid(2, 4, **placement)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.5])
+def test_place_hermite_rejects_non_positive_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive"):
+        place_hermite(gauss_hermite_1d(4), 0.0, scale)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        tensor_grid(2, 4, scale=[1.0, scale])
+
+
+def test_tensor_grid_keeps_its_axes():
+    grid = tensor_grid(3, 4, center=[0.5, 0.0, -1.0], scale=[1.0, 2.0, 0.5])
+    assert len(grid.axes) == 3
+    nodes, weights = tensor_rule(grid.axes)
+    assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(grid.weights, weights)
+    t, _ = gauss_hermite_1d(4)
+    assert np.array_equal(grid.axes[1][0], 0.0 + 2.0 * t)
+
+
+@pytest.mark.parametrize("center, alpha", [([0.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),
+                                           ([0.0, 0.0], math.nan), ([0.0, 0.0], 0.0)])
+def test_gaussian_mean_rule_rejects_bad_placement(center, alpha):
+    with pytest.raises(ValueError, match="center must be finite and alpha finite and positive"):
+        gaussian_mean_rule(center, alpha, 4)
 
 
 def test_default_orders_table():
@@ -173,10 +199,8 @@ def test_over_budget_rules_refused_under_address_space_limit(call):
 
 
 def test_scalar_only_evaluators_are_rejected():
-    with pytest.raises(ValueError, match=r"shape \(\) for 9 points"):
-        integrate(lambda pt: 1.0, tensor_grid(2, 3))
     with pytest.raises(ValueError, match=r"shape \(\) for 64 points"):
-        fourier_1d_gaussian_type(lambda u: 1.0, 0.0, 0.5)
+        fourier_1d_gaussian_type(lambda u: 1.0, 0.5)
 
 
 def test_gaussian_mass_is_one():
@@ -188,7 +212,7 @@ def test_gaussian_mass_is_one():
         t = pts[:, 0]
         return np.exp(-((t - c) ** 2) / (2 * h * h)) / math.sqrt(2 * math.pi * h * h)
 
-    assert integrate(f, grid) == pytest.approx(1.0, rel=1e-13)
+    assert np.sum(grid.weights * f(grid.nodes)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_polynomial_exactness():
@@ -198,7 +222,8 @@ def test_polynomial_exactness():
     # E[t^k] for the weight e^{-t^2}: Gamma((k+1)/2) for even k
     for k in range(0, 2 * order - 1, 2):
         exact = math.gamma((k + 1) / 2)
-        got = integrate(lambda pts, k=k: pts[:, 0] ** k * np.exp(-pts[:, 0] ** 2), grid)
+        t = grid.nodes[:, 0]
+        got = np.sum(grid.weights * t ** k * np.exp(-t ** 2))
         assert got == pytest.approx(exact, rel=1e-12)
 
 
@@ -213,9 +238,9 @@ def test_separable_product_identity():
     def gy(t):
         return np.exp(-t * t) * np.cos(t)
 
-    lhs = integrate(lambda p: fx(p[:, 0]) * gy(p[:, 1]), grid2)
-    rhs = (integrate(lambda p: fx(p[:, 0]), grid1)
-           * integrate(lambda p: gy(p[:, 0]), grid1))
+    lhs = np.sum(grid2.weights * fx(grid2.nodes[:, 0]) * gy(grid2.nodes[:, 1]))
+    rhs = (np.sum(grid1.weights * fx(grid1.nodes[:, 0]))
+           * np.sum(grid1.weights * gy(grid1.nodes[:, 0])))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -224,9 +249,8 @@ def test_order_doubling_converges():
         t = pts[:, 0]
         return np.exp(-t * t / 2) / (1 + t * t)
 
-    coarse = integrate(f, tensor_grid(1, 16))
-    fine = integrate(f, tensor_grid(1, 32))
-    finer = integrate(f, tensor_grid(1, 64))
+    coarse, fine, finer = (np.sum(grid.weights * f(grid.nodes))
+                           for grid in (tensor_grid(1, order) for order in (16, 32, 64)))
     # poles at +-i limit GH to geometric convergence; still strictly improving
     assert abs(fine - finer) < abs(coarse - finer)
     assert abs(fine - finer) < 1e-5
@@ -237,16 +261,23 @@ def test_offcenter_gaussian_needs_matching_grid():
     # origin misses badly at low order
     c = 6.0
     f = lambda pts: np.exp(-((pts[:, 0] - c) ** 2))
-    good = integrate(f, tensor_grid(1, 10, center=c, scale=1.0))
-    bad = integrate(f, tensor_grid(1, 10, center=0.0, scale=1.0))
+    good, bad = (np.sum(grid.weights * f(grid.nodes))
+                 for grid in (tensor_grid(1, 10, center=c, scale=1.0),
+                              tensor_grid(1, 10, center=0.0, scale=1.0)))
     assert good == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert abs(bad - math.sqrt(math.pi)) > 1e-3
+
+
+@pytest.mark.parametrize("xi", [math.nan, -math.inf])
+def test_fourier_rejects_non_finite_frequency(xi):
+    with pytest.raises(ValueError, match="^frequency must be finite"):
+        fourier_1d_gaussian_type(lambda u: np.exp(-u * u / 2), xi)
 
 
 def test_fourier_of_gaussian():
     # (2 pi)^{-1/2} int e^{-u^2/2} e^{-i u xi} du = e^{-xi^2/2}
     for xi in (-2.0, 0.0, 0.7, 3.1):
-        got = fourier_1d_gaussian_type(lambda u: np.exp(-u * u / 2), 0.0, xi)
+        got = fourier_1d_gaussian_type(lambda u: np.exp(-u * u / 2), xi)
         assert got == pytest.approx(math.exp(-xi * xi / 2), rel=1e-12, abs=1e-14)
 
 

@@ -405,3 +405,41 @@ def test_fiber_sweep_shape_and_default_grid():
 def test_default_xi_grid_rejects_non_finite_ends(lo, hi):
     with pytest.raises(ValueError, match="finite"):
         default_xi_grid(4, lo, hi)
+
+
+NON_FINITE_FREQUENCY_CALLS = {
+    "q_eval": lambda spec, table, xi: q_eval(table, xi, (1, 0), [0.1, 0.2]),
+    "q_matrix": lambda spec, table, xi: q_matrix(table, xi, [0.1, 0.2]),
+    "L_closed": lambda spec, table, xi: L_closed(table, xi, [0.3, 0.1], [0.1, 0.2]),
+    "L_via_fourier": lambda spec, table, xi: L_via_fourier(table, xi, [0.3, 0.1], [0.1, 0.2],
+                                                           order=4),
+    "fiber_project": lambda spec, table, xi: fiber_project(table, xi, lambda v: v[:, 0],
+                                                           order=4),
+    "R_F_kernel_image": lambda spec, table, xi: R_F_kernel_image(spec, [0.3, 0.1], xi),
+    "R_true_poly_image": lambda spec, table, xi: R_true_poly_image(spec, (1, 2), [0.3, 0.1], xi),
+    "R_H_apply": lambda spec, table, xi: R_H_apply(
+        table, flat_function(lambda x, y: np.exp(-np.sum(x * x + y * y, axis=-1))), xi, order=4),
+    "R_F_apply": lambda spec, table, xi: R_F_apply(
+        spec, fock_function(lambda z: kernel_F(spec, [0.2j, 0.1], z)), xi, order=4),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_FREQUENCY_CALLS.values(),
+                         ids=NON_FINITE_FREQUENCY_CALLS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fiber_maps_reject_non_finite_frequency(call, bad):
+    spec = KernelSpec(2, 2)
+    table = build_index_table(2, 2)
+    good = call(spec, table, [0.4, -0.3])
+    assert np.all(np.isfinite(getattr(good, "components", good)))
+    with pytest.raises(ValueError, match=r"^frequency must be finite"):
+        call(spec, table, [0.4, bad])
+
+
+@pytest.mark.parametrize("beta", [(1,), (1, 1, 1), (0, 1), (1, -2), (1, 4), (3, 2)])
+def test_true_poly_image_rejects_beta_outside_its_domain(beta):
+    # n = 2, m = 3: two entries >= 1 with |beta| - 2 <= 2
+    spec = KernelSpec(2, 3)
+    with pytest.raises(ValueError, match=r"^beta must be 2 integers >= 1 with "
+                                         r"\|beta\| - n <= m - 1 = 2"):
+        R_true_poly_image(spec, beta, [0.3, 0.1], [0.4, -0.3])

@@ -360,6 +360,15 @@ def test_weyl_symbol_group_law():
         assert_allclose(lhs.entries, rhs.entries, atol=1e-13)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_translation_and_convolution_symbols_reject_non_finite_frequency(bad):
+    table = build_index_table(2, 2)
+    with pytest.raises(ValueError, match="^frequency must be finite"):
+        weyl_symbol(table, [0.3, -0.1], [bad, 0.2])
+    with pytest.raises(ValueError, match="^frequency must be finite"):
+        convolution_symbol(table, lambda xi: 1.0, [0.2, bad])
+
+
 def test_convolution_symbol_gaussian():
     table = build_index_table(1, 3)
     h_hat = lambda xi: np.exp(-float(xi @ xi) / 2)

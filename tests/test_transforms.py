@@ -77,6 +77,22 @@ def test_fock_norm_of_kernel_section():
     assert fock_norm(spec, f, center=z0) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, m", [(1, 3), (1, 5), (2, 2), (2, 3)])
+def test_norms_of_kernel_sections_are_exact_at_the_default_order(n, m):
+    # ||K_w|| = sqrt(C(n+m-1, n) e^{alpha |w|^2}) on both sides of the
+    # flattening; each rule matches its integrand's Gaussian, so the default
+    # order leaves only round-off
+    alpha = 1.3
+    spec = KernelSpec(n, m, alpha)
+    rng = np.random.default_rng([41, n, m])
+    w = rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n)
+    f = kernel_section(spec, w)
+    expected = math.sqrt(math.comb(n + m - 1, n) * math.exp(alpha * np.sum(np.abs(w) ** 2)))
+    assert fock_norm(spec, f, center=w) == pytest.approx(expected, rel=1e-13)
+    flat_center = math.sqrt(alpha) * np.concatenate((w.real, w.imag))
+    assert flat_norm(n, flatten(spec, f), center=flat_center) == pytest.approx(expected, rel=1e-13)
+
+
 def test_fock_norm_rejects_non_finite_center():
     spec = KernelSpec(1, 3, 1.0)
     f = kernel_section(spec, np.array([0.5 + 0.3j]))

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import polyfock.verify as verify
 from polyfock.multiindex import build_index_table
+from polyfock.quadrature import gaussian_mean_rule
 from polyfock.verify import (
     SUITES,
     TOLERANCES,
@@ -157,10 +158,11 @@ def test_case_timing_round_trips_and_old_reports_load():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_gaussian_rule_moments(n, alpha):
-    # The folded weights integrate against (alpha/pi)^n e^{-alpha |w|^2}:
-    # mass 1, mean 0 and E|w_r|^2 = 1/alpha, at an off-centre placement.
+    # The reproducing suite's rule.  The folded weights integrate against
+    # (alpha/pi)^n e^{-alpha |w|^2}: mass 1, mean 0 and E|w_r|^2 = 1/alpha,
+    # at an off-centre placement.
     center = np.array([0.3, -0.35, 0.25, 0.1])[: 2 * n]
-    nodes, weights = verify._gaussian_rule(center, alpha, verify.default_order(2 * n))
+    nodes, weights = gaussian_mean_rule(center, alpha)
     w = nodes[:, :n] + 1j * nodes[:, n:]
     assert abs(np.sum(weights) - 1) <= 1e-13
     for r in range(n):
