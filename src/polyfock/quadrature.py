@@ -14,10 +14,12 @@ one builder.  The vocabulary:
   halfwidth), polynomial-times-Gaussian integrands of degree <= 2*order - 1
   are integrated exactly.  The compensated weights are O(1); with the order
   capped at 128 the intermediate e^{t^2} stays below 1e112.
-* **Gaussian-mean rule** (:func:`gaussian_mean_rule`).  The mean against
-  (alpha/pi)^n e^{-alpha|w|^2} on C^n: the Gaussian is folded into the
-  weights, so summing weight * f(node) is the mean of f.  Its placement is
-  the Gaussian's own width, moved to the peak of what f adds to it.
+* **Gaussian-mean rule** (:func:`gaussian_mean_axes`,
+  :func:`gaussian_mean_rule`).  The mean against (alpha/pi)^n
+  e^{-alpha|w|^2} on C^n: the Gaussian is folded into the weights, so
+  summing weight * f(node) is the mean of f.  Its placement is the
+  Gaussian's own width, moved to the peak of what f adds to it.  The axes
+  alone serve callers that contract a separable integrand axis by axis.
 * **Legendre panels** (:func:`legendre_panels`).  Composite Gauss-Legendre
   rules split at the points where an integrand jumps.
 * **Tensor rules** (:func:`tensor_rule`).  The one builder of
@@ -46,8 +48,9 @@ from scipy.special import roots_hermite, roots_legendre
 MAX_ORDER = 128
 
 # Default nodes per axis by total dimension; chosen so the verification
-# integrals converge past their tolerances while the 6D tensor grid stays
-# below ~3M nodes.
+# integrals converge past their tolerances.  At dimension 6 that is 12^6
+# (about 3M) nodes, which the reproducing oracle visits in blocks without
+# building the grid.
 DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 
 # Per-axis order of the fiber and symbol integrals (L_via_fourier,
@@ -57,7 +60,9 @@ DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 FIBER_ORDER = 48
 
 # Largest set of per-node float64 arrays that any tensor rule may carry
-# (see check_rule_budget); the 6-D default grid takes about 167 MB of it.
+# (see check_rule_budget).  The reproducing oracle, which never builds its
+# rule, is held to what that rule would take (2n + 1 words per node), so
+# its node count, and with it its run time, stays bounded.
 RULE_BYTES_BUDGET = 1 << 30
 
 # Widest Gauss-Legendre panel of legendre_panels: each panel then resolves
@@ -166,8 +171,8 @@ def tensor_grid(dim: int, order: int | None = None, center=0.0, scale=1.0) -> Qu
     return QuadratureGrid(axes, *tensor_rule(axes))
 
 
-def gaussian_mean_rule(center, alpha: float, order: int | None = None):
-    """Tensor rule for the mean against (alpha/pi)^n e^{-alpha|w|^2} on C^n.
+def gaussian_mean_axes(center, alpha: float, order: int | None = None):
+    """Per-axis rules for the mean against (alpha/pi)^n e^{-alpha|w|^2} on C^n.
 
     ``center`` holds the 2n real coordinates (real parts, then imaginary
     parts) the rule is placed at; they must be finite, and alpha finite and
@@ -175,11 +180,9 @@ def gaussian_mean_rule(center, alpha: float, order: int | None = None):
     maps Gauss-Hermite nodes t to x = c + t/sqrt(alpha), the Gaussian's own
     width, and carries the Gaussian in its weight,
     (1/sqrt(alpha)) w e^{t^2 - alpha x^2} sqrt(alpha/pi); the exponent is
-    written as -alpha c^2 - 2 sqrt(alpha) c t, which stays small.  Summing
-    weight * f(node) approximates the Gaussian mean of f.  It is exact when
-    f(w) e^{-alpha|w|^2} is e^{-alpha|w - center|^2} times a polynomial of
-    degree <= 2*order - 1 in each coordinate, as |K_c|^2 e^{-alpha|w|^2} is
-    for a kernel section K_c.  Returns (nodes (N, 2n), weights (N,)).
+    written as -alpha c^2 - 2 sqrt(alpha) c t, which stays small.  Returns
+    one (nodes, weights) pair per axis; their tensor product is
+    :func:`gaussian_mean_rule`.
     """
     center = np.asarray(center, dtype=float)
     if not (np.all(np.isfinite(center)) and math.isfinite(alpha) and alpha > 0):
@@ -189,9 +192,19 @@ def gaussian_mean_rule(center, alpha: float, order: int | None = None):
         order = default_order(len(center))
     t, w = gauss_hermite_1d(order)
     root = math.sqrt(alpha)
-    return tensor_rule([(c + t / root,
-                         w * np.exp(-alpha * c * c - 2 * root * c * t) / math.sqrt(math.pi))
-                        for c in center])
+    return [(c + t / root, w * np.exp(-alpha * c * c - 2 * root * c * t) / math.sqrt(math.pi))
+            for c in center]
+
+
+def gaussian_mean_rule(center, alpha: float, order: int | None = None):
+    """Tensor rule of :func:`gaussian_mean_axes`: (nodes (N, 2n), weights (N,)).
+
+    Summing weight * f(node) approximates the Gaussian mean of f.  It is
+    exact when f(w) e^{-alpha|w|^2} is e^{-alpha|w - center|^2} times a
+    polynomial of degree <= 2*order - 1 in each coordinate, as
+    |K_c|^2 e^{-alpha|w|^2} is for a kernel section K_c.
+    """
+    return tensor_rule(gaussian_mean_axes(center, alpha, order))
 
 
 def _evaluate(evaluator: Callable, points: np.ndarray) -> np.ndarray:

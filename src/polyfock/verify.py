@@ -38,7 +38,13 @@ from .orthopoly import (
     hermite_fn,
     laguerre_fn,
 )
-from .quadrature import fourier_1d_gaussian_type, gaussian_mean_rule, tensor_grid
+from .quadrature import (
+    check_rule_budget,
+    default_order,
+    fourier_1d_gaussian_type,
+    gaussian_mean_axes,
+    tensor_grid,
+)
 from .spectral import L_closed, L_via_fourier
 
 SUITES = ("laguerre", "kernel-basis", "reproducing", "sum-products",
@@ -214,48 +220,104 @@ def _kernel_basis_jobs(params: dict) -> _Jobs:
 # suite: reproducing  (quadrature of f against the kernel section)
 # ---------------------------------------------------------------------------
 
+# Largest block of nodes the reproducing oracle evaluates kernel_F on at once.
+_BLOCK_NODES = 1 << 15
+
+
+def _check_reproducing_budget(n: int, order: int | None) -> None:
+    """Refuse an order^{2n} Gaussian-mean rule over the budget at 2n + 1 words per node.
+
+    The oracle never builds the rule, but it evaluates kernel_F at every
+    node, so the rule's size still bounds its run time.
+    """
+    size = default_order(2 * n) if order is None else order
+    check_rule_budget([size] * (2 * n), 2 * n + 1)
+
+
+def _coordinate_factors(x_axis, y_axis, p_bound: int, m: int) -> np.ndarray:
+    """F[a, b, i, j] = wx_i wy_j w^a conj(w)^b at w = x_i + i y_j, a <= p_bound, b <= m - 1.
+
+    ``x_axis`` and ``y_axis`` are the (nodes, weights) rules of the real and
+    imaginary part of one coordinate.
+    """
+    (x, wx), (y, wy) = x_axis, y_axis
+    w = x[:, None] + 1j * y[None, :]
+    powers = w ** np.arange(p_bound + 1)[:, None, None]
+    conj_powers = np.conj(w) ** np.arange(m)[:, None, None]
+    return powers[:, None] * conj_powers[None, :] * np.outer(wx, wy)
+
+
+def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
+                         order: int | None) -> np.ndarray:
+    """Gaussian means of conj(K_z(w)) w^p conj(w)^q for |p| <= p_bound, |q| <= m - 1.
+
+    Rows follow build_index_table(n, p_bound + 1), columns
+    build_index_table(n, m).  Only kernel_F is not a product over the
+    coordinate pairs (x_r, y_r) of the order^{2n} Gaussian-mean rule, so
+    the rule is never built: the grid is cut into blocks of at most
+    _BLOCK_NODES nodes by fixing its leading x axes, conj(kernel_F) is
+    evaluated once per block, and each coordinate pair is contracted
+    against its factor table F_r (a fixed x_r against its slice of F_r).
+    The block results, indexed (a_1, b_1, ..., a_n, b_n), are summed and
+    the (p, q) entries read out.
+    """
+    n = spec.n
+    _check_reproducing_budget(n, order)
+    axes = gaussian_mean_axes(np.concatenate((np.real(z), np.imag(z))) / 2, spec.alpha, order)
+    factors = [_coordinate_factors(axes[r], axes[n + r], p_bound, spec.m) for r in range(n)]
+    xs, ys = [x for x, _ in axes[:n]], [y for y, _ in axes[n:]]
+
+    sizes = [len(x) for x, _ in axes]
+    fixed = 0
+    while fixed < n and math.prod(sizes[fixed:]) > _BLOCK_NODES:
+        fixed += 1
+    free = 2 * n - fixed
+
+    def along(values, axis):
+        return values.reshape([-1 if a == axis else 1 for a in range(free)])
+
+    acc = 0.0
+    for lead in np.ndindex(*sizes[:fixed]):
+        # Block axes: the free x axes x_fixed..x_{n-1}, then y_0..y_{n-1}.
+        parts = [(xs[r][lead[r]] if r < fixed else along(xs[r], r - fixed))
+                 + 1j * along(ys[r], n - fixed + r) for r in range(n)]
+        w = np.stack(np.broadcast_arrays(*parts), axis=-1)
+        cube = np.conj(kernel_F(spec, z, w))
+        for r in range(n):
+            # Each contraction drops the pair's axes and appends (a_r, b_r).
+            if r < fixed:
+                cube = np.tensordot(cube, factors[r][:, :, lead[r], :], axes=([n - fixed], [2]))
+            else:
+                cube = np.tensordot(cube, factors[r], axes=([0, n - r], [2, 3]))
+        acc = acc + cube
+
+    ps = np.array(build_index_table(n, p_bound + 1).indices)
+    qs = np.array(build_index_table(n, spec.m).indices)
+    return acc[tuple(k for r in range(n) for k in (ps[:, r, None], qs[None, :, r]))]
+
+
 def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
                        z: np.ndarray, order: int | None) -> float:
-    """Max relative error of <w^p conj(w)^q, K_z> = z^p conj(z)^q over the range."""
-    spec = KernelSpec(n, m, alpha)
-    nodes, weights = gaussian_mean_rule(np.concatenate((np.real(z), np.imag(z))) / 2,
-                                        alpha, order)
+    """Max relative error of <w^p conj(w)^q, K_z> = z^p conj(z)^q over the range.
 
-    ps = build_index_table(n, p_bound + 1)
-    qs = build_index_table(n, m)
-    acc = np.zeros((len(ps), len(qs)), dtype=complex)
-    chunk = 1 << 15
-    for start in range(0, nodes.shape[0], chunk):
-        w = nodes[start : start + chunk, :n] + 1j * nodes[start : start + chunk, n:]
-        base = weights[start : start + chunk] * np.conj(kernel_F(spec, z, w))
-        acc += (_monomial_rows(w, ps) * base) @ _monomial_rows(np.conj(w), qs).T
-
-    p_exps, q_exps = np.array(ps.indices), np.array(qs.indices)
+    The left side is :func:`_reproducing_moments`, the order^{2n}
+    Gaussian-mean rule streamed in blocks and contracted per coordinate.
+    """
+    moments = _reproducing_moments(KernelSpec(n, m, alpha), z, p_bound, order)
+    p_exps = np.array(build_index_table(n, p_bound + 1).indices)
+    q_exps = np.array(build_index_table(n, m).indices)
     expected = (np.prod(z ** p_exps, axis=1)[:, None]
                 * np.prod(np.conj(z) ** q_exps, axis=1)[None, :])
-    return float(np.max(np.abs(acc - expected) / np.abs(expected)))
-
-
-def _monomial_rows(x: np.ndarray, table) -> np.ndarray:
-    """prod_r x[:, r] ** k_r for each multi-index k of the table, shape (len(table), len(x)).
-
-    In lexicographic order every index past the zero one follows the index
-    with its last nonzero entry lowered by one, so each row is an earlier
-    row times one coordinate.
-    """
-    out = np.empty((len(table), x.shape[0]), dtype=complex)
-    out[0] = 1
-    coords = np.ascontiguousarray(x.T)
-    for j, k in enumerate(table.indices[1:], start=1):
-        r = max(i for i, e in enumerate(k) if e)
-        lower = k[:r] + (k[r] - 1,) + k[r + 1 :]
-        np.multiply(out[table.position(lower) - 1], coords[r], out=out[j])
-    return out
+    return float(np.max(np.abs(moments - expected) / np.abs(expected)))
 
 
 def _reproducing_jobs(params: dict) -> _Jobs:
     alpha = params["alpha"]
     order = params.get("order")
+
+    # Every case's rule is checked before the first case runs.
+    for n in range(1, params["n_max"] + 1):
+        _check_reproducing_budget(n, order)
 
     jobs = []
     for n in range(1, params["n_max"] + 1):

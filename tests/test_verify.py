@@ -1,10 +1,10 @@
 """Tests for the verification-suite runner and its reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import polyfock.verify as verify
 from polyfock.multiindex import build_index_table
@@ -127,14 +127,76 @@ def test_all_aggregates_nested_reports(monkeypatch):
     assert decoded == report
 
 
-def test_monomial_rows_match_direct_powers():
+def test_coordinate_factors_match_direct_powers():
     rng = np.random.default_rng(3)
-    for n, m in [(1, 6), (2, 6), (3, 3)]:
-        x = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
-        table = build_index_table(n, m)
-        rows = verify._monomial_rows(x, table)
-        direct = np.array([np.prod(x ** np.array(k), axis=1) for k in table])
-        assert_allclose(rows, direct, rtol=1e-14)
+    x_axis = (rng.normal(size=5), rng.uniform(0.1, 1.0, 5))
+    y_axis = (rng.normal(size=4), rng.uniform(0.1, 1.0, 4))
+    p_bound, m = 4, 3
+    table = verify._coordinate_factors(x_axis, y_axis, p_bound, m)
+    assert table.shape == (p_bound + 1, m, 5, 4)
+    for a, b, i, j in np.ndindex(*table.shape):
+        w = complex(x_axis[0][i], y_axis[0][j])
+        direct = x_axis[1][i] * y_axis[1][j] * w ** a * w.conjugate() ** b
+        assert abs(table[a, b, i, j] - direct) <= 1e-14 * abs(direct)
+
+
+@pytest.mark.parametrize("n, order, fixed", [(1, 8, 0), (1, 8, 1), (2, 6, 0), (2, 6, 1), (2, 6, 2)])
+def test_reproducing_moments_match_the_materialized_rule(n, order, fixed, monkeypatch):
+    # Blocks of order^{2n - fixed} nodes fix the first `fixed` x axes, so
+    # the fixed-axis and the free-axis contractions are both exercised.
+    monkeypatch.setattr(verify, "_BLOCK_NODES", order ** (2 * n - fixed))
+    m, p_bound = 3, 3
+    spec = verify.KernelSpec(n, m, 0.8)
+    z = np.array([0.4 - 0.3j, -0.2 + 0.5j])[:n]
+    moments = verify._reproducing_moments(spec, z, p_bound, order)
+
+    nodes, weights = gaussian_mean_rule(np.concatenate((z.real, z.imag)) / 2, spec.alpha, order)
+    w = nodes[:, :n] + 1j * nodes[:, n:]
+    base = weights * np.conj(verify.kernel_F(spec, z, w))
+    ps, qs = build_index_table(n, p_bound + 1), build_index_table(n, m)
+    plain = np.array([[np.sum(base * np.prod(w ** np.array(p) * np.conj(w) ** np.array(q), axis=1))
+                       for q in qs] for p in ps])
+    assert moments.shape == plain.shape
+    assert np.max(np.abs(moments - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+
+def test_reproducing_refuses_an_over_budget_order_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel_F called before the budget check")
+
+    monkeypatch.setattr(verify, "kernel_F", fail)
+    # The n = 2 rule, 128^4 nodes at 5 words per node, is over the budget.
+    with pytest.raises(ValueError, match=r"tensor rule of 268435456 nodes \(128x128x128x128\) "
+                                         r"at 5 words per node"):
+        run_suite("reproducing", SuiteConfig(order=128))
+
+
+def test_reproducing_job_never_holds_the_full_rule():
+    # The n = 3 rule has 12^6 nodes; built, it took 205 MiB.
+    params = verify._resolve("reproducing", SuiteConfig())
+    job = dict(verify._reproducing_jobs(params))["reproducing n=3 m=3"]
+    tracemalloc.start()
+    try:
+        error = job()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert error <= TOLERANCES["reproducing-6d"]
+    assert peak < 16 * 2**20
+
+
+def test_reproducing_shares_no_product_route_with_the_kernel(monkeypatch):
+    import polyfock.kernels as kernels
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the reproducing oracle reached a product route")
+
+    for module in (verify, kernels):
+        monkeypatch.setattr(module, "kernel_F_products", fail)
+        monkeypatch.setattr(module, "index_products", fail, raising=False)
+    report = run_suite("reproducing", SuiteConfig(n_max=2))
+    assert report.passed
+    assert len(report.cases) == 6
 
 
 def test_case_timing_round_trips_and_old_reports_load():
