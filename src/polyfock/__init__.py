@@ -64,7 +64,6 @@ from .spectral import (
     fiber_project,
     fiber_reconstruct,
     fiber_sweep,
-    q_eval,
     q_matrix,
 )
 from .symbols import (

@@ -22,6 +22,10 @@ final normalization leaves the rationals; it is the reference the
 streamed :func:`kernel_via_basis` is tested against.  The latter runs a
 batched float Cholesky on norm-scaled monomials, whose class Gram entries
 s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1].
+
+Sharing input validation with :mod:`polyfock.multiindex` (and the kernels'
+point rule), which evaluates nothing, keeps the oracle independent of the
+closed forms.
 """
 
 from __future__ import annotations
@@ -35,16 +39,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .multiindex import build_index_table
+from .kernels import _cpoint
+from .multiindex import _multi_index, build_index_table
 
 _log = logging.getLogger("polyfock")
-
-
-def _as_tuple(p, n: int) -> tuple[int, ...]:
-    t = tuple(int(c) for c in np.atleast_1d(p))
-    if len(t) != n or any(c < 0 for c in t):
-        raise ValueError(f"expected a multi-index of length {n}, got {t}")
-    return t
 
 
 def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
@@ -54,8 +52,8 @@ def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
     """
     if not isinstance(alpha, (int, Fraction)):
         raise ValueError(f"the exact moments need a rational alpha, got {alpha!r}")
-    n = len(np.atleast_1d(p1))
-    p1, q1, p2, q2 = (_as_tuple(t, n) for t in (p1, q1, p2, q2))
+    n = np.size(p1)
+    p1, q1, p2, q2 = (_multi_index(t, n) for t in (p1, q1, p2, q2))
     total = Fraction(1)
     for a, b, c, d in zip(p1, q1, p2, q2):
         if a + d != b + c:
@@ -63,13 +61,6 @@ def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
         s = a + d
         total *= Fraction(math.factorial(s), 1) / Fraction(alpha) ** s
     return total
-
-
-def _degree_indices(n: int, bound: int) -> np.ndarray:
-    """All k in N_0^n with |k| <= bound, one per row in table order."""
-    if bound < 0:
-        return np.empty((0, n), dtype=np.intp)
-    return np.array(build_index_table(n, bound + 1).indices, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,8 @@ def _charge_classes(n: int, m: int, p_max: int):
     appended.  The class Gram matrices are dense and everything across
     classes is orthogonal.
     """
-    ps = _degree_indices(n, p_max)
-    qs = _degree_indices(n, m - 1)
+    ps = build_index_table(n, p_max + 1).array
+    qs = build_index_table(n, m).array
     P = np.repeat(ps, len(qs), axis=0)
     Q = np.tile(qs, (len(ps), 1))
     charge = P - Q
@@ -254,16 +245,15 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     Cholesky of their Gram matrices and one batched triangular solve turn
     the norm-scaled monomial values at w and z into basis-element values,
     so elements are never materialized.  Batches are capped in size, so
-    large p_max truncations stay affordable.  z and w broadcast over
-    leading axes.  Logs the class count, the class-size histogram and the
-    smallest Cholesky pivot to the ``polyfock`` logger at DEBUG level.
+    large p_max truncations stay affordable.  z and w (last axis n, a
+    scalar at n = 1) broadcast over leading axes.  Logs the class count,
+    the class-size histogram and the smallest Cholesky pivot to the
+    ``polyfock`` logger at DEBUG level.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.ndim == 0:
-        z = z.reshape(1)
-    if w.ndim == 0:
-        w = w.reshape(1)
+    if p_max < 0:
+        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    z = _cpoint(z, n)
+    w = _cpoint(w, n)
     shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])
     z = np.broadcast_to(z, shape + (n,)).reshape(-1, n)
     w = np.broadcast_to(w, shape + (n,)).reshape(-1, n)
@@ -271,7 +261,7 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
 
     P, Q, starts = _charge_classes(n, m, p_max)
     scales = _inverse_norms(P, Q, float(alpha))
-    tables = [(_powers(x, max(p_max, 0)), _powers(np.conj(x), max(m - 1, 0))) for x in (w, z)]
+    tables = [(_powers(x, p_max), _powers(np.conj(x), m - 1)) for x in (w, z)]
 
     total = np.zeros(points, dtype=complex)
     pivot = math.inf

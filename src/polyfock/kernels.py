@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import _validate_nm, build_index_table, dimension, index_products
+from .multiindex import _multi_index, _validate_nm, build_index_table, dimension, index_products
 from .orthopoly import laguerre_eval, laguerre_eval_all, laguerre_fn_all
 
 
@@ -52,8 +52,8 @@ def _cpoint(z, n: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 and n == 1:
         z = z.reshape(1)
-    if z.shape[-1] != n:
-        raise ValueError(f"point has last axis {z.shape[-1]}, expected {n}")
+    if z.shape[-1:] != (n,):
+        raise ValueError(f"point has shape {z.shape}, expected a last axis of {n}")
     return z
 
 
@@ -61,8 +61,8 @@ def _rpoint(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 and n == 1:
         x = x.reshape(1)
-    if x.shape[-1] != n:
-        raise ValueError(f"point has last axis {x.shape[-1]}, expected {n}")
+    if x.shape[-1:] != (n,):
+        raise ValueError(f"point has shape {x.shape}, expected a last axis of {n}")
     return x
 
 
@@ -100,9 +100,7 @@ def kernel_true_poly(spec: KernelSpec, beta, z, w):
     prod_r exp(alpha w_r conj(z_r)) L_{beta_r - 1}(alpha |w_r - z_r|^2).
     Summing over beta = k + 1, |k| <= m - 1, recovers ``kernel_F``.
     """
-    beta = tuple(int(b) for b in np.atleast_1d(beta))
-    if len(beta) != spec.n or any(b < 1 for b in beta):
-        raise ValueError(f"beta must be n positive integers, got {beta}")
+    beta = _multi_index(beta, spec.n, low=1)
     z = _cpoint(z, spec.n)
     w = _cpoint(w, spec.n)
     out = np.ones(np.broadcast_shapes(z.shape[:-1], w.shape[:-1]), dtype=complex)

@@ -9,6 +9,10 @@ resulting position bijection, and computes its size
 
 which is the vector-space dimension showing up in kernel normalizations and
 in the width of matrix symbols.
+
+Two things live only here: :func:`_multi_index` parses every multi-index
+argument of the library (refusing, not truncating, non-integer entries),
+and :attr:`IndexTable.array` is the one exponent array of a table.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 def _is_integer(value) -> bool:
@@ -28,6 +34,21 @@ def _is_integer(value) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _multi_index(k, n: int, low: int = 0) -> tuple[int, ...]:
+    """k as n Python ints >= low (a bare integer at n = 1).
+
+    Non-integer entries (floats, bools) raise TypeError; a wrong length or
+    an entry below ``low`` raises ValueError.
+    """
+    entries = tuple(k) if np.iterable(k) else (k,)
+    if not all(map(_is_integer, entries)):
+        raise TypeError(f"multi-index entries must be integers, got {k!r}")
+    key = tuple(map(operator.index, entries))
+    if len(key) != n or any(c < low for c in key):
+        raise ValueError(f"expected a multi-index of {n} integers >= {low}, got {key}")
+    return key
 
 
 def _validate_nm(n: int, m: int) -> None:
@@ -66,16 +87,21 @@ class IndexTable:
     ``indices`` is lexicographically sorted, so positions are stable across
     runs.  ``phi`` maps a 1-based position to its multi-index and
     ``position`` inverts it; both directions are total on the table.
+    ``array`` holds the indices as read-only (d, n) ``intp`` rows.
     """
 
     n: int
     m: int
     indices: tuple[tuple[int, ...], ...]
     _pos: dict[tuple[int, ...], int] = field(repr=False, compare=False, default_factory=dict)
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lookup = {k: j for j, k in enumerate(self.indices, start=1)}
         object.__setattr__(self, "_pos", lookup)
+        array = np.array(self.indices, dtype=np.intp)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     @property
     def d(self) -> int:
@@ -89,7 +115,7 @@ class IndexTable:
 
     def position(self, k: Sequence[int]) -> int:
         """1-based position of multi-index k; raises KeyError if absent."""
-        key = tuple(int(c) for c in k)
+        key = _multi_index(k, self.n)
         try:
             return self._pos[key]
         except KeyError:

@@ -24,6 +24,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
+from .multiindex import _multi_index
+
 Scalar = Union[int, Fraction]
 
 
@@ -60,14 +62,9 @@ class RationalPoly:
         terms: Mapping[tuple[int, ...], Scalar] | None = None,
     ):
         self.variables: tuple[str, ...] = tuple(variables)
-        nvars = len(self.variables)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != nvars:
-                raise ValueError(f"exponent tuple {key} does not match {nvars} variables")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
+            key = _multi_index(exps, len(self.variables))
             val = _as_fraction(coeff)
             if val:
                 clean[key] = val
@@ -157,7 +154,7 @@ class RationalPoly:
         return max(sum(e) for e in self._num)
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return Fraction(self._num.get(tuple(int(e) for e in exps), 0), self._den)
+        return Fraction(self._num.get(_multi_index(exps, len(self.variables)), 0), self._den)
 
     def evaluate(self, values: Sequence):
         """Evaluate at a point, exact on Fraction inputs.

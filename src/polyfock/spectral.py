@@ -26,29 +26,16 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelSpec, kernel_H, _frequency, _rpoint
-from .multiindex import IndexTable, build_index_table, index_products
+from .multiindex import IndexTable, _multi_index, build_index_table, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import FIBER_ORDER, _evaluate, check_rule_budget, default_order, tensor_grid
 from .transforms import FieldFunction, FLAT, FOCK, _require
 
 
-def q_eval(table: IndexTable, xi, k, v):
-    """Fiber basis function q_{k, xi}(v); broadcasts over v of shape (..., n)."""
-    k = tuple(int(c) for c in np.atleast_1d(k))
-    table.position(k)  # membership check
-    n = table.n
-    xi = _frequency(xi, n)
-    v = _rpoint(v, n)
-    t = (xi + 2 * v) / math.sqrt(2.0)
-    out = np.full(t.shape[:-1], 2 ** (n / 2) * math.pi ** (n / 4))
-    psi = hermite_fn_table(table.m - 1, t)
-    for r, kr in enumerate(k):
-        out = out * psi[kr, ..., r]
-    return out
-
-
 def q_matrix(table: IndexTable, xi, v) -> np.ndarray:
-    """All fiber basis values q_{phi(j), xi}(v), stacked on a last axis of size d."""
+    """All fiber basis values q_{phi(j), xi}(v), stacked on a last axis of size d.
+
+    q_{k, xi}(v) is column ``table.position(k) - 1``."""
     n = table.n
     xi = _frequency(xi, n)
     v = _rpoint(v, n)
@@ -159,18 +146,20 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
     domain of beta is n integers >= 1 with |beta| - n <= m - 1.
     """
     n, m = spec.n, spec.m
-    beta = tuple(int(b) for b in np.atleast_1d(beta))
-    if len(beta) != n or min(beta) < 1 or sum(beta) - n > m - 1:
-        raise ValueError(f"beta must be {n} integers >= 1 with |beta| - n <= m - 1 = {m - 1}, "
-                         f"got {beta}")
+    domain = f"beta must be {n} integers >= 1 with |beta| - n <= m - 1 = {m - 1}, got {beta!r}"
+    try:
+        beta = _multi_index(beta, n, low=1)
+    except ValueError:
+        raise ValueError(domain) from None
+    if sum(beta) - n > m - 1:
+        raise ValueError(domain)
     table = build_index_table(n, m)
-    k = tuple(b - 1 for b in beta)
-    j0 = table.position(k)
+    j0 = table.position(tuple(b - 1 for b in beta))
     y = _rpoint(y, n)
     xi = _frequency(xi, n)
     comps = np.zeros(table.d, dtype=complex)
     front = 2 ** (-n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
-    comps[j0 - 1] = front * q_eval(table, xi, k, math.sqrt(spec.alpha) * y)
+    comps[j0 - 1] = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)[j0 - 1]
     return FiberVector(xi=xi, components=comps)
 
 
@@ -263,7 +252,7 @@ def R_F_apply(
         # The u_r axis leads the cube and v_r sits after the n - r u axes
         # left; the contraction appends the k_r axis at the end.
         cube = np.tensordot(cube, phase[None, :, :] * psi[:, None, :], axes=([0, n - r], [1, 2]))
-    comps = cube[tuple(np.array(table.indices).T)] * math.pi ** (-3 * n / 4)
+    comps = cube[tuple(table.array.T)] * math.pi ** (-3 * n / 4)
     return FiberVector(xi=xi, components=comps)
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import _frequency, _rpoint
-from .multiindex import IndexTable, _is_integer, index_products
+from .multiindex import IndexTable, _is_integer, _multi_index, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
     FIBER_ORDER,
@@ -210,17 +210,12 @@ def box(lo, hi, n: int = 1) -> VerticalSymbol:
 
 
 def _normalize_terms(terms, n: int):
-    out = []
     seq = list(terms)
     if seq and np.isscalar(seq[0]):
         if n != 1:
             raise ValueError("flat coefficient lists are only defined for n = 1")
         seq = [(c, (e,)) for e, c in enumerate(seq)]
-    for coeff, exps in seq:
-        exps = tuple(int(e) for e in np.atleast_1d(exps))
-        if len(exps) != n or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent tuple {exps} for n={n}")
-        out.append((complex(coeff), exps))
+    out = [(complex(coeff), _multi_index(exps, n)) for coeff, exps in seq]
     if not out:
         out = [(0j, (0,) * n)]
     return tuple(out)
@@ -297,7 +292,7 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
         v, w = _build_v_rule(float(xi[r]), g.breakpoints_on_axis(r), order)
         psi = hermite_fn_table(table.m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))  # (m, N)
         rules.append((v, w, psi))
-    columns = np.array(table.indices).T  # (n, d)
+    columns = table.array.T  # (n, d)
     coeffs, blocks = [], []
     for coeff, factors in _axis_factors(g):
         per_axis = []

@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis_oracle import kernel_via_basis
 from .kernels import KernelSpec, kernel_F, kernel_F_products
-from .multiindex import build_index_table
+from .multiindex import _is_integer, build_index_table
 from .orthopoly import (
     check_laguerre_decomposition,
     check_laguerre_of_sum,
@@ -123,6 +123,10 @@ _Jobs = list[tuple[str, Callable[[], float]]]
 
 
 def _resolve(suite: str, config: SuiteConfig) -> dict:
+    for key in ("n_max", "m_max", "p_max", "order"):
+        given = getattr(config, key)
+        if given is not None and not _is_integer(given):
+            raise TypeError(f"{suite}: {key} must be an integer, got {given!r}")
     params = {}
     for key, (default, cap) in _SUITE_TABLE[suite][1].items():
         given = getattr(config, key)
@@ -248,7 +252,7 @@ def _coordinate_factors(x_axis, y_axis, p_bound: int, m: int) -> np.ndarray:
 
 
 def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
-                         order: int | None) -> np.ndarray:
+                         order: int | None, tables=None) -> np.ndarray:
     """Gaussian means of conj(K_z(w)) w^p conj(w)^q for |p| <= p_bound, |q| <= m - 1.
 
     Rows follow build_index_table(n, p_bound + 1), columns
@@ -259,7 +263,7 @@ def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
     evaluated once per block, and each coordinate pair is contracted
     against its factor table F_r (a fixed x_r against its slice of F_r).
     The block results, indexed (a_1, b_1, ..., a_n, b_n), are summed and
-    the (p, q) entries read out.
+    the (p, q) entries read out, by the two ``tables`` if given.
     """
     n = spec.n
     _check_reproducing_budget(n, order)
@@ -291,8 +295,8 @@ def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
                 cube = np.tensordot(cube, factors[r], axes=([0, n - r], [2, 3]))
         acc = acc + cube
 
-    ps = np.array(build_index_table(n, p_bound + 1).indices)
-    qs = np.array(build_index_table(n, spec.m).indices)
+    ps, qs = (t.array for t in tables or (build_index_table(n, p_bound + 1),
+                                          build_index_table(n, spec.m)))
     return acc[tuple(k for r in range(n) for k in (ps[:, r, None], qs[None, :, r]))]
 
 
@@ -303,9 +307,9 @@ def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
     The left side is :func:`_reproducing_moments`, the order^{2n}
     Gaussian-mean rule streamed in blocks and contracted per coordinate.
     """
-    moments = _reproducing_moments(KernelSpec(n, m, alpha), z, p_bound, order)
-    p_exps = np.array(build_index_table(n, p_bound + 1).indices)
-    q_exps = np.array(build_index_table(n, m).indices)
+    tables = build_index_table(n, p_bound + 1), build_index_table(n, m)
+    moments = _reproducing_moments(KernelSpec(n, m, alpha), z, p_bound, order, tables)
+    p_exps, q_exps = (table.array for table in tables)
     expected = (np.prod(z ** p_exps, axis=1)[:, None]
                 * np.prod(np.conj(z) ** q_exps, axis=1)[None, :])
     return float(np.max(np.abs(moments - expected) / np.abs(expected)))

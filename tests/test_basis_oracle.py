@@ -229,3 +229,23 @@ def test_kernel_via_basis_logs_class_statistics(caplog):
     assert "6 charge classes" in record.getMessage()
     assert "{1: 2, 2: 4}" in record.getMessage()
     assert "smallest Cholesky pivot" in record.getMessage()
+
+
+@pytest.mark.parametrize("points, p_max", [
+    (np.full((4, 1), 0.2 + 0.1j), 8),  # last axis 1 would broadcast against n = 3
+    (np.full((4, 2), 0.2 + 0.1j), 8),  # last axis 2
+    (0.2 + 0.1j, 8),                   # a scalar is a point only at n = 1
+    (np.full((4, 3), 0.2 + 0.1j), -1),
+])
+def test_kernel_via_basis_refuses_bad_input_before_any_class(points, p_max, monkeypatch):
+    import polyfock.basis_oracle as basis_oracle
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a charge class was built")
+
+    monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
+    good = np.full((4, 3), 0.1j)
+    with pytest.raises(ValueError):
+        kernel_via_basis(1.0, 3, 2, p_max, points, good)
+    with pytest.raises(ValueError):
+        kernel_via_basis(1.0, 3, 2, p_max, good, points)

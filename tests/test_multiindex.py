@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from polyfock import (KernelSpec, RationalPoly, R_true_poly_image, gaussian_monomial_inner,
+                      gaussian_poly, kernel_true_poly, polynomial)
 from polyfock.multiindex import IndexTable, build_index_table, dimension, index_products
 
 
@@ -107,3 +109,50 @@ def test_index_products_against_phi(n, m, dtype):
         expected = np.prod([factors[k[r], :, :, r] for r in range(n)], axis=0)
         assert got[j - 1].shape == (5, 3)
         assert_allclose(got[j - 1], expected, rtol=1e-15, atol=0)
+
+
+def test_array_is_the_read_only_index_array():
+    for n, m in [(1, 1), (1, 4), (2, 3), (3, 3)]:
+        table = build_index_table(n, m)
+        assert table.array.shape == (table.d, n)
+        assert table.array.dtype == np.intp
+        assert np.array_equal(table.array, np.array(table.indices))
+        with pytest.raises(ValueError):
+            table.array[0, 0] = 1
+
+
+def _entry_points():
+    """Every multi-index argument of the library: (entry, valid index, lowest entry)."""
+    spec = KernelSpec(2, 3)
+    z = np.array([[0.3 + 0.1j, -0.2j], [0.5, 0.4 - 0.3j]])
+    table = build_index_table(2, 3)
+    poly = RationalPoly(("x", "y"), {(1, 2): 5, (0, 1): 1})
+    return {
+        "IndexTable.position": (table.position, (1, 1), 0),
+        "kernel_true_poly": (lambda b: kernel_true_poly(spec, b, z, z[::-1]), (2, 1), 1),
+        "R_true_poly_image": (lambda b: R_true_poly_image(spec, b, [0.3, 0.1], [0.4, -0.3])
+                              .components, (2, 1), 1),
+        "polynomial": (lambda e: polynomial([(1.5, e)], n=2).terms, (1, 2), 0),
+        "gaussian_poly": (lambda e: gaussian_poly([(1.5, e)], n=2).terms, (1, 2), 0),
+        "gaussian_monomial_inner": (lambda e: gaussian_monomial_inner(1, (2, 1), e, (1, 1),
+                                                                      (0, 1)), (1, 1), 0),
+        "RationalPoly": (lambda e: RationalPoly(("x", "y"), {e: 3}).terms, (1, 2), 0),
+        "RationalPoly.coefficient": (poly.coefficient, (1, 2), 0),
+    }
+
+
+ENTRY_POINTS = _entry_points()
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_multi_index_arguments_are_parsed_alike(name):
+    entry, valid, low = ENTRY_POINTS[name]
+    # repr tells a stored np.int64 from a Python int, and is equal for equal arrays.
+    expected = repr(entry(valid))
+    assert repr(entry(tuple(np.int64(c) for c in valid))) == expected
+    for bad in (1.5, np.float64(2.0), True):
+        with pytest.raises(TypeError, match="must be integers"):
+            entry((bad,) + valid[1:])
+    for wrong in (valid[:1], valid + (low,), (low - 1,) + valid[1:]):
+        with pytest.raises(ValueError):
+            entry(wrong)

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from polyfock.kernels import KernelSpec, kernel_F
 from polyfock.multiindex import build_index_table
-from polyfock.orthopoly import hermite_fn_table
+from polyfock.orthopoly import hermite_fn, hermite_fn_table
 from polyfock.quadrature import default_order, tensor_grid
 from polyfock.spectral import (
     FiberVector,
@@ -27,7 +27,6 @@ from polyfock.spectral import (
     fiber_project,
     fiber_reconstruct,
     fiber_sweep,
-    q_eval,
     q_matrix,
 )
 from polyfock.transforms import flat_function, flatten, fock_function
@@ -42,18 +41,17 @@ def q_gram(table, xi, order=48):
     return mat.T @ weighted / (2 * math.pi) ** (n / 2)
 
 
+def q_column(table, xi, k, v):
+    """q_{k, xi}(v): the column of q_matrix at the position of k."""
+    return q_matrix(table, xi, v)[..., table.position(k) - 1]
+
+
 def test_q_closed_form_k0():
     xi = np.array([0.8])
     v = np.linspace(-2, 2, 9)[:, None]
-    got = q_eval(build_index_table(1, 1), xi, (0,), v)
+    got = q_column(build_index_table(1, 1), xi, (0,), v)
     expected = math.sqrt(2) * np.exp(-((0.8 + 2 * v[:, 0]) ** 2) / 4)
     assert_allclose(got, expected, rtol=1e-13)
-
-
-def test_q_membership_enforced():
-    table = build_index_table(1, 2)
-    with pytest.raises(KeyError):
-        q_eval(table, np.zeros(1), (5,), np.zeros((1, 1)))
 
 
 def test_q_shift_covariance():
@@ -61,22 +59,25 @@ def test_q_shift_covariance():
     rng = np.random.default_rng(31)
     xi = rng.uniform(-2, 2, 2)
     v = rng.uniform(-2, 2, (20, 2))
-    for k in table:
-        lhs = q_eval(table, xi, k, v)
-        rhs = q_eval(table, np.zeros(2), k, v + xi / 2)
-        assert_allclose(lhs, rhs, rtol=1e-13)
+    assert_allclose(q_matrix(table, xi, v), q_matrix(table, np.zeros(2), v + xi / 2), rtol=1e-13)
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 3), (3, 3)])
 def test_q_matrix_columns_are_q_eval(n, m):
+    # Each column against 2^{n/2} pi^{n/4} prod_r psi_{k_r}((xi_r + 2 v_r)/sqrt 2),
+    # built here from single Hermite functions.
     table = build_index_table(n, m)
     rng = np.random.default_rng([n, m])
     xi = rng.uniform(-2, 2, n)
     v = rng.uniform(-2, 2, (4, 5, n))
     q = q_matrix(table, xi, v)
     assert q.shape == (4, 5, table.d)
+    t = (xi + 2 * v) / math.sqrt(2.0)
     for j in range(1, table.d + 1):
-        assert_allclose(q[..., j - 1], q_eval(table, xi, table.phi(j), v), rtol=1e-14, atol=0)
+        k = table.phi(j)
+        expected = 2 ** (n / 2) * math.pi ** (n / 4) * np.prod(
+            [hermite_fn(k[r], t[..., r]) for r in range(n)], axis=0)
+        assert_allclose(q[..., j - 1], expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("n,m", [(1, 4), (2, 3)])
@@ -106,7 +107,7 @@ def test_L_single_term_m1():
     table = build_index_table(1, 1)
     xi, y, v = np.array([0.4]), np.array([0.7]), np.array([-0.2])
     got = L_closed(table, xi, y, v)
-    expected = q_eval(table, xi, (0,), y[None, :]) * q_eval(table, xi, (0,), v[None, :])
+    expected = q_column(table, xi, (0,), y[None, :]) * q_column(table, xi, (0,), v[None, :])
     assert got == pytest.approx(float(expected[0]))
 
 
@@ -124,7 +125,7 @@ def test_fiber_project_recovers_unit_vectors():
     xi = np.array([0.6])
     for j in range(1, table.d + 1):
         k = table.phi(j)
-        comps = fiber_project(table, xi, lambda v, k=k: q_eval(table, xi, k, v))
+        comps = fiber_project(table, xi, lambda v, k=k: q_column(table, xi, k, v))
         expected = np.zeros(table.d)
         expected[j - 1] = 1.0
         assert_allclose(comps.components, expected, atol=1e-10)
@@ -152,8 +153,8 @@ def test_fiber_parseval_inequality_and_span_equality():
 
     # inside the span: equality
     def in_span(v):
-        return (0.6 * q_eval(table, xi, (0,), v)
-                - 1.1 * q_eval(table, xi, (1,), v))
+        return (0.6 * q_column(table, xi, (0,), v)
+                - 1.1 * q_column(table, xi, (1,), v))
 
     comps = fiber_project(table, xi, in_span).components
     assert np.sum(np.abs(comps) ** 2) == pytest.approx(norm2(in_span), rel=1e-8)
@@ -163,7 +164,7 @@ def test_fiber_parseval_inequality_and_span_equality():
     table_big = build_index_table(1, 3)
 
     def outside(v):
-        return q_eval(table_big, xi, (2,), v)
+        return q_column(table_big, xi, (2,), v)
 
     comps_out = fiber_project(table, xi, outside).components
     assert np.sum(np.abs(comps_out) ** 2) < norm2(outside) - 0.5
@@ -247,7 +248,7 @@ def test_R_F_apply_shares_no_route_with_its_checks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called across the route boundary")
 
-    for name in ("q_matrix", "q_eval", "R_F_kernel_image", "R_H_apply"):
+    for name in ("q_matrix", "R_F_kernel_image", "R_H_apply"):
         monkeypatch.setattr(spectral, name, refuse)
     monkeypatch.setattr(transforms, "flatten", refuse)
     spec = KernelSpec(2, 3)
@@ -408,7 +409,6 @@ def test_default_xi_grid_rejects_non_finite_ends(lo, hi):
 
 
 NON_FINITE_FREQUENCY_CALLS = {
-    "q_eval": lambda spec, table, xi: q_eval(table, xi, (1, 0), [0.1, 0.2]),
     "q_matrix": lambda spec, table, xi: q_matrix(table, xi, [0.1, 0.2]),
     "L_closed": lambda spec, table, xi: L_closed(table, xi, [0.3, 0.1], [0.1, 0.2]),
     "L_via_fourier": lambda spec, table, xi: L_via_fourier(table, xi, [0.3, 0.1], [0.1, 0.2],

@@ -230,3 +230,18 @@ def test_gaussian_rule_moments(n, alpha):
     for r in range(n):
         assert abs(np.sum(weights * w[:, r])) <= 1e-13
         assert abs(np.sum(weights * np.abs(w[:, r]) ** 2) - 1 / alpha) <= 1e-13
+
+
+@pytest.mark.parametrize("suite, field, value", [
+    ("kernel-basis", "p_max", 2.5),
+    ("laguerre", "n_max", True),
+    ("sum-products", "m_max", 2.0),
+    ("fourier-laguerre", "order", np.float64(32.0)),
+])
+def test_integer_fields_refuse_floats_and_bools(suite, field, value, monkeypatch):
+    def fail(params):
+        raise AssertionError("a job list was built")
+
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, verify._SUITE_TABLE[suite][1]))
+    with pytest.raises(TypeError, match=rf"^{suite}: {field} must be an integer"):
+        run_suite(suite, SuiteConfig(**{field: value}))
