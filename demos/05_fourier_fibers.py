@@ -22,7 +22,6 @@ from polyfock.spectral import (
     R_F_apply,
     R_F_kernel_image,
     default_xi_grid,
-    fiber_sweep,
     q_matrix,
 )
 from polyfock.transforms import fock_function
@@ -76,8 +75,7 @@ total = sum(
 print(f"integrated squared image {total:.9f} "
       f"vs d e^(alpha y^2) = {spec.d * math.exp(alpha * 0.25):.9f}")
 
-# a sweep over the default frequency grid gives the whole field at once
-sweep = fiber_sweep(lambda pt: R_F_kernel_image(spec, y0, pt),
-                    default_xi_grid(17))
+# one call on an (X, n) frequency grid gives the whole field at once, (X, d)
+sweep = R_F_kernel_image(spec, y0, default_xi_grid(17)[:, None]).components
 print("sweep shape:", sweep.shape,
       " largest component:", float(np.max(np.abs(sweep))))

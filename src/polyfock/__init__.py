@@ -63,7 +63,6 @@ from .spectral import (
     default_xi_grid,
     fiber_project,
     fiber_reconstruct,
-    fiber_sweep,
     q_matrix,
 )
 from .symbols import (
@@ -77,7 +76,6 @@ from .symbols import (
     polynomial,
     sigma_from_gamma,
     sign,
-    symbol_adjoint,
     symbol_compose,
     weyl_symbol,
 )

@@ -24,8 +24,8 @@ batched float Cholesky on norm-scaled monomials, whose class Gram entries
 s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1].
 
 Sharing input validation with :mod:`polyfock.multiindex` (and the kernels'
-point rule), which evaluates nothing, keeps the oracle independent of the
-closed forms.
+point rule and :class:`KernelSpec`), which evaluates nothing, keeps the
+oracle independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -39,19 +39,25 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
-from .kernels import _cpoint
+from .kernels import KernelSpec, _cpoint
 from .multiindex import _multi_index, build_index_table
 
 _log = logging.getLogger("polyfock")
 
 
+def _exact_alpha(alpha) -> Fraction:
+    """alpha for exact arithmetic: an int or Fraction (not a bool) that KernelSpec accepts."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
+        raise ValueError(f"exact arithmetic needs a rational alpha, got {alpha!r}")
+    return Fraction(KernelSpec(1, 1, alpha).alpha)
+
+
 def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
     """Moment <z^p1 conj(z)^q1, z^p2 conj(z)^q2> against (alpha/pi)^n e^{-alpha|z|^2}.
 
-    Exact: alpha must be an int or a Fraction, and the moment is a Fraction.
+    Exact: alpha must be a positive int or Fraction, and the moment is a Fraction.
     """
-    if not isinstance(alpha, (int, Fraction)):
-        raise ValueError(f"the exact moments need a rational alpha, got {alpha!r}")
+    alpha = _exact_alpha(alpha)
     n = np.size(p1)
     p1, q1, p2, q2 = (_multi_index(t, n) for t in (p1, q1, p2, q2))
     total = Fraction(1)
@@ -59,7 +65,7 @@ def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
         if a + d != b + c:
             return Fraction(0)
         s = a + d
-        total *= Fraction(math.factorial(s), 1) / Fraction(alpha) ** s
+        total *= Fraction(math.factorial(s), 1) / alpha ** s
     return total
 
 
@@ -78,9 +84,7 @@ class BasisElement:
     coeffs: np.ndarray
 
     def __call__(self, w):
-        w = np.asarray(w, dtype=complex)
-        if w.ndim == 0:
-            w = w.reshape(1)
+        w = _cpoint(w, len(self.p))
         total = np.zeros(w.shape[:-1], dtype=complex)
         for (p, q), c in zip(self.monomials, self.coeffs):
             term = np.full(w.shape[:-1], complex(c))
@@ -222,15 +226,15 @@ def build_orthonormal_basis(alpha, n: int, m: int, p_max: int) -> list[BasisElem
     Output order is deterministic: classes sorted by charge, elements by
     conj-degree.
     """
+    KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
+    alpha = _exact_alpha(alpha)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    if not isinstance(alpha, (int, Fraction)):
-        raise ValueError(f"the exact basis needs a rational alpha, got {alpha!r}")
     P, Q, starts = _charge_classes(n, m, p_max)
     out = []
     for lo, hi in zip(starts[:-1], starts[1:]):
         members = list(zip(map(tuple, P[lo:hi].tolist()), map(tuple, Q[lo:hi].tolist())))
-        C = _class_factor_exact(members, Fraction(alpha))
+        C = _class_factor_exact(members, alpha)
         for j in range(len(members)):
             p, q = members[j]
             out.append(BasisElement(p=p, q=q, monomials=tuple(members[: j + 1]),
@@ -250,6 +254,7 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     the class-size histogram and the smallest Cholesky pivot to the
     ``polyfock`` logger at DEBUG level.
     """
+    KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
     z = _cpoint(z, n)

@@ -21,6 +21,7 @@ avoids sign mistakes in the mixed phases.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         _validate_nm(self.n, self.m)
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise TypeError(f"alpha must be a real number, got {self.alpha!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
@@ -48,30 +51,36 @@ class KernelSpec:
         return dimension(self.n, self.m)
 
 
-def _cpoint(z, n: int) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0 and n == 1:
-        z = z.reshape(1)
-    if z.shape[-1:] != (n,):
-        raise ValueError(f"point has shape {z.shape}, expected a last axis of {n}")
-    return z
-
-
-def _rpoint(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def _shaped(x: np.ndarray, n: int, label: str) -> np.ndarray:
     if x.ndim == 0 and n == 1:
         x = x.reshape(1)
     if x.shape[-1:] != (n,):
-        raise ValueError(f"point has shape {x.shape}, expected a last axis of {n}")
+        raise ValueError(f"{label} has shape {x.shape}, expected a last axis of {n}")
+    return x
+
+
+def _cpoint(z, n: int) -> np.ndarray:
+    return _shaped(np.asarray(z, dtype=complex), n, "point")
+
+
+def _real(x, label: str) -> np.ndarray:
+    """x as a float array; complex input raises TypeError instead of losing its imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError(f"{label} must be real, got {x}")
+    return x.astype(float, copy=False)
+
+
+def _rpoint(x, n: int, _label: str = "point") -> np.ndarray:
+    """A real point of length n (a bare number at n = 1), finite in every coordinate."""
+    x = _shaped(_real(x, _label), n, _label)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{_label} must be finite, got {x}")
     return x
 
 
 def _frequency(x, n: int) -> np.ndarray:
-    """A frequency point of length n; nan or inf would only yield nan results."""
-    x = _rpoint(x, n)
-    if not np.isfinite(x).all():
-        raise ValueError(f"frequency must be finite, got {x}")
-    return x
+    return _rpoint(x, n, "frequency")
 
 
 def kernel_F(spec: KernelSpec, z, w):

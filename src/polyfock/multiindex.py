@@ -84,22 +84,25 @@ def _enumerate(n: int, budget: int) -> Iterator[tuple[int, ...]]:
 class IndexTable:
     """Ordered multi-index set ``{k : |k| <= m - 1}`` for fixed n, m.
 
-    ``indices`` is lexicographically sorted, so positions are stable across
-    runs.  ``phi`` maps a 1-based position to its multi-index and
-    ``position`` inverts it; both directions are total on the table.
-    ``array`` holds the indices as read-only (d, n) ``intp`` rows.
+    Built from (n, m) alone; ``indices`` is lexicographically sorted, so
+    positions are stable across runs.  ``phi`` maps a 1-based position to
+    its multi-index and ``position`` inverts it; both directions are total
+    on the table.  ``array`` holds the indices as read-only (d, n) ``intp``
+    rows.
     """
 
     n: int
     m: int
-    indices: tuple[tuple[int, ...], ...]
-    _pos: dict[tuple[int, ...], int] = field(repr=False, compare=False, default_factory=dict)
+    indices: tuple[tuple[int, ...], ...] = field(init=False)
+    _pos: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        lookup = {k: j for j, k in enumerate(self.indices, start=1)}
-        object.__setattr__(self, "_pos", lookup)
-        array = np.array(self.indices, dtype=np.intp)
+        _validate_nm(self.n, self.m)
+        indices = tuple(_enumerate(self.n, self.m - 1))
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "_pos", {k: j for j, k in enumerate(indices, start=1)})
+        array = np.array(indices, dtype=np.intp)
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 
@@ -130,9 +133,7 @@ class IndexTable:
 
 def build_index_table(n: int, m: int) -> IndexTable:
     """Enumerate all k in N_0^n with |k| <= m - 1 in lexicographic order."""
-    _validate_nm(n, m)
-    indices = tuple(_enumerate(n, m - 1))
-    return IndexTable(n=n, m=m, indices=indices)
+    return IndexTable(n, m)
 
 
 def index_products(table: IndexTable, factors) -> Iterator:

@@ -37,8 +37,7 @@ def q_matrix(table: IndexTable, xi, v) -> np.ndarray:
 
     q_{k, xi}(v) is column ``table.position(k) - 1``."""
     n = table.n
-    xi = _frequency(xi, n)
-    v = _rpoint(v, n)
+    xi, v = _frequency(xi, n), _rpoint(v, n)
     t = (xi + 2 * v) / math.sqrt(2.0)
     psi = hermite_fn_table(table.m - 1, t)  # (m, ..., n)
     front = 2 ** (n / 2) * math.pi ** (n / 4)
@@ -63,9 +62,7 @@ def L_via_fourier(table: IndexTable, xi, y, v, order: int | None = None):
     Independent route against :func:`L_closed`.
     """
     n = table.n
-    xi = _frequency(xi, n)
-    y = _rpoint(y, n)
-    v = _rpoint(v, n)
+    xi, y, v = _frequency(xi, n), _rpoint(y, n), _rpoint(v, n)
     if order is None:
         order = FIBER_ORDER
     grid = tensor_grid(n, order, center=0.0, scale=math.sqrt(2.0))
@@ -131,8 +128,7 @@ def R_F_kernel_image(spec: KernelSpec, y, xi) -> FiberVector:
     C(n+m-1, n) e^{alpha |y|^2}.
     """
     table = build_index_table(spec.n, spec.m)
-    y = _rpoint(y, spec.n)
-    xi = _frequency(xi, spec.n)
+    y, xi = _rpoint(y, spec.n), _frequency(xi, spec.n)
     front = 2 ** (-spec.n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
     comps = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)
     return FiberVector(xi=xi, components=comps.astype(complex))
@@ -155,8 +151,7 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
         raise ValueError(domain)
     table = build_index_table(n, m)
     j0 = table.position(tuple(b - 1 for b in beta))
-    y = _rpoint(y, n)
-    xi = _frequency(xi, n)
+    y, xi = _rpoint(y, n), _frequency(xi, n)
     comps = np.zeros(table.d, dtype=complex)
     front = 2 ** (-n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
     comps[j0 - 1] = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)[j0 - 1]
@@ -264,14 +259,3 @@ def default_xi_grid(count: int = 64, lo: float = -8.0, hi: float = 8.0) -> np.nd
         raise ValueError(f"grid ends must be finite, got {lo}:{hi}")
     return np.linspace(lo, hi, count)
 
-
-def fiber_sweep(apply_at, xi_values) -> np.ndarray:
-    """Evaluate a fixed-frequency fiber map over a grid of frequencies.
-
-    apply_at: callable xi -> FiberVector (e.g. a partial of R_F_apply or
-    R_F_kernel_image).  xi_values: iterable of frequency points, scalars in
-    one variable or length-n vectors.  Returns a (len(xi_values), d) array;
-    the direct integral itself is only ever represented as sampled data.
-    """
-    rows = [np.asarray(apply_at(xi).components) for xi in xi_values]
-    return np.stack(rows, axis=0)

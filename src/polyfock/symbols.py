@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _frequency, _rpoint
+from .kernels import _frequency, _real, _rpoint
 from .multiindex import IndexTable, _is_integer, _multi_index, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
@@ -112,15 +112,12 @@ class VerticalSymbol:
         if self.kind == "polynomial":
             return self._poly(v)
         if self.kind == "gaussian-modulated-polynomial":
-            c = np.asarray(self.gauss_center, dtype=float)
             h = self.gauss_halfwidth
-            envelope = np.exp(-np.sum((v - c) ** 2, axis=-1) / (2 * h * h))
+            envelope = np.exp(-np.sum((v - self.gauss_center) ** 2, axis=-1) / (2 * h * h))
             return self._poly(v) * envelope
         if self.kind == "sign-of-coordinate":
             return np.sign(v[..., self.axis]).astype(float)
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        inside = np.all((v >= lo) & (v <= hi), axis=-1)
+        inside = np.all((v >= self.lo) & (v <= self.hi), axis=-1)
         return inside.astype(float)
 
     def _poly(self, v: np.ndarray) -> np.ndarray:
@@ -167,9 +164,8 @@ class VerticalSymbol:
             if all(sum(e) == 0 for _, e in self.terms):
                 return abs(sum(c for c, _ in self.terms))
             return None
-        c = np.asarray(self.gauss_center, dtype=float)
         h = self.gauss_halfwidth
-        axes = [np.linspace(ci - 10 * h, ci + 10 * h, 201) for ci in c]
+        axes = [np.linspace(ci - 10 * h, ci + 10 * h, 201) for ci in self.gauss_center]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         return float(np.max(np.abs(self(mesh))))
 
@@ -194,9 +190,8 @@ def polynomial(terms, n: int = 1) -> VerticalSymbol:
 
 def gaussian_poly(terms, center=0.0, halfwidth: float = 1.0, n: int = 1) -> VerticalSymbol:
     """Polynomial times exp(-|v - center|^2 / (2 halfwidth^2))."""
-    c = tuple(np.broadcast_to(np.asarray(center, dtype=float), (n,)).tolist())
-    return VerticalSymbol(n, "gaussian-modulated-polynomial",
-                          _normalize_terms(terms, n), c, float(halfwidth))
+    return VerticalSymbol(n, "gaussian-modulated-polynomial", _normalize_terms(terms, n),
+                          _per_axis(center, n, "center"), float(halfwidth))
 
 
 def sign(axis: int = 0, n: int = 1) -> VerticalSymbol:
@@ -204,9 +199,13 @@ def sign(axis: int = 0, n: int = 1) -> VerticalSymbol:
 
 
 def box(lo, hi, n: int = 1) -> VerticalSymbol:
-    lo = tuple(np.broadcast_to(np.asarray(lo, dtype=float), (n,)).tolist())
-    hi = tuple(np.broadcast_to(np.asarray(hi, dtype=float), (n,)).tolist())
-    return VerticalSymbol(n, "box-indicator", lo=lo, hi=hi)
+    return VerticalSymbol(n, "box-indicator", lo=_per_axis(lo, n, "box bound"),
+                          hi=_per_axis(hi, n, "box bound"))
+
+
+def _per_axis(x, n: int, label: str) -> tuple[float, ...]:
+    """x (one number or n numbers) as n floats; complex values raise TypeError."""
+    return tuple(np.broadcast_to(_real(x, label), (n,)).tolist())
 
 
 def _normalize_terms(terms, n: int):
@@ -359,7 +358,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
 
 def weyl_symbol(table: IndexTable, a, xi) -> SymbolMatrix:
     """Symbol of the horizontal translation by a: the character e^{-i<xi, a>} I_d."""
-    a = _rpoint(a, table.n)
+    a = _rpoint(a, table.n, "shift")
     xi = _frequency(xi, table.n)
     phase = np.exp(-1j * float(xi @ a))
     return SymbolMatrix(xi=xi, entries=phase * np.eye(table.d, dtype=complex))
@@ -383,8 +382,3 @@ def symbol_compose(a: SymbolMatrix, b: SymbolMatrix) -> SymbolMatrix:
     if not np.allclose(a.xi, b.xi, rtol=0, atol=1e-12):
         raise ValueError(f"frequency mismatch {a.xi} vs {b.xi}")
     return SymbolMatrix(xi=a.xi, entries=a.entries @ b.entries)
-
-
-def symbol_adjoint(a: SymbolMatrix) -> SymbolMatrix:
-    """Conjugate transpose; matches the symbol of the conjugate multiplier."""
-    return SymbolMatrix(xi=a.xi, entries=a.entries.conj().T)

@@ -71,8 +71,7 @@ def flatten(spec: KernelSpec, f: FieldFunction) -> FieldFunction:
     root = math.sqrt(alpha)
 
     def g(x, y):
-        x = _rpoint(x, n)
-        y = _rpoint(y, n)
+        x, y = _rpoint(x, n), _rpoint(y, n)
         weight = np.exp(-np.sum(x * x, axis=-1) / 2
                         - np.sum(y * y, axis=-1) / 2
                         - 1j * np.sum(x * y, axis=-1))
@@ -120,12 +119,12 @@ def weyl_F(spec: KernelSpec, a, f: FieldFunction) -> FieldFunction:
 
 
 def translate_H(a, g: FieldFunction) -> FieldFunction:
-    """Horizontal translation (x, y) -> (x - a, y) on the flattened side."""
+    """Horizontal translation (x, y) -> (x - a, y) by a real point a."""
     _require(g, FLAT)
-    a = np.asarray(a, dtype=float)
+    a = _rpoint(a, np.size(a), "shift")
 
     def shifted(x, y):
-        return g(np.asarray(x, dtype=float) - a, y)
+        return g(_rpoint(x, a.size) - a, y)
 
     return flat_function(shifted)
 
@@ -133,12 +132,14 @@ def translate_H(a, g: FieldFunction) -> FieldFunction:
 def check_intertwining(spec: KernelSpec, a, f: FieldFunction, x, y) -> float:
     """Max deviation of U rho_F(a) f from (translate by sqrt(alpha) a) U f.
 
-    Evaluated pointwise on the sample arrays (x, y); exact up to rounding,
-    so values around 1e-14 are what a correct pair of routes produces.
+    The shift a is a real point of R^n: only horizontal Weyl shifts become
+    translations.  Evaluated pointwise on the sample arrays (x, y); exact
+    up to rounding, so values around 1e-14 are what a correct pair of
+    routes produces.
     """
+    a = _rpoint(a, spec.n, "shift")
     lhs = flatten(spec, weyl_F(spec, a, f))
-    rhs = translate_H(math.sqrt(spec.alpha) * np.asarray(a, dtype=float),
-                      flatten(spec, f))
+    rhs = translate_H(math.sqrt(spec.alpha) * a, flatten(spec, f))
     dev = np.abs(lhs(x, y) - rhs(x, y))
     return float(np.max(dev))
 
@@ -182,8 +183,8 @@ def fock_norm(spec: KernelSpec, f: FieldFunction, center=None, order: int | None
     """
     _require(f, FOCK)
     n = spec.n
-    c = np.zeros(2 * n) if center is None else np.concatenate(
-        (np.real(_cpoint(center, n)), np.imag(_cpoint(center, n))))
+    w = _cpoint(np.zeros(n) if center is None else center, n)
+    c = np.concatenate((w.real, w.imag))
     nodes, weights = gaussian_mean_rule(c, spec.alpha, order)
     vals = np.abs(f(nodes[:, :n] + 1j * nodes[:, n:])) ** 2
     return math.sqrt(max(float(np.sum(weights * vals)), 0.0))
@@ -198,7 +199,7 @@ def flat_norm(n: int, g: FieldFunction, center=None, order: int | None = None) -
     the default order exact to round-off.
     """
     _require(g, FLAT)
-    c = np.zeros(2 * n) if center is None else np.asarray(center, dtype=float)
+    c = np.zeros(2 * n) if center is None else _rpoint(center, 2 * n, "center")
     grid = tensor_grid(2 * n, order, center=c, scale=1.0)
     x = grid.nodes[:, :n]
     y = grid.nodes[:, n:]

@@ -127,6 +127,12 @@ def _resolve(suite: str, config: SuiteConfig) -> dict:
         given = getattr(config, key)
         if given is not None and not _is_integer(given):
             raise TypeError(f"{suite}: {key} must be an integer, got {given!r}")
+    if not _is_integer(config.seed):
+        raise TypeError(f"{suite}: seed must be an integer, got {config.seed!r}")
+    try:
+        KernelSpec(1, 1, config.alpha)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{suite}: {exc}") from None
     params = {}
     for key, (default, cap) in _SUITE_TABLE[suite][1].items():
         given = getattr(config, key)

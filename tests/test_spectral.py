@@ -26,7 +26,6 @@ from polyfock.spectral import (
     default_xi_grid,
     fiber_project,
     fiber_reconstruct,
-    fiber_sweep,
     q_matrix,
 )
 from polyfock.transforms import flat_function, flatten, fock_function
@@ -393,11 +392,21 @@ def test_convolution_input_image():
         assert_allclose(got.components, expected, atol=1e-7)
 
 
-def test_fiber_sweep_shape_and_default_grid():
-    spec = KernelSpec(1, 2, 1.0)
-    xis = default_xi_grid(8, -2.0, 2.0)
-    rows = fiber_sweep(lambda xi: R_F_kernel_image(spec, np.array([0.3]), np.atleast_1d(xi)), xis)
-    assert rows.shape == (8, 2)
+def test_grid_calls_equal_the_per_xi_stack_and_default_grid():
+    # an (X, n) frequency grid is one call; row x is the call at xi_x, bit for bit
+    for n, m, count in [(1, 3, 16), (2, 3, 7)]:
+        spec = KernelSpec(n, m, 1.3)
+        table = build_index_table(n, m)
+        rng = np.random.default_rng([52, n])
+        xis = rng.uniform(-4.0, 4.0, (count, n))
+        y = rng.uniform(-1.0, 1.0, n)
+        image = R_F_kernel_image(spec, y, xis).components
+        q = q_matrix(table, xis, y)
+        assert image.shape == q.shape == (count, table.d)
+        assert np.array_equal(image, np.stack([R_F_kernel_image(spec, y, xi).components
+                                               for xi in xis]))
+        assert np.array_equal(q, np.stack([q_matrix(table, xi, y) for xi in xis]))
+    assert default_xi_grid(8, -2.0, 2.0).shape == (8,)
     assert default_xi_grid().shape == (64,)
     assert default_xi_grid()[0] == -8.0 and default_xi_grid()[-1] == 8.0
 

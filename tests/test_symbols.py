@@ -23,7 +23,6 @@ from polyfock.symbols import (
     polynomial,
     sigma_from_gamma,
     sign,
-    symbol_adjoint,
     symbol_compose,
     weyl_symbol,
 )
@@ -413,12 +412,12 @@ def test_adjoint_matches_conjugate_symbol():
     xi = [0.55]
     g_real = gaussian_poly([0.5, 1.0], center=0.1, halfwidth=1.0)
     mat = gamma_toeplitz(table, g_real, xi)
-    assert_allclose(symbol_adjoint(mat).entries, mat.entries, atol=1e-13)
+    assert_allclose(mat.entries.conj().T, mat.entries, atol=1e-13)
 
     g_cplx = polynomial([1j, 2.0])
     mat_c = gamma_toeplitz(table, g_cplx, xi)
     conj_mat = gamma_toeplitz(table, g_cplx.conjugate(), xi)
-    assert_allclose(symbol_adjoint(mat_c).entries, conj_mat.entries, atol=1e-13)
+    assert_allclose(mat_c.entries.conj().T, conj_mat.entries, atol=1e-13)
 
 
 def test_matrix_symbols_do_not_commute_beyond_first_order():

@@ -1,6 +1,7 @@
 """Tests for the verification-suite runner and its reports."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -244,4 +245,23 @@ def test_integer_fields_refuse_floats_and_bools(suite, field, value, monkeypatch
 
     monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, verify._SUITE_TABLE[suite][1]))
     with pytest.raises(TypeError, match=rf"^{suite}: {field} must be an integer"):
+        run_suite(suite, SuiteConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("suite, field, value, error, message", [
+    ("laguerre", "alpha", math.nan, ValueError, "must be finite and positive"),
+    ("kernel-basis", "alpha", -1.0, ValueError, "must be finite and positive"),
+    ("reproducing", "alpha", 0, ValueError, "must be finite and positive"),
+    ("sum-products", "alpha", True, TypeError, "must be a real number"),
+    ("laguerre", "seed", 1.5, TypeError, "must be an integer"),
+    ("fourier-kernel", "seed", True, TypeError, "must be an integer"),
+    ("fourier-laguerre", "seed", None, TypeError, "must be an integer"),
+])
+def test_alpha_and_seed_are_checked_before_any_job(suite, field, value, error, message,
+                                                   monkeypatch):
+    def fail(params):
+        raise AssertionError("a job list was built")
+
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, verify._SUITE_TABLE[suite][1]))
+    with pytest.raises(error, match=rf"^{suite}: {field} {message}"):
         run_suite(suite, SuiteConfig(**{field: value}))
