@@ -21,7 +21,10 @@ Gram-Schmidt (alpha rational), where orthogonality is exact and only the
 final normalization leaves the rationals; it is the reference the
 streamed :func:`kernel_via_basis` is tested against.  The latter runs a
 batched float Cholesky on norm-scaled monomials, whose class Gram entries
-s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1].
+s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1], and turns monomial
+values into basis values by :func:`solve_triangular`, a forward
+substitution that solves one row at a time across the whole stack of
+class factors.
 
 Sharing input validation with :mod:`polyfock.multiindex` (and the kernels'
 point rule and :class:`KernelSpec`), which evaluates nothing, keeps the
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .kernels import KernelSpec, _cpoint
@@ -176,6 +178,20 @@ def _monomial_values(pow_x, pow_cx, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
+def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L x = b for a stack of lower-triangular factors by forward substitution.
+
+    L has shape (..., k, k) and b (..., k, c).  Row i of x is solved for
+    every matrix of the stack at once, from the rows before it, so the
+    Python loop runs k times however many factors are stacked.
+    """
+    x = np.empty(b.shape, dtype=np.result_type(L, b))
+    for i in range(L.shape[-1]):
+        done = (L[..., i, None, :i] @ x[..., :i, :])[..., 0, :]
+        x[..., i, :] = (b[..., i, :] - done) / L[..., i, i, None]
+    return x
+
+
 def _class_factor_exact(members, alpha: Fraction):
     """Rational Gram-Schmidt: orthogonal columns over Q, normalized at the end.
 
@@ -246,12 +262,14 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     """Truncated kernel sum over the orthonormal basis: sum_B B(w) conj(B(z)).
 
     Charge classes of equal size are factored together: one batched
-    Cholesky of their Gram matrices and one batched triangular solve turn
-    the norm-scaled monomial values at w and z into basis-element values,
-    so elements are never materialized.  Batches are capped in size, so
-    large p_max truncations stay affordable.  z and w (last axis n, a
-    scalar at n = 1) broadcast over leading axes.  Logs the class count,
-    the class-size histogram and the smallest Cholesky pivot to the
+    Cholesky of their Gram matrices and one forward substitution across
+    the stack of factors (:func:`solve_triangular`) turn the norm-scaled
+    monomial values at w and z into basis-element values, so elements are
+    never materialized.  Batches are capped in size, so large p_max
+    truncations stay affordable.  z and w (last axis n, a scalar at n = 1)
+    broadcast over leading axes.  Logs the class count, the class-size
+    histogram, the smallest Cholesky pivot, the number of solve batches
+    and the largest batch shape (classes, class size, columns) to the
     ``polyfock`` logger at DEBUG level.
     """
     KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
@@ -270,17 +288,21 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
 
     total = np.zeros(points, dtype=complex)
     pivot = math.inf
+    batches, largest = 0, (0, 0, 0)
     for k, rows in _size_groups(starts, n, width=2 * points):
         L = np.linalg.cholesky(_class_grams(P[rows], Q[rows]))
         pivot = min(pivot, float(np.min(np.diagonal(L, axis1=-2, axis2=-1))) ** 2)
-        # One triangular solve for both sides: columns [w points | z points].
+        # One forward substitution for both sides: columns [w points | z points].
         values = np.concatenate([_monomial_values(pow_x, pow_cx, P[rows], Q[rows])
                                  for pow_x, pow_cx in tables], axis=-1)
-        elements = solve_triangular(L, scales[rows][..., None] * values, lower=True)
+        elements = solve_triangular(L, scales[rows][..., None] * values)
+        batches += 1
+        largest = max(largest, elements.shape, key=math.prod)
         total += np.sum(elements[..., :points] * np.conj(elements[..., points:]), axis=(0, 1))
 
     sizes, counts = np.unique(np.diff(starts), return_counts=True)
     _log.debug("kernel_via_basis n=%d m=%d p_max=%d: %d charge classes, class sizes %s, "
-               "smallest Cholesky pivot %.3e", n, m, p_max, len(starts) - 1,
-               dict(zip(sizes.tolist(), counts.tolist())), pivot)
+               "smallest Cholesky pivot %.3e, %d solve batches, largest batch %s",
+               n, m, p_max, len(starts) - 1, dict(zip(sizes.tolist(), counts.tolist())), pivot,
+               batches, largest)
     return total.reshape(shape)

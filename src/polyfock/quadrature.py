@@ -45,6 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
 
+from .kernels import _real
+
 MAX_ORDER = 128
 
 # Default nodes per axis by total dimension; chosen so the verification
@@ -158,14 +160,16 @@ def tensor_rule(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
 def tensor_grid(dim: int, order: int | None = None, center=0.0, scale=1.0) -> QuadratureGrid:
     """Tensor Gauss-Hermite rule of order**dim nodes, placed axis by axis.
 
-    ``center`` and ``scale`` are scalars or length-dim vectors; each axis
-    is :func:`place_hermite` of the same order-point rule.
+    ``center`` and ``scale`` are real scalars or length-dim vectors (complex
+    values raise TypeError); each axis is :func:`place_hermite` of the same
+    order-point rule.
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if order is None:
         order = default_order(dim)
-    center, scale = (np.broadcast_to(np.asarray(p, dtype=float), (dim,)) for p in (center, scale))
+    center, scale = (np.broadcast_to(_real(p, label), (dim,))
+                     for p, label in ((center, "center"), (scale, "scale")))
     rule = gauss_hermite_1d(order)
     axes = tuple(place_hermite(rule, c, s) for c, s in zip(center, scale))
     return QuadratureGrid(axes, *tensor_rule(axes))
@@ -175,16 +179,17 @@ def gaussian_mean_axes(center, alpha: float, order: int | None = None):
     """Per-axis rules for the mean against (alpha/pi)^n e^{-alpha|w|^2} on C^n.
 
     ``center`` holds the 2n real coordinates (real parts, then imaginary
-    parts) the rule is placed at; they must be finite, and alpha finite and
-    positive.  ``order`` defaults to :func:`default_order` of 2n.  Each axis
-    maps Gauss-Hermite nodes t to x = c + t/sqrt(alpha), the Gaussian's own
-    width, and carries the Gaussian in its weight,
+    parts) the rule is placed at; they must be real (complex values raise
+    TypeError) and finite, and alpha finite and positive.  ``order``
+    defaults to :func:`default_order` of 2n.  Each axis maps Gauss-Hermite
+    nodes t to x = c + t/sqrt(alpha), the Gaussian's own width, and
+    carries the Gaussian in its weight,
     (1/sqrt(alpha)) w e^{t^2 - alpha x^2} sqrt(alpha/pi); the exponent is
     written as -alpha c^2 - 2 sqrt(alpha) c t, which stays small.  Returns
     one (nodes, weights) pair per axis; their tensor product is
     :func:`gaussian_mean_rule`.
     """
-    center = np.asarray(center, dtype=float)
+    center = _real(center, "center")
     if not (np.all(np.isfinite(center)) and math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"center must be finite and alpha finite and positive, "
                          f"got center={center}, alpha={alpha}")

@@ -91,9 +91,13 @@ class VerticalSymbol:
             raise ValueError(f"axis {self.axis} outside 0..{self.n - 1}")
         if self.kind == "gaussian-modulated-polynomial":
             h = self.gauss_halfwidth
-            if len(self.gauss_center) != self.n or not np.all(np.isfinite(self.gauss_center)):
+            center = self.gauss_center
+            if len(center) == self.n:  # parsed only at full length: one number must not broadcast
+                center = _per_axis(center, self.n, "gauss_center")
+            if len(center) != self.n or not np.all(np.isfinite(center)):
                 raise ValueError(f"gauss_center must be {self.n} finite numbers, "
                                  f"got {self.gauss_center}")
+            object.__setattr__(self, "gauss_center", center)
             if not (math.isfinite(h) and h > 0):
                 raise ValueError(f"halfwidth must be finite and positive, got {h}")
         if self.kind == "box-indicator":

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import polyfock.basis_oracle as basis_oracle
 from polyfock.basis_oracle import (
     BasisElement,
     _charge_classes,
@@ -16,6 +18,7 @@ from polyfock.basis_oracle import (
     build_orthonormal_basis,
     gaussian_monomial_inner,
     kernel_via_basis,
+    solve_triangular,
 )
 from polyfock.kernels import KernelSpec, kernel_F
 from polyfock.quadrature import gauss_hermite_1d
@@ -229,6 +232,43 @@ def test_kernel_via_basis_logs_class_statistics(caplog):
     assert "6 charge classes" in record.getMessage()
     assert "{1: 2, 2: 4}" in record.getMessage()
     assert "smallest Cholesky pivot" in record.getMessage()
+    # one batch per class size; the size-2 batch holds 4 classes, 2 columns (w | z)
+    assert "2 solve batches, largest batch (4, 2, 2)" in record.getMessage()
+
+
+@pytest.mark.parametrize("k", range(1, 11))  # 10 is the largest class at n = m = 3
+def test_forward_substitution_matches_scipy(k):
+    rng = np.random.default_rng(k)
+    for stack in ((7,), (2, 3)):
+        # unit-scale diagonal over a small strictly lower part: well conditioned
+        L = (np.tril(rng.uniform(-1, 1, stack + (k, k)), -1) / k
+             + np.eye(k) * rng.uniform(1, 2, stack + (1, k)))
+        b = rng.normal(size=stack + (k, 5)) + 1j * rng.normal(size=stack + (k, 5))
+        x = solve_triangular(L, b)
+        expected = scipy.linalg.solve_triangular(L, b, lower=True)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_kernel_via_basis_solves_once_per_batch(monkeypatch):
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-0.4, 0.4, (6, 2)) + 1j * rng.uniform(-0.4, 0.4, (6, 2))
+    w = rng.uniform(-0.4, 0.4, (6, 2)) + 1j * rng.uniform(-0.4, 0.4, (6, 2))
+    unsplit = kernel_via_basis(1.0, 2, 3, 8, z, w)
+    shapes = []
+
+    def counting(L, b):
+        shapes.append(L.shape)
+        return solve_triangular(L, b)
+
+    monkeypatch.setattr(basis_oracle, "solve_triangular", counting)
+    monkeypatch.setattr(basis_oracle, "_BATCH_ELEMENTS", 1 << 10)  # split the larger sizes
+    split = kernel_via_basis(1.0, 2, 3, 8, z, w)
+    _, _, starts = _charge_classes(2, 3, 8)
+    batches = [(len(rows), k, k) for k, rows in _size_groups(starts, 2, width=2 * len(z))]
+    assert len(batches) > len(np.unique(np.diff(starts)))
+    assert shapes == batches
+    assert_allclose(split, unsplit, rtol=1e-14)
 
 
 @pytest.mark.parametrize("points, p_max", [

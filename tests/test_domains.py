@@ -19,8 +19,9 @@ import polyfock.basis_oracle as basis_oracle
 from polyfock.basis_oracle import build_orthonormal_basis, gaussian_monomial_inner, kernel_via_basis
 from polyfock.kernels import KernelSpec, kernel_F, kernel_G, kernel_H, kernel_H_products
 from polyfock.multiindex import IndexTable, build_index_table
+from polyfock.quadrature import gaussian_mean_rule, tensor_grid
 from polyfock.spectral import L_closed, R_F_kernel_image, q_matrix
-from polyfock.symbols import box, gamma_toeplitz, gaussian_poly, sign, weyl_symbol
+from polyfock.symbols import VerticalSymbol, box, gamma_toeplitz, gaussian_poly, sign, weyl_symbol
 from polyfock.transforms import check_intertwining, flat_function, flat_norm, fock_function
 
 SPEC = KernelSpec(2, 3)
@@ -68,6 +69,13 @@ ROWS.update({
                                  TypeError, "IndexTable.__init__() takes 3 positional arguments"),
     "IndexTable-float-n": (lambda: IndexTable(2.0, 3), TypeError, "n and m must be integers"),
     "IndexTable-zero-m": (lambda: IndexTable(2, 0), ValueError, "n and m must be positive"),
+    "tensor_grid-complex-center": (lambda: tensor_grid(1, 4, center=0.5 + 2j),
+                                   TypeError, "center must be real"),
+    "gaussian_mean_rule-complex-center": (lambda: gaussian_mean_rule(np.array([0.5 + 2j, 0.1]), 1.0, 4),
+                                          TypeError, "center must be real"),
+    "VerticalSymbol-complex-gauss_center": (
+        lambda: VerticalSymbol(1, "gaussian-modulated-polynomial", ((1, (0,)),), (0.3 + 0.5j,), 1.0),
+        TypeError, "gauss_center must be real"),
 })
 
 POSITIVE = "alpha must be finite and positive"

@@ -4,7 +4,14 @@ Adding or removing a public name is one deliberate line here.  The list
 includes the submodules that ``polyfock/__init__.py`` imports.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import polyfock
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "BasisElement",
@@ -95,3 +102,14 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
     assert sorted(polyfock.__all__) == PUBLIC_NAMES
+
+
+def test_import_does_not_load_scipy_linalg():
+    # The basis oracle solves its triangular systems itself; importing
+    # scipy.linalg would cost import time and memory for nothing.
+    script = "import sys, polyfock, polyfock.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
