@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .kernels import KernelSpec, _cpoint
-from .multiindex import _multi_index, build_index_table
+from .multiindex import _integer, _multi_index, build_index_table
 
 _log = logging.getLogger("polyfock")
 
@@ -244,8 +244,7 @@ def build_orthonormal_basis(alpha, n: int, m: int, p_max: int) -> list[BasisElem
     """
     KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
     alpha = _exact_alpha(alpha)
-    if p_max < 0:
-        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    p_max = _integer(p_max, "p_max")
     P, Q, starts = _charge_classes(n, m, p_max)
     out = []
     for lo, hi in zip(starts[:-1], starts[1:]):
@@ -273,8 +272,7 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     ``polyfock`` logger at DEBUG level.
     """
     KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
-    if p_max < 0:
-        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    p_max = _integer(p_max, "p_max")
     z = _cpoint(z, n)
     w = _cpoint(w, n)
     shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])

@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

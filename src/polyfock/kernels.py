@@ -40,10 +40,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         _validate_nm(self.n, self.m)
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise TypeError(f"alpha must be a real number, got {self.alpha!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        # checked, not converted: a Fraction alpha stays exact for the exact routes
+        _scalar(self.alpha, "alpha", positive=True)
 
     @property
     def d(self) -> int:
@@ -69,6 +67,19 @@ def _real(x, label: str) -> np.ndarray:
     if np.iscomplexobj(x):
         raise TypeError(f"{label} must be real, got {x}")
     return x.astype(float, copy=False)
+
+
+def _scalar(x, label: str, positive: bool = False) -> float:
+    """x as a finite float, also positive when asked.
+
+    Bools and non-real values raise TypeError; non-finite values, and
+    non-positive ones when ``positive``, raise ValueError.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{label} must be a real number, got {x!r}")
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        raise ValueError(f"{label} must be finite{' and positive' if positive else ''}, got {x}")
+    return float(x)
 
 
 def _rpoint(x, n: int, _label: str = "point") -> np.ndarray:
@@ -188,20 +199,14 @@ def kernel_H_products(spec: KernelSpec, x, y, u, v):
 def kernel_G(spec: KernelSpec, x, y, u, v):
     """Kernel of the twisted comparison space on R^{2n}.
 
-    Same modulus as ``kernel_H`` but phase -i(<u-x, y+v> + <x,y> - <v,u>);
-    the extra terms break translation covariance in (x, y), which is the
-    point of carrying this kernel around.  Like ``kernel_H``, independent
-    of spec.alpha.
+    ``kernel_H`` times the twist e^{-i(<x,y> - <v,u>)}, so its phase is
+    -i(<u-x, y+v> + <x,y> - <v,u>); the extra terms break translation
+    covariance in (x, y), which is the point of carrying this kernel
+    around.  Like ``kernel_H``, independent of spec.alpha.
     """
-    n, m = spec.n, spec.m
-    x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
-    du = u - x
-    dv = v - y
-    t = np.sum(du * du, axis=-1) + np.sum(dv * dv, axis=-1)
-    phase = (np.sum(du * (y + v), axis=-1)
-             + np.sum(x * y, axis=-1)
-             - np.sum(v * u, axis=-1))
-    return (2.0**n) * np.exp(-t / 2 - 1j * phase) * laguerre_eval(m - 1, n, t)
+    x, y, u, v = (_rpoint(a, spec.n) for a in (x, y, u, v))
+    twist = np.sum(x * y, axis=-1) - np.sum(v * u, axis=-1)
+    return kernel_H(spec, x, y, u, v) * np.exp(-1j * twist)
 
 
 def kernel_S(spec: KernelSpec, z, w):

@@ -10,9 +10,11 @@ resulting position bijection, and computes its size
 which is the vector-space dimension showing up in kernel normalizations and
 in the width of matrix symbols.
 
-Two things live only here: :func:`_multi_index` parses every multi-index
-argument of the library (refusing, not truncating, non-integer entries),
-and :attr:`IndexTable.array` is the one exponent array of a table.
+Three things live only here: :func:`_integer` parses every integer scalar
+argument of the library (orders, degrees, counts, truncations),
+:func:`_multi_index` parses every multi-index argument (both refuse, not
+truncate, non-integers), and :attr:`IndexTable.array` is the one exponent
+array of a table.
 """
 
 from __future__ import annotations
@@ -34,6 +36,20 @@ def _is_integer(value) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _integer(value, label: str, low: int = 0) -> int:
+    """value as a Python int >= low.
+
+    Bools, floats and other non-integers raise TypeError; a value below
+    ``low`` raises ValueError.
+    """
+    if not _is_integer(value):
+        raise TypeError(f"{label} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{label} must be >= {low}, got {value}")
+    return value
 
 
 def _multi_index(k, n: int, low: int = 0) -> tuple[int, ...]:

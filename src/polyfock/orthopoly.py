@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .multiindex import build_index_table
+from .multiindex import _integer, build_index_table
 from .ratpoly import RationalPoly
 
 ExactScalar = Union[int, Fraction]
@@ -40,8 +40,7 @@ ExactScalar = Union[int, Fraction]
 
 def _laguerre_in(p: int, a: ExactScalar, s: RationalPoly) -> list[RationalPoly]:
     """All L_k^{(a)}(s) for k = 0..p with s an element of a rational polynomial ring."""
-    if p < 0:
-        raise ValueError(f"degree must be nonnegative, got {p}")
+    p = _integer(p, "degree")
     a = Fraction(a)
     ring = s.variables
     one = RationalPoly.constant(1, ring)
@@ -119,8 +118,7 @@ def check_laguerre_decomposition(n: int, p: int) -> tuple[bool, int]:
     variables.  Returns ``(identity_holds, summand_count)`` so callers can
     compare the count against C(n+p, n) themselves.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _integer(n, "n", 1)
     ring = tuple(f"t{r}" for r in range(1, n + 1))
     coords = [RationalPoly.variable(v, ring) for v in ring]
     total = RationalPoly.zero(ring)
@@ -140,8 +138,7 @@ def laguerre_eval_all(p_max: int, a: float, x) -> np.ndarray:
 
     Forward three-term recurrence; x may be real or complex, scalar or array.
     """
-    if p_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {p_max}")
+    p_max = _integer(p_max, "degree")
     x = np.asarray(x)
     out = np.empty((p_max + 1,) + x.shape, dtype=np.result_type(x.dtype, float))
     out[0] = 1.0
@@ -171,8 +168,7 @@ def laguerre_fn_all(p_max: int, t) -> np.ndarray:
 
 def hermite_fn_table(p_max: int, t) -> np.ndarray:
     """Hermite functions psi_0..psi_{p_max} at t, shape (p_max+1,) + t.shape."""
-    if p_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {p_max}")
+    p_max = _integer(p_max, "degree")
     t = np.asarray(t, dtype=float)
     out = np.empty((p_max + 1,) + t.shape)
     out[0] = math.pi ** -0.25 * np.exp(-t * t / 2)

@@ -31,6 +31,13 @@ one builder.  The vocabulary:
   fiber integrals and the direct sigma route call it with their own
   per-node word counts.
 
+Arguments are parsed by their owners, never by hand here: orders and
+``dim`` by ``multiindex._integer`` (a Python int, so NumPy integers pass
+and bools or floats raise TypeError), a scalar center, scale, alpha or
+frequency by ``kernels._scalar`` (a finite float; bools and complex values
+raise TypeError), vector centers by ``kernels._rpoint`` and breakpoints by
+``kernels._real``.
+
 Oscillatory Fourier factors e^{-i u xi} are handled by the same rules; for
 the frequency ranges used here (|xi| <= ~10) orders around 48-64 leave
 errors well below 1e-10, which the convergence tests pin down.
@@ -45,7 +52,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
 
-from .kernels import _real
+from .kernels import _real, _rpoint, _scalar
+from .multiindex import _integer
 
 MAX_ORDER = 128
 
@@ -77,17 +85,16 @@ def default_order(dim: int) -> int:
     return DEFAULT_ORDERS.get(dim, 12)
 
 
-def _check_order(order) -> None:
-    if not isinstance(order, int):
-        raise TypeError(f"order must be an integer, got {order!r}")
-    if not 1 <= order <= MAX_ORDER:
+def _check_order(order) -> int:
+    order = _integer(order, "order", 1)
+    if order > MAX_ORDER:
         raise ValueError(f"order must lie in 1..{MAX_ORDER}, got {order}")
+    return order
 
 
 def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the order-point Gauss-Hermite rule (weight e^{-t^2})."""
-    _check_order(order)
-    return roots_hermite(order)
+    return roots_hermite(_check_order(order))
 
 
 def check_rule_budget(sizes: Sequence[int], words_per_node: int) -> None:
@@ -118,10 +125,8 @@ def place_hermite(rule: tuple[np.ndarray, np.ndarray], center: float, scale: flo
     weight * f(node) approximates the plain integral of f.  ``center`` must
     be finite and ``scale`` finite and positive.
     """
-    if not (math.isfinite(center) and math.isfinite(scale)):
-        raise ValueError(f"center and scale must be finite, got center={center}, scale={scale}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    center = _scalar(center, "center")
+    scale = _scalar(scale, "scale", positive=True)
     t, w = rule
     return center + scale * t, scale * (w * np.exp(t * t))
 
@@ -164,8 +169,7 @@ def tensor_grid(dim: int, order: int | None = None, center=0.0, scale=1.0) -> Qu
     values raise TypeError); each axis is :func:`place_hermite` of the same
     order-point rule.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    dim = _integer(dim, "dim", 1)
     if order is None:
         order = default_order(dim)
     center, scale = (np.broadcast_to(_real(p, label), (dim,))
@@ -189,10 +193,8 @@ def gaussian_mean_axes(center, alpha: float, order: int | None = None):
     one (nodes, weights) pair per axis; their tensor product is
     :func:`gaussian_mean_rule`.
     """
-    center = _real(center, "center")
-    if not (np.all(np.isfinite(center)) and math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"center must be finite and alpha finite and positive, "
-                         f"got center={center}, alpha={alpha}")
+    center = _rpoint(center, np.size(center), "center")
+    alpha = _scalar(alpha, "alpha", positive=True)
     if order is None:
         order = default_order(len(center))
     t, w = gauss_hermite_1d(order)
@@ -229,8 +231,7 @@ def fourier_1d_gaussian_type(evaluator: Callable, xi: float, order: int = 64):
     oscillation is carried by the rule itself; at order 64 the error stays
     below ~1e-10 for |xi| <= 10; a non-finite xi is refused.
     """
-    if not math.isfinite(xi):
-        raise ValueError(f"frequency must be finite, got {xi}")
+    xi = _scalar(xi, "frequency")
     u, weights = place_hermite(gauss_hermite_1d(order), 0.0, math.sqrt(2.0))
     vals = _evaluate(evaluator, u)
     phase = np.exp(-1j * u * xi)
@@ -245,13 +246,12 @@ def legendre_panels(breakpoints: Sequence[float], order: int) -> tuple[np.ndarra
     must be finite and strictly increasing.  Returns Lebesgue nodes and
     weights.
     """
-    pts = np.asarray(breakpoints, dtype=float)
+    pts = _real(breakpoints, "breakpoints")
     if pts.ndim != 1 or len(pts) < 2 or np.any(np.diff(pts) <= 0):
         raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"breakpoints must be finite, got {pts}")
-    _check_order(order)
-    x, w = roots_legendre(order)
+    x, w = roots_legendre(_check_order(order))
     nodes, weights = [], []
     for lo, hi in zip(pts[:-1], pts[1:]):
         pieces = max(1, math.ceil((hi - lo) / MAX_PANEL_WIDTH))

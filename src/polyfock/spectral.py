@@ -25,8 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_H, _frequency, _rpoint
-from .multiindex import IndexTable, _multi_index, build_index_table, index_products
+from .kernels import KernelSpec, kernel_H, _frequency, _rpoint, _scalar
+from .multiindex import IndexTable, _integer, _multi_index, build_index_table, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import FIBER_ORDER, _evaluate, check_rule_budget, default_order, tensor_grid
 from .transforms import FieldFunction, FLAT, FOCK, _require
@@ -253,9 +253,6 @@ def R_F_apply(
 
 def default_xi_grid(count: int = 64, lo: float = -8.0, hi: float = 8.0) -> np.ndarray:
     """Uniform frequency grid used when a sweep does not specify one."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"grid ends must be finite, got {lo}:{hi}")
-    return np.linspace(lo, hi, count)
+    count = _integer(count, "count", 1)
+    return np.linspace(_scalar(lo, "grid end"), _scalar(hi, "grid end"), count)
 

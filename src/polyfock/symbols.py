@@ -31,13 +31,14 @@ itself, so it stays an independent check of that factorization.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _frequency, _real, _rpoint
+from .kernels import _frequency, _real, _rpoint, _scalar
 from .multiindex import IndexTable, _is_integer, _multi_index, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
@@ -54,7 +55,6 @@ from .quadrature import (
 T_CUT = 9.0
 
 KINDS = (
-    "constant",
     "polynomial",
     "gaussian-modulated-polynomial",
     "sign-of-coordinate",
@@ -68,7 +68,8 @@ class VerticalSymbol:
 
     Build through the constructors (:func:`constant`, :func:`polynomial`,
     :func:`gaussian_poly`, :func:`sign`, :func:`box`); ``terms`` holds
-    (coefficient, exponent-tuple) pairs for the polynomial kinds.
+    (coefficient, exponent-tuple) pairs for the polynomial kinds.  A
+    constant is a degree-0 polynomial.
     """
 
     n: int
@@ -90,7 +91,6 @@ class VerticalSymbol:
         if not 0 <= self.axis < self.n:
             raise ValueError(f"axis {self.axis} outside 0..{self.n - 1}")
         if self.kind == "gaussian-modulated-polynomial":
-            h = self.gauss_halfwidth
             center = self.gauss_center
             if len(center) == self.n:  # parsed only at full length: one number must not broadcast
                 center = _per_axis(center, self.n, "gauss_center")
@@ -98,8 +98,8 @@ class VerticalSymbol:
                 raise ValueError(f"gauss_center must be {self.n} finite numbers, "
                                  f"got {self.gauss_center}")
             object.__setattr__(self, "gauss_center", center)
-            if not (math.isfinite(h) and h > 0):
-                raise ValueError(f"halfwidth must be finite and positive, got {h}")
+            object.__setattr__(self, "gauss_halfwidth",
+                               _scalar(self.gauss_halfwidth, "halfwidth", positive=True))
         if self.kind == "box-indicator":
             lo, hi = self.lo, self.hi
             if len(lo) != self.n or len(hi) != self.n or np.any(np.isnan(lo + hi)):
@@ -111,8 +111,6 @@ class VerticalSymbol:
 
     def __call__(self, v) -> np.ndarray:
         v = _rpoint(v, self.n)
-        if self.kind == "constant":
-            return np.full(v.shape[:-1], self.terms[0][0])
         if self.kind == "polynomial":
             return self._poly(v)
         if self.kind == "gaussian-modulated-polynomial":
@@ -132,9 +130,7 @@ class VerticalSymbol:
                 if e:
                     term = term * v[..., r] ** e
             total = total + term
-        if np.all(np.isreal([c for c, _ in self.terms])):
-            return total.real
-        return total
+        return total.real if self.is_real else total
 
     # -- structure queries used by the quadrature assembly ------------------
 
@@ -155,13 +151,11 @@ class VerticalSymbol:
     def sup_bound(self) -> float | None:
         """Supremum of |g| when available; None for unbounded kinds.
 
-        Exact for constant/sign/box.  The Gaussian-modulated kind is bounded
-        but has no closed-form sup, so a dense scan over the envelope's
-        effective support is used (adequate for test comparisons, not a
-        certified bound).
+        Exact for sign, box and constants (degree-0 polynomials).  The
+        Gaussian-modulated kind is bounded but has no closed-form sup, so a
+        dense scan over the envelope's effective support is used (adequate
+        for test comparisons, not a certified bound).
         """
-        if self.kind == "constant":
-            return abs(self.terms[0][0])
         if self.kind in ("sign-of-coordinate", "box-indicator"):
             return 1.0
         if self.kind == "polynomial":
@@ -176,13 +170,12 @@ class VerticalSymbol:
     def conjugate(self) -> "VerticalSymbol":
         if self.kind in ("sign-of-coordinate", "box-indicator"):
             return self
-        terms = tuple((complex(c).conjugate(), e) for c, e in self.terms)
-        return VerticalSymbol(self.n, self.kind, terms, self.gauss_center,
-                              self.gauss_halfwidth, self.axis, self.lo, self.hi)
+        return replace(self, terms=tuple((complex(c).conjugate(), e) for c, e in self.terms))
 
 
 def constant(c, n: int = 1) -> VerticalSymbol:
-    return VerticalSymbol(n, "constant", ((complex(c), (0,) * n),))
+    """The constant symbol c, built as a degree-0 polynomial."""
+    return polynomial([(c, (0,) * n)], n)
 
 
 def polynomial(terms, n: int = 1) -> VerticalSymbol:
@@ -195,7 +188,7 @@ def polynomial(terms, n: int = 1) -> VerticalSymbol:
 def gaussian_poly(terms, center=0.0, halfwidth: float = 1.0, n: int = 1) -> VerticalSymbol:
     """Polynomial times exp(-|v - center|^2 / (2 halfwidth^2))."""
     return VerticalSymbol(n, "gaussian-modulated-polynomial", _normalize_terms(terms, n),
-                          _per_axis(center, n, "center"), float(halfwidth))
+                          _per_axis(center, n, "center"), halfwidth)
 
 
 def sign(axis: int = 0, n: int = 1) -> VerticalSymbol:
@@ -219,6 +212,8 @@ def _normalize_terms(terms, n: int):
             raise ValueError("flat coefficient lists are only defined for n = 1")
         seq = [(c, (e,)) for e, c in enumerate(seq)]
     out = [(complex(coeff), _multi_index(exps, n)) for coeff, exps in seq]
+    if not all(cmath.isfinite(c) for c, _ in out):
+        raise ValueError(f"coefficients must be finite, got {[c for c, _ in out]}")
     if not out:
         out = [(0j, (0,) * n)]
     return tuple(out)
@@ -268,7 +263,7 @@ def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
         return [(coeff, [lambda v, e=e, c=c: v ** e * np.exp(-(v - c) ** 2 / h2)
                          for e, c in zip(exps, g.gauss_center)])
                 for coeff, exps in g.terms]
-    # constant and polynomial: one monomial per term (v^0 = 1)
+    # polynomial (constants included): one monomial per term (v^0 = 1)
     return [(coeff, [lambda v, e=e: v ** e for e in exps]) for coeff, exps in g.terms]
 
 

@@ -216,6 +216,19 @@ def test_usage_errors_exit_2(tmp_path):
               "--points", str(path)])
     assert err.value.code == 2
 
+    # a points file with an object entry is refused by a TypeError
+    path.write_text(json.dumps({"z": [[{"re": 1}]], "w": [[[0.1, 0.2]]]}))
+    with pytest.raises(SystemExit) as err:
+        main(["kernel", "eval", "--space", "F", "--n", "1", "--m", "1",
+              "--points", str(path)])
+    assert err.value.code == 2
+
+    # a non-finite symbol coefficient would write NaN tokens, which are not JSON
+    with pytest.raises(SystemExit) as err:
+        main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "const:nan",
+              "--xi-grid", "0:1:2"])
+    assert err.value.code == 2
+
 
 def test_verify_command_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"

@@ -3,8 +3,12 @@
 Real points go through ``kernels._rpoint`` (complex values raise TypeError,
 non-finite ones ValueError), index tables are built from (n, m) alone, and
 alpha is checked by ``KernelSpec`` and, on the exact routes, by
-``basis_oracle._exact_alpha``.  Every row must raise its exception, with
-its message, before anything large is allocated.
+``basis_oracle._exact_alpha``.  Integer scalars (orders, degrees, counts,
+truncations) go through ``multiindex._integer`` and real scalars (alpha,
+centers, scales, halfwidths, lone frequencies, grid ends) through
+``kernels._scalar``: bools, floats where an integer is due and complex
+values raise TypeError.  Every row must raise its exception, with its
+message, before anything large is allocated.
 """
 
 import math
@@ -19,10 +23,27 @@ import polyfock.basis_oracle as basis_oracle
 from polyfock.basis_oracle import build_orthonormal_basis, gaussian_monomial_inner, kernel_via_basis
 from polyfock.kernels import KernelSpec, kernel_F, kernel_G, kernel_H, kernel_H_products
 from polyfock.multiindex import IndexTable, build_index_table
-from polyfock.quadrature import gaussian_mean_rule, tensor_grid
-from polyfock.spectral import L_closed, R_F_kernel_image, q_matrix
-from polyfock.symbols import VerticalSymbol, box, gamma_toeplitz, gaussian_poly, sign, weyl_symbol
+from polyfock.orthopoly import hermite_fn_table, laguerre_eval_all, laguerre_poly
+from polyfock.quadrature import (
+    fourier_1d_gaussian_type,
+    gauss_hermite_1d,
+    gaussian_mean_rule,
+    legendre_panels,
+    tensor_grid,
+)
+from polyfock.spectral import L_closed, R_F_kernel_image, default_xi_grid, q_matrix
+from polyfock.symbols import (
+    VerticalSymbol,
+    box,
+    constant,
+    gamma_toeplitz,
+    gaussian_poly,
+    polynomial,
+    sign,
+    weyl_symbol,
+)
 from polyfock.transforms import check_intertwining, flat_function, flat_norm, fock_function
+from polyfock.verify import SuiteConfig, run_suite
 
 SPEC = KernelSpec(2, 3)
 TABLE = build_index_table(2, 3)
@@ -78,6 +99,39 @@ ROWS.update({
         TypeError, "gauss_center must be real"),
 })
 
+# name -> (call taking one bad integer, the label its message starts with, bad values)
+INTEGERS = {
+    "gauss_hermite_1d": (gauss_hermite_1d, "order", (True, 2.5)),
+    "legendre_panels": (lambda k: legendre_panels([0.0, 1.0], k), "order", (True, 2.5)),
+    "gamma_toeplitz": (lambda k: gamma_toeplitz(TABLE, sign(n=2), XI, order=k), "order", (True, 2.5)),
+    "hermite_fn_table": (lambda k: hermite_fn_table(k, 0.3), "degree", (True,)),
+    "laguerre_eval_all": (lambda k: laguerre_eval_all(k, 0.0, 0.3), "degree", (True,)),
+    "laguerre_poly": (laguerre_poly, "degree", (True,)),
+    "kernel_via_basis": (lambda k: kernel_via_basis(1.0, 1, 2, k, [0.1j], [0.2]), "p_max", (True, 2.5)),
+    "build_orthonormal_basis": (lambda k: build_orthonormal_basis(1, 1, 2, k), "p_max", (True, 2.5)),
+    "tensor_grid": (lambda k: tensor_grid(k, 4), "dim", (True,)),
+    "default_xi_grid": (default_xi_grid, "count", (True,)),
+}
+for name, (call, label, bads) in INTEGERS.items():
+    for bad in bads:
+        ROWS[f"{name}-{label}={bad!r}"] = (lambda call=call, bad=bad: call(bad),
+                                           TypeError, f"{label} must be an integer")
+
+ROWS.update({
+    "VerticalSymbol-halfwidth=True": (
+        lambda: VerticalSymbol(1, "gaussian-modulated-polynomial", ((1, (0,)),), (0.0,), True),
+        TypeError, "halfwidth must be a real number"),
+    "gaussian_poly-halfwidth=1j": (lambda: gaussian_poly([1.0], halfwidth=1j),
+                                   TypeError, "halfwidth must be a real number"),
+    "fourier_1d_gaussian_type-xi=1j": (lambda: fourier_1d_gaussian_type(np.exp, 1j),
+                                       TypeError, "frequency must be a real number"),
+    "default_xi_grid-end=1j": (lambda: default_xi_grid(8, 1j, 2.0),
+                               TypeError, "grid end must be a real number"),
+    "constant-nan": (lambda: constant(math.nan), ValueError, "coefficients must be finite"),
+    "polynomial-inf": (lambda: polynomial([math.inf, 1.0]), ValueError, "coefficients must be finite"),
+    "gaussian_poly-nan": (lambda: gaussian_poly([math.nan]), ValueError, "coefficients must be finite"),
+})
+
 POSITIVE = "alpha must be finite and positive"
 REAL = "alpha must be a real number"
 RATIONAL = "exact arithmetic needs a rational alpha"
@@ -96,6 +150,9 @@ ALPHA_ROWS = {
     "kernel_via_basis": (lambda a: kernel_via_basis(a, 1, 2, 4, [0.1j], [0.2]),
                          [(-1.0, ValueError, POSITIVE), (0.0, ValueError, POSITIVE),
                           (math.nan, ValueError, POSITIVE), (True, TypeError, REAL)]),
+    "gaussian_mean_rule": (lambda a: gaussian_mean_rule([0.0, 0.0], a, 4),
+                           [(math.nan, ValueError, POSITIVE), (0.0, ValueError, POSITIVE),
+                            (True, TypeError, REAL), (1 + 0j, TypeError, REAL)]),
 }
 for name, (call, cases) in ALPHA_ROWS.items():
     for alpha, error, message in cases:
@@ -117,3 +174,11 @@ def test_out_of_domain_input_is_refused_up_front(call, error, message, monkeypat
         tracemalloc.stop()
     assert peak < 1 << 20
 
+
+def test_numpy_integers_are_integers():
+    default = gamma_toeplitz(TABLE, sign(n=2), XI)
+    assert np.array_equal(gamma_toeplitz(TABLE, sign(n=2), XI, order=np.int64(48)).entries,
+                          default.entries)
+    cases = [run_suite("fourier-laguerre", SuiteConfig(order=order, p_max=1)).cases
+             for order in (64, np.int64(64))]
+    assert [(c.id, c.max_error) for c in cases[0]] == [(c.id, c.max_error) for c in cases[1]]

@@ -446,9 +446,12 @@ def test_symbol_kind_validation():
     with pytest.raises(ValueError):
         VerticalSymbol(1, "wavelet")
     with pytest.raises(ValueError):
-        VerticalSymbol(0, "constant")
+        VerticalSymbol(0, "polynomial")
     with pytest.raises(TypeError):
-        VerticalSymbol(1.5, "constant", ((1.0, (0,)),))
+        VerticalSymbol(1.5, "polynomial", ((1.0, (0,)),))
+    # a constant is a degree-0 polynomial, not a kind of its own
+    with pytest.raises(ValueError, match="^unknown symbol kind 'constant'"):
+        VerticalSymbol(1, "constant", ((1.0, (0,)),))
     with pytest.raises(TypeError):
         constant(1, n=True)
     with pytest.raises(TypeError):
