@@ -68,7 +68,7 @@ def _parse_symbol(text: str, n: int) -> VerticalSymbol:
         bounds = _parse_floats(rest)
         if len(bounds) != 2:
             raise ValueError("box symbol needs lo,hi")
-        return symbols.box([bounds[0]] * n, [bounds[1]] * n, n=n)
+        return symbols.box(bounds[0], bounds[1], n=n)
     if kind == "gausspoly":
         pieces = rest.split(";")
         if len(pieces) != 3:

@@ -78,10 +78,6 @@ class FiberVector:
     xi: np.ndarray
     components: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return len(self.components)
-
 
 def fiber_project(
     table: IndexTable,

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import _frequency, _real, _rpoint, _scalar
-from .multiindex import IndexTable, _is_integer, _multi_index, index_products
+from .multiindex import IndexTable, _integer, _multi_index, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
     FIBER_ORDER,
@@ -66,10 +67,11 @@ KINDS = (
 class VerticalSymbol:
     """Multiplier g(v) on R^n from the closed family the calculus supports.
 
-    Build through the constructors (:func:`constant`, :func:`polynomial`,
-    :func:`gaussian_poly`, :func:`sign`, :func:`box`); ``terms`` holds
-    (coefficient, exponent-tuple) pairs for the polynomial kinds.  A
-    constant is a degree-0 polynomial.
+    The constructors (:func:`constant`, :func:`polynomial`,
+    :func:`gaussian_poly`, :func:`sign`, :func:`box`) only name the kind;
+    the fields are parsed here.  ``terms`` holds (coefficient,
+    exponent-tuple) pairs for the polynomial kinds.  A constant is a
+    degree-0 polynomial.
     """
 
     n: int
@@ -82,30 +84,25 @@ class VerticalSymbol:
     hi: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # every field is parsed here, idempotently: ``replace`` runs this again
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}; expected one of {KINDS}")
-        if not (_is_integer(self.n) and _is_integer(self.axis)):
-            raise TypeError(f"n and axis must be integers, got n={self.n!r}, axis={self.axis!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not 0 <= self.axis < self.n:
-            raise ValueError(f"axis {self.axis} outside 0..{self.n - 1}")
+        n = _integer(self.n, "n", low=1)
+        parsed = {"n": n, "axis": _integer(self.axis, "axis")}
+        if parsed["axis"] >= n:
+            raise ValueError(f"axis {self.axis} outside 0..{n - 1}")
+        if self.kind in ("polynomial", "gaussian-modulated-polynomial"):
+            parsed["terms"] = _normalize_terms(self.terms, n)
         if self.kind == "gaussian-modulated-polynomial":
-            center = self.gauss_center
-            if len(center) == self.n:  # parsed only at full length: one number must not broadcast
-                center = _per_axis(center, self.n, "gauss_center")
-            if len(center) != self.n or not np.all(np.isfinite(center)):
-                raise ValueError(f"gauss_center must be {self.n} finite numbers, "
-                                 f"got {self.gauss_center}")
-            object.__setattr__(self, "gauss_center", center)
-            object.__setattr__(self, "gauss_halfwidth",
-                               _scalar(self.gauss_halfwidth, "halfwidth", positive=True))
+            parsed["gauss_center"] = _per_axis(self.gauss_center, n, "gauss_center", finite=True)
+            parsed["gauss_halfwidth"] = _scalar(self.gauss_halfwidth, "halfwidth", positive=True)
         if self.kind == "box-indicator":
-            lo, hi = self.lo, self.hi
-            if len(lo) != self.n or len(hi) != self.n or np.any(np.isnan(lo + hi)):
-                raise ValueError(f"box needs {self.n} non-NaN bounds per side, got lo={lo}, hi={hi}")
-            if any(a >= b for a, b in zip(lo, hi)):
-                raise ValueError(f"box must have lo < hi on every axis, got lo={lo}, hi={hi}")
+            parsed["lo"], parsed["hi"] = (_per_axis(x, n, "box bound") for x in (self.lo, self.hi))
+            if any(a >= b for a, b in zip(parsed["lo"], parsed["hi"])):
+                raise ValueError(f"box must have lo < hi on every axis, "
+                                 f"got lo={self.lo}, hi={self.hi}")
+        for name, value in parsed.items():
+            object.__setattr__(self, name, value)
 
     # -- evaluation --------------------------------------------------------
 
@@ -149,12 +146,11 @@ class VerticalSymbol:
         return all(complex(c).imag == 0 for c, _ in self.terms)
 
     def sup_bound(self) -> float | None:
-        """Supremum of |g| when available; None for unbounded kinds.
+        """An upper bound on sup |g|; None for unbounded kinds.
 
-        Exact for sign, box and constants (degree-0 polynomials).  The
-        Gaussian-modulated kind is bounded but has no closed-form sup, so a
-        dense scan over the envelope's effective support is used (adequate
-        for test comparisons, not a certified bound).
+        Exact for sign, box, constants and one-term Gaussian symbols.  A
+        Gaussian term is bounded by |c_k| prod_r max_v |v|^e e^{-(v - c_r)^2/(2h^2)},
+        each maximum at a root of v^2 - c_r v - e h^2; several terms add up.
         """
         if self.kind in ("sign-of-coordinate", "box-indicator"):
             return 1.0
@@ -162,10 +158,18 @@ class VerticalSymbol:
             if all(sum(e) == 0 for _, e in self.terms):
                 return abs(sum(c for c, _ in self.terms))
             return None
-        h = self.gauss_halfwidth
-        axes = [np.linspace(ci - 10 * h, ci + 10 * h, 201) for ci in self.gauss_center]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return float(np.max(np.abs(self(mesh))))
+        h2 = self.gauss_halfwidth ** 2
+
+        def peak(e: int, c: float) -> float:
+            if e == 0:
+                return 1.0
+            root = math.sqrt(c * c + 4 * e * h2)  # > |c|, so neither root is 0
+            # in logs: |v|^e alone overflows long before the peak does
+            return math.exp(max(e * math.log(abs(v)) - (v - c) ** 2 / (2 * h2)
+                                for v in ((c - root) / 2, (c + root) / 2)))
+
+        return sum(abs(coeff) * math.prod(peak(e, c) for e, c in zip(exps, self.gauss_center))
+                   for coeff, exps in self.terms)
 
     def conjugate(self) -> "VerticalSymbol":
         if self.kind in ("sign-of-coordinate", "box-indicator"):
@@ -175,20 +179,18 @@ class VerticalSymbol:
 
 def constant(c, n: int = 1) -> VerticalSymbol:
     """The constant symbol c, built as a degree-0 polynomial."""
-    return polynomial([(c, (0,) * n)], n)
+    return VerticalSymbol(n, "polynomial", ((c, (0,) * n),))
 
 
 def polynomial(terms, n: int = 1) -> VerticalSymbol:
     """Polynomial symbol; ``terms`` is [(coeff, exponents)] or, for n=1, a
     flat coefficient list in ascending degree."""
-    norm = _normalize_terms(terms, n)
-    return VerticalSymbol(n, "polynomial", norm)
+    return VerticalSymbol(n, "polynomial", terms)
 
 
 def gaussian_poly(terms, center=0.0, halfwidth: float = 1.0, n: int = 1) -> VerticalSymbol:
     """Polynomial times exp(-|v - center|^2 / (2 halfwidth^2))."""
-    return VerticalSymbol(n, "gaussian-modulated-polynomial", _normalize_terms(terms, n),
-                          _per_axis(center, n, "center"), halfwidth)
+    return VerticalSymbol(n, "gaussian-modulated-polynomial", terms, center, halfwidth)
 
 
 def sign(axis: int = 0, n: int = 1) -> VerticalSymbol:
@@ -196,27 +198,34 @@ def sign(axis: int = 0, n: int = 1) -> VerticalSymbol:
 
 
 def box(lo, hi, n: int = 1) -> VerticalSymbol:
-    return VerticalSymbol(n, "box-indicator", lo=_per_axis(lo, n, "box bound"),
-                          hi=_per_axis(hi, n, "box bound"))
+    return VerticalSymbol(n, "box-indicator", lo=lo, hi=hi)
 
 
-def _per_axis(x, n: int, label: str) -> tuple[float, ...]:
-    """x (one number or n numbers) as n floats; complex values raise TypeError."""
-    return tuple(np.broadcast_to(_real(x, label), (n,)).tolist())
+def _per_axis(x, n: int, label: str, finite: bool = False) -> tuple[float, ...]:
+    """x (one number or exactly n numbers) as n floats; complex values raise
+    TypeError, another shape or a NaN (any non-finite value if ``finite``) ValueError."""
+    x = _real(x, label)
+    ok = np.isfinite(x) if finite else ~np.isnan(x)
+    if x.shape not in ((), (n,)) or not ok.all():
+        raise ValueError(f"{label} must be {n} {'finite' if finite else 'non-NaN'} numbers "
+                         f"or one, got {x}")
+    return tuple(np.broadcast_to(x, (n,)).tolist())
 
 
 def _normalize_terms(terms, n: int):
+    """(complex coefficient, exponents) pairs, () as the zero symbol; a coefficient
+    that is no number (a bool, a string) raises TypeError, a non-finite one ValueError."""
     seq = list(terms)
     if seq and np.isscalar(seq[0]):
         if n != 1:
             raise ValueError("flat coefficient lists are only defined for n = 1")
         seq = [(c, (e,)) for e, c in enumerate(seq)]
-    out = [(complex(coeff), _multi_index(exps, n)) for coeff, exps in seq]
-    if not all(cmath.isfinite(c) for c, _ in out):
-        raise ValueError(f"coefficients must be finite, got {[c for c, _ in out]}")
-    if not out:
-        out = [(0j, (0,) * n)]
-    return tuple(out)
+    coeffs = [c for c, _ in seq]
+    if any(isinstance(c, bool) or not isinstance(c, numbers.Number) for c in coeffs):
+        raise TypeError(f"coefficients must be numbers, got {coeffs}")
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise ValueError(f"coefficients must be finite, got {coeffs}")
+    return tuple((complex(c), _multi_index(e, n)) for c, e in seq) or ((0j, (0,) * n),)
 
 
 @dataclass(frozen=True)
@@ -225,10 +234,6 @@ class SymbolMatrix:
 
     xi: np.ndarray
     entries: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
 
 
 def _build_v_rule(xi_r: float, breakpoints: Sequence[float], order: int):
@@ -378,6 +383,6 @@ def symbol_compose(a: SymbolMatrix, b: SymbolMatrix) -> SymbolMatrix:
     """Pointwise (same xi) matrix product; operator composition on the fiber."""
     if a.entries.shape != b.entries.shape:
         raise ValueError(f"size mismatch {a.entries.shape} vs {b.entries.shape}")
-    if not np.allclose(a.xi, b.xi, rtol=0, atol=1e-12):
+    if a.xi.shape != b.xi.shape or not np.allclose(a.xi, b.xi, rtol=0, atol=1e-12):
         raise ValueError(f"frequency mismatch {a.xi} vs {b.xi}")
     return SymbolMatrix(xi=a.xi, entries=a.entries @ b.entries)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .basis_oracle import kernel_via_basis
 from .kernels import KernelSpec, kernel_F, kernel_F_products
-from .multiindex import _is_integer, build_index_table
+from .multiindex import _integer, build_index_table
 from .orthopoly import (
     check_laguerre_decomposition,
     check_laguerre_of_sum,
@@ -123,28 +123,23 @@ _Jobs = list[tuple[str, Callable[[], float]]]
 
 
 def _resolve(suite: str, config: SuiteConfig) -> dict:
-    for key in ("n_max", "m_max", "p_max", "order"):
-        given = getattr(config, key)
-        if given is not None and not _is_integer(given):
-            raise TypeError(f"{suite}: {key} must be an integer, got {given!r}")
-    if not _is_integer(config.seed):
-        raise TypeError(f"{suite}: seed must be an integer, got {config.seed!r}")
+    given = {key: _integer(getattr(config, key), f"{suite}: {key}", low)
+             for key, low in (("n_max", 1), ("m_max", 1), ("p_max", 0), ("order", 1))
+             if getattr(config, key) is not None}
+    seed = _integer(config.seed, f"{suite}: seed")
     try:
         KernelSpec(1, 1, config.alpha)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{suite}: {exc}") from None
     params = {}
     for key, (default, cap) in _SUITE_TABLE[suite][1].items():
-        given = getattr(config, key)
-        params[key] = default if given is None else given
-        if params[key] < (0 if key == "p_max" else 1):
-            raise ValueError(f"{suite}: {key} = {params[key]} is below the minimum")
+        params[key] = given.get(key, default)
         if params[key] > cap:
             raise ValueError(f"{suite}: {key} = {params[key]} exceeds supported limit {cap}")
     params["alpha"] = config.alpha
-    params["seed"] = config.seed
-    if config.order is not None:
-        params["order"] = config.order
+    params["seed"] = seed
+    if "order" in given:
+        params["order"] = given["order"]
     return params
 
 
@@ -460,7 +455,7 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationRepor
             passed=all(r.passed for r in reports),
             cases=(),
             elapsed_seconds=round(time.perf_counter() - t0, 3),
-            params={"seed": config.seed, "alpha": config.alpha},
+            params={"seed": reports[0].params["seed"], "alpha": config.alpha},
             suites=reports,
         )
     if name not in _SUITE_TABLE:

@@ -7,8 +7,9 @@ alpha is checked by ``KernelSpec`` and, on the exact routes, by
 truncations) go through ``multiindex._integer`` and real scalars (alpha,
 centers, scales, halfwidths, lone frequencies, grid ends) through
 ``kernels._scalar``: bools, floats where an integer is due and complex
-values raise TypeError.  Every row must raise its exception, with its
-message, before anything large is allocated.
+values raise TypeError.  ``VerticalSymbol`` parses its own fields, so its
+direct constructor refuses what the named ones do.  Every row must raise
+its exception, with its message, before anything large is allocated.
 """
 
 import math
@@ -72,9 +73,9 @@ REAL_POINTS = {
     "flat_norm": (lambda p: flat_norm(1, GAUSSIAN, center=p, order=400),
                   "center must be real", "center must be finite"),
     "gaussian_poly": (lambda p: gaussian_poly([(1.0, (0, 0))], center=p, n=2),
-                      "center must be real", "gauss_center must be 2 finite numbers"),
+                      "gauss_center must be real", "gauss_center must be 2 finite numbers"),
     "box": (lambda p: box(p, [2.0, 2.0], n=2),
-            "box bound must be real", "box needs 2 non-NaN bounds"),
+            "box bound must be real", "box bound must be 2 non-NaN numbers"),
 }
 
 ROWS = {}
@@ -130,6 +131,34 @@ ROWS.update({
     "constant-nan": (lambda: constant(math.nan), ValueError, "coefficients must be finite"),
     "polynomial-inf": (lambda: polynomial([math.inf, 1.0]), ValueError, "coefficients must be finite"),
     "gaussian_poly-nan": (lambda: gaussian_poly([math.nan]), ValueError, "coefficients must be finite"),
+})
+
+# VerticalSymbol parses its own fields, so the direct constructor refuses
+# what the named constructors refuse
+POLY = "polynomial"
+ROWS.update({
+    "VerticalSymbol-nan-coefficient": (lambda: VerticalSymbol(1, POLY, ((math.nan, (0,)),)),
+                                       ValueError, "coefficients must be finite"),
+    "VerticalSymbol-exponent=0.5": (lambda: VerticalSymbol(1, POLY, ((1.0, (0.5,)),)),
+                                    TypeError, "multi-index entries must be integers"),
+    "VerticalSymbol-exponent=True": (lambda: VerticalSymbol(1, POLY, ((1.0, (True,)),)),
+                                     TypeError, "multi-index entries must be integers"),
+    "VerticalSymbol-exponent-length": (lambda: VerticalSymbol(1, POLY, ((1.0, (0, 2)),)),
+                                       ValueError, "expected a multi-index of 1 integers"),
+    "VerticalSymbol-coefficient=True": (lambda: VerticalSymbol(1, POLY, ((True, (0,)),)),
+                                        TypeError, "coefficients must be numbers"),
+    "VerticalSymbol-coefficient='1'": (lambda: VerticalSymbol(1, POLY, (("1", (0,)),)),
+                                       TypeError, "coefficients must be numbers"),
+    "polynomial-flat-coefficient=True": (lambda: polynomial([1.0, True]),
+                                         TypeError, "coefficients must be numbers"),
+    "VerticalSymbol-one-center-at-n=2": (
+        lambda: VerticalSymbol(2, "gaussian-modulated-polynomial", ((1.0, (0, 0)),), (0.0,), 1.0),
+        ValueError, "gauss_center must be 2 finite numbers"),
+    "VerticalSymbol-one-bound-at-n=2": (
+        lambda: VerticalSymbol(2, "box-indicator", lo=(-1.0,), hi=(1.0,)),
+        ValueError, "box bound must be 2 non-NaN numbers"),
+    "box-one-bound-at-n=2": (lambda: box([-1.0], [1.0], n=2),
+                             ValueError, "box bound must be 2 non-NaN numbers"),
 })
 
 POSITIVE = "alpha must be finite and positive"

@@ -1,10 +1,12 @@
 """Tests for the vertical-operator matrix symbol calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from polyfock.kernels import KernelSpec
 from polyfock.multiindex import build_index_table
@@ -405,6 +407,13 @@ def test_compose_identity_and_mismatch_errors():
     bigger = gamma_toeplitz(build_index_table(1, 3), g, [0.3])
     with pytest.raises(ValueError):
         symbol_compose(mat, bigger)
+    # d = 3 at both (n, m) = (1, 3) and (2, 2): equal sizes, but xi of
+    # different lengths must not broadcast into a match
+    one = gamma_toeplitz(build_index_table(1, 3), g, [0.5])
+    two = gamma_toeplitz(build_index_table(2, 2), sign(0, n=2), [0.5, 0.5])
+    assert one.entries.shape == two.entries.shape
+    with pytest.raises(ValueError, match="^frequency mismatch"):
+        symbol_compose(one, two)
 
 
 def test_adjoint_matches_conjugate_symbol():
@@ -515,12 +524,79 @@ def test_sup_bound_per_kind():
     assert box(0.0, 1.0).sup_bound() == 1.0
     assert polynomial([2.5]).sup_bound() == 2.5
     # pure Gaussian peaks at its center
-    assert_allclose(gaussian_poly([1.0], center=0.7).sup_bound(), 1.0, rtol=1e-3)
+    assert gaussian_poly([1.0], center=0.7).sup_bound() == 1.0
+    # v^300 e^{-v^2/2} peaks at v = sqrt(300), where v^300 alone is past 1e308
+    assert_allclose(gaussian_poly([(1.0, (300,))]).sup_bound(),
+                    math.exp(150 * math.log(300) - 150), rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gaussian_sup_bound_dominates_a_dense_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 2
+    terms = [(complex(*rng.uniform(-1, 1, 2)), tuple(rng.integers(0, 4, n)))
+             for _ in range(3)]
+    g = gaussian_poly(terms, center=rng.uniform(-1, 1, n), halfwidth=rng.uniform(0.5, 1.5), n=n)
+    axes = [np.linspace(c - 12, c + 12, 2001 if n == 1 else 401) for c in g.gauss_center]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert g.sup_bound() >= np.max(np.abs(g(mesh))) * (1 - 1e-12)
+    # one term: the bound is the supremum itself, found by polishing the scan's best point
+    single = gaussian_poly(terms[:1], center=g.gauss_center, halfwidth=g.gauss_halfwidth, n=n)
+    values = np.abs(single(mesh))
+    start = mesh[np.unravel_index(np.argmax(values), values.shape)]
+    polished = minimize(lambda v: -abs(single(v)), start, method="Nelder-Mead",
+                        options=dict(xatol=1e-10, fatol=1e-14))
+    assert_allclose(single.sup_bound(), -polished.fun, rtol=1e-9)
+
+
+def test_gaussian_sup_bound_needs_no_mesh():
+    g = gaussian_poly([(1.0, (0, 0, 0, 0)), (0.5, (2, 1, 0, 3))],
+                      center=[0.1, -0.4, 0.7, 0.0], halfwidth=1.3, n=4)
+    tracemalloc.start()
+    try:
+        bound = g.sup_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert bound > 1.0
+
+
+RAW = {
+    "constant": (lambda: constant(2.5, n=2),
+                 lambda: VerticalSymbol(2, "polynomial", ((2.5, (0, 0)),))),
+    "polynomial": (lambda: polynomial([0, 1.5, np.float64(2.0)]),
+                   lambda: VerticalSymbol(1, "polynomial", [0, 1.5, np.float64(2.0)])),
+    "gaussian_poly": (lambda: gaussian_poly([(1.0, [2, 0])], [0.3, -0.1], 1.2, n=2),
+                      lambda: VerticalSymbol(2, "gaussian-modulated-polynomial",
+                                             [(1.0, [2, 0])], [0.3, -0.1], 1.2)),
+    "sign": (lambda: sign(np.int64(1), n=2), lambda: VerticalSymbol(2, "sign-of-coordinate",
+                                                                    axis=np.int64(1))),
+    "box": (lambda: box(-1.0, [0.5, 2.0], n=2),
+            lambda: VerticalSymbol(2, "box-indicator", lo=-1.0, hi=[0.5, 2.0])),
+}
+
+
+@pytest.mark.parametrize("named, direct", RAW.values(), ids=RAW)
+def test_constructors_only_name_the_kind(named, direct):
+    g = named()
+    assert g == direct()
+    # list-valued raw fields are parsed into tuples, so every symbol hashes
+    assert hash(g) == hash(direct())
+    assert type(g.n) is int and type(g.axis) is int
+    # parsing is idempotent: replace() runs __post_init__ again
+    assert g.conjugate() == g
+
+
+def test_empty_terms_are_the_zero_symbol():
+    table = build_index_table(2, 2)
+    g = VerticalSymbol(2, "polynomial", ())
+    assert g == constant(0, n=2)
+    assert not np.any(gamma_toeplitz(table, g, [0.3, -0.2]).entries)
 
 
 def test_symbol_matrix_shape_and_dimension():
     table = build_index_table(2, 2)
     mat = gamma_toeplitz(table, constant(1.0, n=2), [0.0, 0.0])
     assert isinstance(mat, SymbolMatrix)
-    assert mat.d == table.d
     assert mat.entries.shape == (table.d, table.d)

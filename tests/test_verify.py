@@ -265,3 +265,23 @@ def test_alpha_and_seed_are_checked_before_any_job(suite, field, value, error, m
     monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, verify._SUITE_TABLE[suite][1]))
     with pytest.raises(error, match=rf"^{suite}: {field} {message}"):
         run_suite(suite, SuiteConfig(**{field: value}))
+
+
+def test_numpy_integer_fields_resolve_to_python_ints():
+    config = SuiteConfig(order=np.int64(16), p_max=np.int32(0), seed=np.int64(3))
+    report = run_suite("fourier-laguerre", config)
+    for key in ("order", "p_max", "seed"):
+        assert type(report.params[key]) is int
+    decoded = VerificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    assert decoded == report
+
+
+@pytest.mark.parametrize("suite, field, value, message", [
+    ("laguerre", "n_max", 0, "must be >= 1"),
+    ("kernel-basis", "p_max", -1, "must be >= 0"),
+    ("fourier-laguerre", "order", np.int64(0), "must be >= 1"),
+    ("sum-products", "seed", -1, "must be >= 0"),
+])
+def test_integer_fields_below_their_minimum_are_refused(suite, field, value, message):
+    with pytest.raises(ValueError, match=rf"^{suite}: {field} {message}"):
+        run_suite(suite, SuiteConfig(**{field: value}))
