@@ -111,7 +111,9 @@ def kernel_F(spec: KernelSpec, z, w):
         ip = ip + w[..., r] * np.conj(z[..., r])
         d = w[..., r] - z[..., r]
         dist2 = dist2 + (d.real * d.real + d.imag * d.imag)
-    return np.exp(spec.alpha * ip) * laguerre_eval(spec.m - 1, spec.n, spec.alpha * dist2)
+    out = np.exp(spec.alpha * ip)
+    out *= laguerre_eval(spec.m - 1, spec.n, spec.alpha * dist2)
+    return out
 
 
 def kernel_true_poly(spec: KernelSpec, beta, z, w):
@@ -131,36 +133,62 @@ def kernel_true_poly(spec: KernelSpec, beta, z, w):
     return out
 
 
+def _laguerre_sum(m: int, arg: np.ndarray, functions: bool) -> np.ndarray:
+    """sum over |k| <= m-1 of prod_r L_{k_r}(arg_r), or of ell_{k_r}(arg_r) if ``functions``.
+
+    ``arg`` has shape (..., n).  The real rows are computed with the
+    coordinate axis first, so each coordinate's row is contiguous, and the
+    products are added in table order into one real buffer of shape
+    arg.shape[:-1].
+    """
+    x = np.ascontiguousarray(np.moveaxis(arg, -1, 0))
+    rows = laguerre_fn_all(m - 1, x) if functions else laguerre_eval_all(m - 1, 0.0, x)
+    total = np.zeros(arg.shape[:-1])
+    for prod in index_products(build_index_table(arg.shape[-1], m), np.moveaxis(rows, 1, -1)):
+        total += prod
+    return total
+
+
+def _exp_product(exponents) -> np.ndarray:
+    """The product of np.exp(e) over the exponent arrays, taken left to right."""
+    out = None
+    for e in exponents:
+        out = np.exp(e) if out is None else out * np.exp(e)
+    return out
+
+
 def kernel_F_products(spec: KernelSpec, z, w, form: str = "polynomials"):
     """Kernel as a sum over |k| <= m-1 of per-coordinate products.
 
     form="polynomials" uses factors e^{alpha w_r conj(z_r)} L_{k_r}(alpha |w_r-z_r|^2);
     form="functions" the equivalent Laguerre-function split
     e^{(alpha/2)(|w_r|^2+|z_r|^2) + i alpha Im(w_r conj(z_r))} ell_{k_r}(alpha |w_r-z_r|^2).
-    Both agree with ``kernel_F`` identically; they are kept as independent
-    evaluation routes for cross-checks.
+    Every summand carries the same exponential factors, so the products
+    are taken over the real rows L_{k_r} (or ell_{k_r}) and summed in table
+    order, and the sum is multiplied once by the product of the n
+    per-coordinate exponentials.  Both forms equal ``kernel_F``; the tests
+    hold them to 1e-11 of the batch maximum.  They are kept as independent
+    evaluation routes for cross-checks, so they never use its single
+    exponential.
     """
-    z = _cpoint(z, spec.n)
-    w = _cpoint(w, spec.n)
+    n, alpha = spec.n, spec.alpha
+    z = _cpoint(z, n)
+    w = _cpoint(w, n)
     shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])
-    z = np.broadcast_to(z, shape + (spec.n,))
-    w = np.broadcast_to(w, shape + (spec.n,))
-    d2 = np.abs(w - z) ** 2
-    arg = spec.alpha * d2
+    z = np.broadcast_to(z, shape + (n,))
+    w = np.broadcast_to(w, shape + (n,))
+    coords = [(z[..., r], w[..., r]) for r in range(n)]
 
     if form == "polynomials":
-        lag = laguerre_eval_all(spec.m - 1, 0.0, arg)  # (m, ..., n)
-        pref = np.exp(spec.alpha * w * np.conj(z))
+        exponents = (alpha * wr * np.conj(zr) for zr, wr in coords)
     elif form == "functions":
-        lag = laguerre_fn_all(spec.m - 1, arg).astype(complex)
-        wb = np.conj(z) * w
-        pref = np.exp(spec.alpha / 2 * (np.abs(w) ** 2 + np.abs(z) ** 2)
-                      + 1j * spec.alpha * np.imag(wb))
+        exponents = (alpha / 2 * (np.abs(wr) ** 2 + np.abs(zr) ** 2)
+                     + 1j * alpha * np.imag(np.conj(zr) * wr) for zr, wr in coords)
     else:
         raise ValueError(f"form must be 'polynomials' or 'functions', got {form!r}")
 
-    factors = pref * lag  # (m, ..., n)
-    return sum(index_products(build_index_table(spec.n, spec.m), factors))
+    lag = _laguerre_sum(spec.m, alpha * np.abs(w - z) ** 2, form == "functions")
+    return lag * _exp_product(exponents)
 
 
 def kernel_H(spec: KernelSpec, x, y, u, v):
@@ -183,17 +211,18 @@ def kernel_H_products(spec: KernelSpec, x, y, u, v):
     """Flattened-space kernel as 2^n sum over |k| <= m-1 of Laguerre-function products.
 
     Per coordinate the factor is e^{-i (u_r-x_r)(v_r+y_r)} ell_{k_r}((u_r-x_r)^2 + (v_r-y_r)^2).
-    Independent evaluation route for cross-checking ``kernel_H``; like it,
-    independent of spec.alpha.
+    As in ``kernel_F_products``, the products run over the real rows
+    ell_{k_r}, summed in table order, and the sum is multiplied once by the
+    product of the n per-coordinate phases.  Independent evaluation route
+    for cross-checking ``kernel_H``; like it, independent of spec.alpha.
     """
     n, m = spec.n, spec.m
     x, y, u, v = (_rpoint(a, n) for a in (x, y, u, v))
     du = u - x
     dv = v - y
-    t = du * du + dv * dv
-    ell = laguerre_fn_all(m - 1, t)  # (m, ..., n)
-    factors = np.exp(-1j * du * (v + y)) * ell
-    return (2.0**n) * sum(index_products(build_index_table(n, m), factors))
+    s = v + y
+    phase = _exp_product(-1j * du[..., r] * s[..., r] for r in range(n))
+    return (2.0**n) * _laguerre_sum(m, du * du + dv * dv, functions=True) * phase
 
 
 def kernel_G(spec: KernelSpec, x, y, u, v):

@@ -158,9 +158,20 @@ def index_products(table: IndexTable, factors) -> Iterator:
     ``factors`` has shape (levels, ..., n) with levels >= m: entry
     [p, ..., r] is the degree-p factor on coordinate r.  The product is
     taken left to right over r, so every caller gets the same rounding.
+    Consecutive indices of the lexicographic table share their leading
+    entries, and the partial product of a shared prefix is computed once:
+    about half the multiplications of one product per index at n = m = 5,
+    with bit-identical results.  At n >= 2 every yielded array is new; at
+    n = 1 it is the row factors[k_1, ..., 0] itself.  Either way, no two
+    yielded arrays share memory.
     """
+    n = table.n
+    prefix = [None] * n  # prefix[r]: the product over coordinates 0..r of the last index
+    last = None
     for k in table:
-        prod = factors[k[0], ..., 0]
-        for r in range(1, table.n):
-            prod = prod * factors[k[r], ..., r]
-        yield prod
+        start = 0 if last is None else next(r for r in range(n) if k[r] != last[r])
+        for r in range(start, n):
+            row = factors[k[r], ..., r]
+            prefix[r] = row if r == 0 else prefix[r - 1] * row
+        last = k
+        yield prefix[-1]

@@ -25,6 +25,10 @@ one builder.  The vocabulary:
 * **Tensor rules** (:func:`tensor_rule`).  The one builder of
   multi-dimensional rules from per-axis rules; :func:`tensor_grid` is the
   placed Gauss-Hermite case and keeps the per-axis rules it was built from.
+* **Streamed rules** (:func:`stream_pairs`).  A tensor rule on C^n whose
+  integrand is one non-separable function times a product of per-coordinate
+  factors is summed in blocks of at most ``BLOCK_NODES`` nodes, and never
+  built.
 * **Budget** (:func:`check_rule_budget`).  The one size check: any tensor
   rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET`` is refused
   before it is built.  :func:`tensor_rule` calls it for the rule itself; the
@@ -70,10 +74,15 @@ DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 FIBER_ORDER = 48
 
 # Largest set of per-node float64 arrays that any tensor rule may carry
-# (see check_rule_budget).  The reproducing oracle, which never builds its
-# rule, is held to what that rule would take (2n + 1 words per node), so
-# its node count, and with it its run time, stays bounded.
+# (see check_rule_budget).  The streamed integrals (R_F_apply and the
+# reproducing oracle), which never build their rules, are held to what the
+# rule would take, so their node count, and with it their run time, stays
+# bounded.
 RULE_BYTES_BUDGET = 1 << 30
+
+# Largest block of nodes on which a streamed rule (see stream_pairs)
+# evaluates its integrand at once.
+BLOCK_NODES = 1 << 15
 
 # Widest Gauss-Legendre panel of legendre_panels: each panel then resolves
 # a unit-scale Gaussian comfortably.
@@ -212,6 +221,46 @@ def gaussian_mean_rule(center, alpha: float, order: int | None = None):
     |K_c|^2 e^{-alpha|w|^2} is for a kernel section K_c.
     """
     return tensor_rule(gaussian_mean_axes(center, alpha, order))
+
+
+def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray:
+    """Sum of integrand(w) prod_r factors[r][..., i_r, j_r] over a tensor grid on C^n.
+
+    The grid's points are w_r = re_nodes[r][i_r] + i im_nodes[r][j_r], with
+    axes re_0..re_{n-1}, im_0..im_{n-1}, the last fastest.  ``factors[r]``
+    has shape extra_r + (len(re_nodes[r]), len(im_nodes[r])) and carries
+    the weights of coordinate r.  The grid is never built: leading real
+    axes are fixed until a block has at most ``BLOCK_NODES`` nodes (read at
+    call time), ``integrand`` is called once per block on complex points of
+    shape (..., n) and returns values of shape (...), and each coordinate
+    pair of the block is contracted against its factor (a fixed real axis
+    against its slice).  The block results, indexed extra_0 + ... +
+    extra_{n-1}, are added in block order.  Peak memory is one block.
+    """
+    n = len(re_nodes)
+    sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]
+    fixed = 0
+    while fixed < n and math.prod(sizes[fixed:]) > BLOCK_NODES:
+        fixed += 1
+    free = 2 * n - fixed
+
+    def along(values, axis):
+        return values.reshape([-1 if a == axis else 1 for a in range(free)])
+
+    total = 0.0
+    for lead in np.ndindex(*sizes[:fixed]):
+        # Block axes: the free real axes re_fixed..re_{n-1}, then im_0..im_{n-1}.
+        parts = [(re_nodes[r][lead[r]] if r < fixed else along(re_nodes[r], r - fixed))
+                 + 1j * along(im_nodes[r], n - fixed + r) for r in range(n)]
+        cube = integrand(np.stack(np.broadcast_arrays(*parts), axis=-1))
+        for r in range(n):
+            # Each contraction drops the pair's axes and appends extra_r.
+            if r < fixed:
+                cube = np.tensordot(cube, factors[r][..., lead[r], :], axes=([n - fixed], [-1]))
+            else:
+                cube = np.tensordot(cube, factors[r], axes=([0, n - r], [-2, -1]))
+        total = total + cube
+    return total
 
 
 def _evaluate(evaluator: Callable, points: np.ndarray) -> np.ndarray:

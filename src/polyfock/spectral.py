@@ -28,7 +28,8 @@ import numpy as np
 from .kernels import KernelSpec, kernel_H, _frequency, _rpoint, _scalar
 from .multiindex import IndexTable, _integer, _multi_index, build_index_table, index_products
 from .orthopoly import hermite_fn_table
-from .quadrature import FIBER_ORDER, _evaluate, check_rule_budget, default_order, tensor_grid
+from .quadrature import (FIBER_ORDER, _evaluate, check_rule_budget, default_order,
+                         gauss_hermite_1d, place_hermite, stream_pairs, tensor_grid)
 from .transforms import FieldFunction, FLAT, FOCK, _require
 
 
@@ -154,14 +155,6 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
     return FiberVector(xi=xi, components=comps)
 
 
-def _uv_grid(n: int, xi: np.ndarray, order: int):
-    """The order^{2n} rule on (u, v): the u axes carry e^{-|u|^2/2} centered
-    at 0 (scale sqrt(2)), the v axes the q-factor Gaussian at -xi/2 (scale 1)."""
-    center = np.concatenate((np.zeros(n), -xi / 2))
-    scale = np.concatenate((np.full(n, math.sqrt(2.0)), np.full(n, 1.0)))
-    return tensor_grid(2 * n, order, center=center, scale=scale)
-
-
 def R_H_apply(
     table: IndexTable,
     g: FieldFunction,
@@ -186,7 +179,10 @@ def R_H_apply(
     if order is None:
         order = default_order(2 * n)
     check_rule_budget([order] * (2 * n), (2 * n + 1) + 6 + (table.m * n + 2 * table.d))
-    grid = _uv_grid(n, xi, order)
+    # u axes: e^{-|u|^2/2} centered at 0 (scale sqrt(2)); v axes: the q-factor
+    # Gaussian at -xi/2 (scale 1).
+    grid = tensor_grid(2 * n, order, center=np.concatenate((np.zeros(n), -xi / 2)),
+                       scale=np.concatenate((np.full(n, math.sqrt(2.0)), np.ones(n))))
     u = grid.nodes[:, :n]
     v = grid.nodes[:, n:]
     vals = _evaluate(lambda nodes: g(nodes[:, :n], nodes[:, n:]), grid.nodes)
@@ -208,18 +204,20 @@ def R_F_apply(
         e^{-|u|^2/2 - |v|^2/2 - i<u, v> - i<u, xi>}
         prod_r psi_{phi(j)_r}((xi_r + 2 v_r)/sqrt(2)) du dv.
 
-    Everything but f is a product over r of a function of (u_r, v_r), so f
-    times the weights is evaluated once on the order^{2n} tensor grid and
-    contracted one (u_r, v_r) axis pair at a time against the (m, order,
-    order) factor of that pair.  Cost: order^{2n} evaluations of f plus
-    O(m * order^{2n}) for the contraction.
+    Everything but f is a product over r of a function of (u_r, v_r), so
+    the order^{2n} rule (u axes placed at 0 with scale sqrt(2), v axes at
+    -xi/2 with scale 1) is streamed by :func:`stream_pairs`: f is called
+    once per block of at most ``BLOCK_NODES`` nodes (leading u axes fixed),
+    and each (u_r, v_r) pair is contracted against an (m, order, order)
+    factor that carries the pair's phase, Hermite functions and 1-D
+    weights.  Cost: order^{2n} evaluations of f plus O(m * order^{2n}) for
+    the contractions; peak memory is one block.
 
-    Before f is called, :func:`check_rule_budget` counts 4n + 5 float64
-    words per node: the rule (2n coordinates and a weight), the complex
-    points handed to f (2n) and the weighted values (4: f and f times the
-    weight).  f's own working memory is not counted: at n = 2, order 32
-    (104 MiB counted) one call raised peak RSS by 115 MB with a constant f
-    and by 184 MB with a kernel section.
+    Before f is called, :func:`check_rule_budget` still counts the full
+    rule at 4n + 5 float64 words per node: the rule (2n coordinates and a
+    weight), the complex points handed to f (2n) and the weighted values
+    (4).  The rule is never built, so the count bounds the work rather
+    than the memory.  f's own working memory is not counted.
 
     Written out directly rather than composed from :func:`flatten` and
     :func:`R_H_apply`, so the two routes stay independent checks of the
@@ -232,18 +230,23 @@ def R_F_apply(
     if order is None:
         order = default_order(2 * n)
     check_rule_budget([order] * (2 * n), 4 * n + 5)
-    grid = _uv_grid(n, xi, order)
-    z = (grid.nodes[:, :n] + 1j * grid.nodes[:, n:]) / math.sqrt(spec.alpha)
-    cube = (_evaluate(f, z) * grid.weights).reshape([len(nodes) for nodes, _ in grid.axes])
+    rule = gauss_hermite_1d(order)
+    u, u_weights = place_hermite(rule, 0.0, math.sqrt(2.0))
+    uc = u[:, None]
+    vs, factors = [], []
     for r in range(n):
-        u = grid.axes[r][0][:, None]
-        v = grid.axes[n + r][0]
-        phase = np.exp(-u * u / 2 - v * v / 2 - 1j * u * (v + xi[r]))
+        v, v_weights = place_hermite(rule, -xi[r] / 2, 1.0)
+        phase = np.exp(-uc * uc / 2 - v * v / 2 - 1j * uc * (v + xi[r]))
         psi = hermite_fn_table(m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))
-        # The u_r axis leads the cube and v_r sits after the n - r u axes
-        # left; the contraction appends the k_r axis at the end.
-        cube = np.tensordot(cube, phase[None, :, :] * psi[:, None, :], axes=([0, n - r], [1, 2]))
-    comps = cube[tuple(table.array.T)] * math.pi ** (-3 * n / 4)
+        vs.append(v)
+        factors.append(np.outer(u_weights, v_weights) * phase * psi[:, None, :])
+    root = math.sqrt(spec.alpha)
+
+    def integrand(points):
+        return _evaluate(f, (points / root).reshape(-1, n)).reshape(points.shape[:-1])
+
+    total = stream_pairs(integrand, [u] * n, vs, factors)
+    comps = total[tuple(table.array.T)] * math.pi ** (-3 * n / 4)
     return FiberVector(xi=xi, components=comps)
 
 

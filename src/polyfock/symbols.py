@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,12 +55,14 @@ from .quadrature import (
 # Legendre panels for discontinuous axes cover the matching v-interval.
 T_CUT = 9.0
 
-KINDS = (
-    "polynomial",
-    "gaussian-modulated-polynomial",
-    "sign-of-coordinate",
-    "box-indicator",
-)
+# The fields each kind reads besides n; every other field must keep its default.
+KIND_FIELDS = {
+    "polynomial": ("terms",),
+    "gaussian-modulated-polynomial": ("terms", "gauss_center", "gauss_halfwidth"),
+    "sign-of-coordinate": ("axis",),
+    "box-indicator": ("lo", "hi"),
+}
+KINDS = tuple(KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,16 @@ class VerticalSymbol:
         if self.kind not in KINDS:
             raise ValueError(f"unknown symbol kind {self.kind!r}; expected one of {KINDS}")
         n = _integer(self.n, "n", low=1)
-        parsed = {"n": n, "axis": _integer(self.axis, "axis")}
-        if parsed["axis"] >= n:
-            raise ValueError(f"axis {self.axis} outside 0..{n - 1}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in ("n", "kind", *KIND_FIELDS[self.kind]) and not (
+                    type(value) is type(f.default) and value == f.default):
+                raise ValueError(f"a {self.kind} symbol takes no {f.name}, got {value!r}")
+        parsed = {"n": n}
+        if self.kind == "sign-of-coordinate":
+            parsed["axis"] = _integer(self.axis, "axis")
+            if parsed["axis"] >= n:
+                raise ValueError(f"axis {self.axis} outside 0..{n - 1}")
         if self.kind in ("polynomial", "gaussian-modulated-polynomial"):
             parsed["terms"] = _normalize_terms(self.terms, n)
         if self.kind == "gaussian-modulated-polynomial":
@@ -179,7 +188,7 @@ class VerticalSymbol:
 
 def constant(c, n: int = 1) -> VerticalSymbol:
     """The constant symbol c, built as a degree-0 polynomial."""
-    return VerticalSymbol(n, "polynomial", ((c, (0,) * n),))
+    return VerticalSymbol(n, "polynomial", ((c, (0,) * _integer(n, "n", low=1)),))
 
 
 def polynomial(terms, n: int = 1) -> VerticalSymbol:

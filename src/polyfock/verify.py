@@ -43,6 +43,7 @@ from .quadrature import (
     default_order,
     fourier_1d_gaussian_type,
     gaussian_mean_axes,
+    stream_pairs,
     tensor_grid,
 )
 from .spectral import L_closed, L_via_fourier
@@ -225,10 +226,6 @@ def _kernel_basis_jobs(params: dict) -> _Jobs:
 # suite: reproducing  (quadrature of f against the kernel section)
 # ---------------------------------------------------------------------------
 
-# Largest block of nodes the reproducing oracle evaluates kernel_F on at once.
-_BLOCK_NODES = 1 << 15
-
-
 def _check_reproducing_budget(n: int, order: int | None) -> None:
     """Refuse an order^{2n} Gaussian-mean rule over the budget at 2n + 1 words per node.
 
@@ -259,43 +256,17 @@ def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
     Rows follow build_index_table(n, p_bound + 1), columns
     build_index_table(n, m).  Only kernel_F is not a product over the
     coordinate pairs (x_r, y_r) of the order^{2n} Gaussian-mean rule, so
-    the rule is never built: the grid is cut into blocks of at most
-    _BLOCK_NODES nodes by fixing its leading x axes, conj(kernel_F) is
-    evaluated once per block, and each coordinate pair is contracted
-    against its factor table F_r (a fixed x_r against its slice of F_r).
-    The block results, indexed (a_1, b_1, ..., a_n, b_n), are summed and
-    the (p, q) entries read out, by the two ``tables`` if given.
+    the rule is streamed by :func:`stream_pairs`: conj(kernel_F) is
+    evaluated once per block and each coordinate pair is contracted
+    against its factor table F_r.  The sum, indexed (a_1, b_1, ..., a_n,
+    b_n), is read out at the (p, q) entries, by the two ``tables`` if given.
     """
     n = spec.n
     _check_reproducing_budget(n, order)
     axes = gaussian_mean_axes(np.concatenate((np.real(z), np.imag(z))) / 2, spec.alpha, order)
     factors = [_coordinate_factors(axes[r], axes[n + r], p_bound, spec.m) for r in range(n)]
-    xs, ys = [x for x, _ in axes[:n]], [y for y, _ in axes[n:]]
-
-    sizes = [len(x) for x, _ in axes]
-    fixed = 0
-    while fixed < n and math.prod(sizes[fixed:]) > _BLOCK_NODES:
-        fixed += 1
-    free = 2 * n - fixed
-
-    def along(values, axis):
-        return values.reshape([-1 if a == axis else 1 for a in range(free)])
-
-    acc = 0.0
-    for lead in np.ndindex(*sizes[:fixed]):
-        # Block axes: the free x axes x_fixed..x_{n-1}, then y_0..y_{n-1}.
-        parts = [(xs[r][lead[r]] if r < fixed else along(xs[r], r - fixed))
-                 + 1j * along(ys[r], n - fixed + r) for r in range(n)]
-        w = np.stack(np.broadcast_arrays(*parts), axis=-1)
-        cube = np.conj(kernel_F(spec, z, w))
-        for r in range(n):
-            # Each contraction drops the pair's axes and appends (a_r, b_r).
-            if r < fixed:
-                cube = np.tensordot(cube, factors[r][:, :, lead[r], :], axes=([n - fixed], [2]))
-            else:
-                cube = np.tensordot(cube, factors[r], axes=([0, n - r], [2, 3]))
-        acc = acc + cube
-
+    acc = stream_pairs(lambda w: np.conj(kernel_F(spec, z, w)),
+                       [x for x, _ in axes[:n]], [y for y, _ in axes[n:]], factors)
     ps, qs = (t.array for t in tables or (build_index_table(n, p_bound + 1),
                                           build_index_table(n, spec.m)))
     return acc[tuple(k for r in range(n) for k in (ps[:, r, None], qs[None, :, r]))]

@@ -159,6 +159,14 @@ ROWS.update({
         ValueError, "box bound must be 2 non-NaN numbers"),
     "box-one-bound-at-n=2": (lambda: box([-1.0], [1.0], n=2),
                              ValueError, "box bound must be 2 non-NaN numbers"),
+    "constant-n=1.5": (lambda: constant(1.0, n=1.5), TypeError, "n must be an integer"),
+    # a field the kind does not use must keep its default
+    "sign-given-lo": (lambda: VerticalSymbol(1, "sign-of-coordinate", lo=[1.0]),
+                      ValueError, "a sign-of-coordinate symbol takes no lo"),
+    "sign-given-terms": (lambda: VerticalSymbol(1, "sign-of-coordinate", ((1.0, (0,)),)),
+                         ValueError, "a sign-of-coordinate symbol takes no terms"),
+    "box-given-terms": (lambda: VerticalSymbol(1, "box-indicator", ((1.0, (0,)),), lo=-1.0, hi=1.0),
+                        ValueError, "a box-indicator symbol takes no terms"),
 })
 
 POSITIVE = "alpha must be finite and positive"

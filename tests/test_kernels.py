@@ -153,6 +153,38 @@ def test_product_forms_match_closed_kernel():
             assert_allclose(other, k, rtol=1e-11)
 
 
+def _gap(got, exact):
+    """Largest deviation relative to the largest value, as the benchmark measures it."""
+    assert got.shape == exact.shape
+    return float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (2, 4), (5, 1), (5, 5)])
+def test_product_routes_match_kernel_F_at_batch_shapes(n, m):
+    # The shapes of the benchmark's kernel batches, plus m = 1; z of shape
+    # (N, 1, n) against w of shape (1, M, n) broadcasts to an (N, M) batch.
+    spec = KernelSpec(n, m, 1.0)
+    rng = np.random.default_rng([11, n, m])
+    z = rand_points(rng, 40, n, box=1.5)[:, None, :]
+    w = rand_points(rng, 30, n, box=1.5)[None, :, :]
+    exact = kernel_F(spec, z, w)
+    assert exact.shape == (40, 30)
+    for form in ("polynomials", "functions"):
+        assert _gap(kernel_F_products(spec, z, w, form=form), exact) <= 1e-11
+        assert _gap(kernel_F_products(spec, w[0], z[:30, 0], form=form),
+                    kernel_F(spec, w[0], z[:30, 0])) <= 1e-11
+
+
+def test_product_routes_take_scalar_points_at_n1():
+    for m in (1, 3):
+        spec = KernelSpec(1, m, 0.7)
+        exact = kernel_F(spec, 0.3 + 0.1j, 0.2 - 0.4j)
+        for form in ("polynomials", "functions"):
+            got = kernel_F_products(spec, 0.3 + 0.1j, 0.2 - 0.4j, form=form)
+            assert np.shape(got) == ()
+            assert abs(got - exact) <= 1e-11 * abs(exact)
+
+
 def test_product_form_name_checked():
     spec = KernelSpec(1, 1)
     with pytest.raises(ValueError):
@@ -189,6 +221,15 @@ def test_kernel_H_products_match():
         spec = KernelSpec(n, m)
         assert_allclose(kernel_H_products(spec, x, y, u, v),
                         kernel_H(spec, x, y, u, v), rtol=1e-11)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 1), (4, 3)])
+def test_kernel_H_products_match_up_to_n4_with_broadcasting(n, m):
+    rng = np.random.default_rng([12, n, m])
+    x, y = (rng.uniform(-1, 1, (9, 1, n)) for _ in range(2))
+    u, v = (rng.uniform(-1.5, 1.5, (1, 8, n)) for _ in range(2))
+    spec = KernelSpec(n, m)
+    assert _gap(kernel_H_products(spec, x, y, u, v), kernel_H(spec, x, y, u, v)) <= 1e-11
 
 
 def test_kernel_H_diagonal_and_translation_covariance():

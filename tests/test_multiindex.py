@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_array_equal
 
 from polyfock import (KernelSpec, RationalPoly, R_true_poly_image, gaussian_monomial_inner,
                       gaussian_poly, kernel_true_poly, polynomial)
@@ -93,22 +93,50 @@ def test_table_is_frozen():
     assert isinstance(table, IndexTable)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_index_products_against_phi(n, m, dtype):
-    table = build_index_table(n, m)
+def _left_to_right(table, factors):
+    """prod_r factors[k_r, ..., r] for each k of the table, one full product per index."""
+    out = []
+    for k in table:
+        prod = factors[k[0], ..., 0]
+        for r in range(1, table.n):
+            prod = prod * factors[k[r], ..., r]
+        out.append(prod)
+    return out
+
+
+def _random_factors(n, m, dtype):
     rng = np.random.default_rng([n, m])
     factors = rng.uniform(-2, 2, (m + 1, 5, 3, n)).astype(dtype)
     if dtype is complex:
         factors = factors + 1j * rng.uniform(-2, 2, factors.shape)
+    return factors
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_index_products_against_phi(n, m, dtype):
+    # Shared prefixes must not change the rounding: bit-identical to one
+    # left-to-right product per index.
+    table = build_index_table(n, m)
+    factors = _random_factors(n, m, dtype)
     got = list(index_products(table, factors))
     assert len(got) == table.d
-    for j in range(1, table.d + 1):
-        k = table.phi(j)
-        expected = np.prod([factors[k[r], :, :, r] for r in range(n)], axis=0)
-        assert got[j - 1].shape == (5, 3)
-        assert_allclose(got[j - 1], expected, rtol=1e-15, atol=0)
+    for prod, expected in zip(got, _left_to_right(table, factors)):
+        assert prod.shape == (5, 3)
+        assert prod.dtype == dtype
+        assert_array_equal(prod, expected)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 4), (5, 5)])
+def test_index_products_yields_arrays_that_share_no_memory(n, m, dtype):
+    table = build_index_table(n, m)
+    factors = _random_factors(n, m, dtype)
+    expected = _left_to_right(table, factors.copy())
+    for prod, want in zip(index_products(table, factors), expected, strict=True):
+        assert_array_equal(prod, want)
+        prod[...] = np.nan  # must leave every later product unchanged
 
 
 def test_array_is_the_read_only_index_array():

@@ -235,9 +235,17 @@ def test_R_F_apply_matches_dense_sum(n, m):
     y = rng.uniform(-0.8, 0.8, n)
     xi = rng.uniform(-3, 3, n)
     f = fock_function(lambda z: kernel_F(spec, 1j * y, z))
+    # Blocks hold at most 2^15 nodes, so the leading u axes are fixed: one
+    # at n = 2 and order 20 (20 blocks), two at n = 3 and orders 12 and 10
+    # (144 and 100 blocks), and the block results are added up.
+    blocks = {(1, None): 1, (1, 10): 1, (2, None): 20, (2, 10): 1, (3, None): 144, (3, 10): 100}
     for order in (None, 10):
-        got = R_F_apply(spec, f, xi, order=order).components
+        sizes = []
+        counted = fock_function(lambda z: sizes.append(len(z)) or kernel_F(spec, 1j * y, z))
+        got = R_F_apply(spec, counted, xi, order=order).components
         assert got.shape == (spec.d,)
+        assert len(sizes) == blocks[n, order]
+        assert sum(sizes) == (order or default_order(2 * n)) ** (2 * n)
         assert_allclose(got, R_F_dense(spec, f, xi, order=order), rtol=0, atol=1e-13)
 
 
@@ -292,6 +300,7 @@ def test_R_F_refuses_large_rules_before_building_them(monkeypatch):
         raise AssertionError("allocated or evaluated before the budget check")
 
     monkeypatch.setattr(spectral, "tensor_grid", refuse)
+    monkeypatch.setattr(spectral, "stream_pairs", refuse)
     with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\)"):
         R_F_apply(KernelSpec(3, 2), fock_function(refuse), [0.1, 0.2, 0.3], order=16)
 

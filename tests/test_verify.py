@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import polyfock.quadrature as quadrature
 import polyfock.verify as verify
 from polyfock.multiindex import build_index_table
 from polyfock.quadrature import gaussian_mean_rule
@@ -145,7 +146,7 @@ def test_coordinate_factors_match_direct_powers():
 def test_reproducing_moments_match_the_materialized_rule(n, order, fixed, monkeypatch):
     # Blocks of order^{2n - fixed} nodes fix the first `fixed` x axes, so
     # the fixed-axis and the free-axis contractions are both exercised.
-    monkeypatch.setattr(verify, "_BLOCK_NODES", order ** (2 * n - fixed))
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", order ** (2 * n - fixed))
     m, p_bound = 3, 3
     spec = verify.KernelSpec(n, m, 0.8)
     z = np.array([0.4 - 0.3j, -0.2 + 0.5j])[:n]
