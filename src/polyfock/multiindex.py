@@ -86,14 +86,25 @@ def dimension(n: int, m: int) -> int:
 
 
 def _enumerate(n: int, budget: int) -> Iterator[tuple[int, ...]]:
-    # Recursive descent emits the indices in lexicographic order without
-    # materializing the full m**n cube.
-    if n == 0:
-        yield ()
-        return
-    for head in range(budget + 1):
-        for tail in _enumerate(n - 1, budget - head):
-            yield (head,) + tail
+    # An odometer emits the indices with |k| <= budget in lexicographic
+    # order, with no recursion and without the full (budget + 1)**n cube.
+    k = [0] * n
+    total = 0
+    while True:
+        yield tuple(k)
+        if n and total < budget:
+            k[-1] += 1
+            total += 1
+            continue
+        # |k| = budget: carry from the last nonzero entry into the one before.
+        j = n - 1
+        while j > 0 and k[j] == 0:
+            j -= 1
+        if j <= 0:
+            return
+        total -= k[j] - 1
+        k[j] = 0
+        k[j - 1] += 1
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,23 @@ def laguerre_eval_all(p_max: int, a: float, x) -> np.ndarray:
 
 
 def laguerre_eval(p: int, a: float, x):
-    """Generalized Laguerre polynomial L_p^{(a)} at x (scalar or array)."""
-    return laguerre_eval_all(p, a, x)[p]
+    """Generalized Laguerre polynomial L_p^{(a)} at x (scalar or array).
+
+    The recurrence of :func:`laguerre_eval_all`, in the same arithmetic
+    order, keeping only the last two rows: equal to its row p bit for bit.
+    """
+    p = _integer(p, "degree")
+    x = np.asarray(x)
+    prev = np.empty(x.shape, dtype=np.result_type(x.dtype, float))
+    cur = np.ones_like(prev)
+    if p >= 1:
+        prev, cur = cur, prev
+        cur[...] = 1.0 + a - x
+    for k in range(1, p):
+        # The right side is complete before it overwrites row k - 1.
+        prev[...] = ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+        prev, cur = cur, prev
+    return cur[()]
 
 
 def laguerre_fn(p: int, t):

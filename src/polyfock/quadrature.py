@@ -6,7 +6,8 @@ Gaussian.  Every rule here is a list of 1-D rules, one per axis, composed by
 one builder.  The vocabulary:
 
 * **Placement** (:func:`place_hermite`).  The raw Gauss-Hermite rule (t, w)
-  of :func:`gauss_hermite_1d` mapped to the nodes center + scale*t with
+  of :func:`gauss_hermite_1d`, built once per order and returned read-only
+  to every caller, mapped to new arrays of nodes center + scale*t with
   *Lebesgue* weights scale * w * e^{t^2}.  Summing weight * f(node) then
   approximates the plain integral of f, with the e^{-t^2} implicit in the
   rule cancelled against the integrand's own Gaussian decay.  When the
@@ -21,7 +22,9 @@ one builder.  The vocabulary:
   Gaussian's own width, moved to the peak of what f adds to it.  The axes
   alone serve callers that contract a separable integrand axis by axis.
 * **Legendre panels** (:func:`legendre_panels`).  Composite Gauss-Legendre
-  rules split at the points where an integrand jumps.
+  rules split at the points where an integrand jumps, built from one
+  read-only raw rule per order (as for Gauss-Hermite).  The panels are
+  counted against the budget before any is built.
 * **Tensor rules** (:func:`tensor_rule`).  The one builder of
   multi-dimensional rules from per-axis rules; :func:`tensor_grid` is the
   placed Gauss-Hermite case and keeps the per-axis rules it was built from.
@@ -31,9 +34,9 @@ one builder.  The vocabulary:
   built.
 * **Budget** (:func:`check_rule_budget`).  The one size check: any tensor
   rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET`` is refused
-  before it is built.  :func:`tensor_rule` calls it for the rule itself; the
-  fiber integrals and the direct sigma route call it with their own
-  per-node word counts.
+  before it is built.  :func:`tensor_rule` and :func:`legendre_panels` call
+  it for the rule itself; the fiber integrals and the direct sigma route
+  call it with their own per-node word counts.
 
 Arguments are parsed by their owners, never by hand here: orders and
 ``dim`` by ``multiindex._integer`` (a Python int, so NumPy integers pass
@@ -49,6 +52,7 @@ errors well below 1e-10, which the convergence tests pin down.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -101,9 +105,33 @@ def _check_order(order) -> int:
     return order
 
 
+def _read_only(rule: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    for values in rule:
+        values.flags.writeable = False
+    return rule
+
+
+# One raw rule per family and order, built on first use and shared after.
+# They are keyed by the parsed order, a Python int in 1..MAX_ORDER, so each
+# cache holds at most MAX_ORDER rules (under 1 MB for both families).
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(roots_hermite(order))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(roots_legendre(order))
+
+
 def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the order-point Gauss-Hermite rule (weight e^{-t^2})."""
-    return roots_hermite(_check_order(order))
+    """Nodes and weights of the order-point Gauss-Hermite rule (weight e^{-t^2}).
+
+    Each order's rule is built once per process and shared by every caller:
+    both arrays are read-only, so a caller that needs to modify them must
+    copy them first.
+    """
+    return _hermite_rule(_check_order(order))
 
 
 def check_rule_budget(sizes: Sequence[int], words_per_node: int) -> None:
@@ -292,19 +320,28 @@ def legendre_panels(breakpoints: Sequence[float], order: int) -> tuple[np.ndarra
 
     Panels are split at every breakpoint (where an integrand may jump) and
     spans wider than MAX_PANEL_WIDTH are further subdivided.  Breakpoints
-    must be finite and strictly increasing.  Returns Lebesgue nodes and
-    weights.
+    must be finite and strictly increasing.  The rule takes two words per
+    node (node and weight); one that would exceed the budget of
+    :func:`check_rule_budget` is refused before any panel is built.  The
+    raw order-point rule comes from a per-order cache; the returned Lebesgue
+    nodes and weights are new arrays.
     """
     pts = _real(breakpoints, "breakpoints")
-    if pts.ndim != 1 or len(pts) < 2 or np.any(np.diff(pts) <= 0):
+    if pts.ndim != 1 or len(pts) < 2 or np.any(pts[1:] <= pts[:-1]):
         raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"breakpoints must be finite, got {pts}")
-    x, w = roots_legendre(_check_order(order))
+    order = _check_order(order)
+    # Panels per span, counted as floats so that a span too wide to split
+    # (one of two finite breakpoints that overflows to inf included) is
+    # refused like any other.
+    with np.errstate(over="ignore"):
+        pieces = np.maximum(1.0, np.ceil(np.diff(pts) / MAX_PANEL_WIDTH))
+    check_rule_budget([float(pieces.sum()) * order], 2)
+    x, w = _legendre_rule(order)
     nodes, weights = [], []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        pieces = max(1, math.ceil((hi - lo) / MAX_PANEL_WIDTH))
-        edges = np.linspace(lo, hi, pieces + 1)
+    for lo, hi, count in zip(pts[:-1], pts[1:], pieces):
+        edges = np.linspace(lo, hi, int(count) + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             half = (b - a) / 2
             nodes.append((a + b) / 2 + half * x)

@@ -160,6 +160,14 @@ ROWS.update({
     "box-one-bound-at-n=2": (lambda: box([-1.0], [1.0], n=2),
                              ValueError, "box bound must be 2 non-NaN numbers"),
     "constant-n=1.5": (lambda: constant(1.0, n=1.5), TypeError, "n must be an integer"),
+    # 4e6 panels of 48 nodes at two words each; a span of 1e300 would fail
+    # inside np.linspace, and one of 2e308 overflows to inf
+    "legendre_panels-span=1e7": (lambda: legendre_panels([0.0, 1e7], 48),
+                                 ValueError, "tensor rule of 192000000.0 nodes"),
+    "legendre_panels-span=1e300": (lambda: legendre_panels([0.0, 1e300], 48),
+                                   ValueError, "tensor rule of 1.92e+301 nodes"),
+    "legendre_panels-span=inf": (lambda: legendre_panels([-1e308, 1e308], 48),
+                                 ValueError, "tensor rule of inf nodes"),
     # a field the kind does not use must keep its default
     "sign-given-lo": (lambda: VerticalSymbol(1, "sign-of-coordinate", lo=[1.0]),
                       ValueError, "a sign-of-coordinate symbol takes no lo"),

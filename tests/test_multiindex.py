@@ -43,6 +43,20 @@ def test_enumeration_order_n2_m3():
     )
 
 
+def _recursive_enumeration(n, budget):
+    """Lexicographic indices with |k| <= budget, by recursion on the first entry."""
+    if n == 0:
+        return [()]
+    return [(head,) + tail for head in range(budget + 1)
+            for tail in _recursive_enumeration(n - 1, budget - head)]
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 6) for m in range(1, 7)]
+                         + [(7, 10), (3, 34)])  # budgets m - 1 = 9 and 33
+def test_enumeration_order_matches_recursive_reference(n, m):
+    assert build_index_table(n, m).indices == tuple(_recursive_enumeration(n, m - 1))
+
+
 def test_phi_is_one_based_bijection():
     table = build_index_table(3, 4)
     assert table.d == dimension(3, 4)

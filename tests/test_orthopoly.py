@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import roots_laguerre
 
 from polyfock.multiindex import build_index_table
@@ -148,6 +148,19 @@ def test_laguerre_eval_all_prefix_consistency():
     assert table.shape == (7, 7)
     for p in range(7):
         assert_allclose(table[p], laguerre_eval(p, 2.0, x), rtol=1e-13)
+
+
+@pytest.mark.parametrize("a", [0, 0.0, 3, 5, 2.5])
+def test_laguerre_eval_is_the_last_row_bit_for_bit(a):
+    rng = np.random.default_rng(5)
+    points = [rng.uniform(0, 30, (6, 4)), rng.uniform(0, 9, 5) + 1j * rng.uniform(-2, 2, 5),
+              rng.uniform(0, 9, 5).astype(np.float32), np.arange(4), 0.7, np.float64(12.5)]
+    for x in points:
+        for p in range(9):
+            got, stack = laguerre_eval(p, a, x), laguerre_eval_all(p, a, x)
+            assert type(got) is type(stack[p])
+            assert got.dtype == stack.dtype and np.shape(got) == np.shape(x)
+            assert_array_equal(got, stack[p])
 
 
 def test_laguerre_functions_include_half_exponential():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import roots_hermite, roots_legendre
 
 from polyfock import quadrature
 from polyfock.quadrature import (
@@ -45,6 +46,64 @@ def test_gauss_hermite_order_validation():
         gauss_hermite_1d(MAX_ORDER + 1)
     with pytest.raises(TypeError):
         gauss_hermite_1d(12.5)
+
+
+def test_raw_rules_are_built_once_per_order_and_read_only():
+    rule = gauss_hermite_1d(48)
+    assert gauss_hermite_1d(48) is rule
+    assert gauss_hermite_1d(np.int64(48)) is rule
+    raw = quadrature._legendre_rule(48)
+    assert quadrature._legendre_rule(48) is raw
+    for values in (*rule, *raw):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            values *= 2.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 48, 64, MAX_ORDER])
+def test_cached_rules_equal_fresh_scipy_rules(order):
+    for cached, fresh in zip(gauss_hermite_1d(order), roots_hermite(order)):
+        assert_array_equal(cached, fresh)
+    for cached, fresh in zip(quadrature._legendre_rule(order), roots_legendre(order)):
+        assert_array_equal(cached, fresh)
+
+
+def test_bad_orders_are_refused_with_the_rules_cached():
+    gauss_hermite_1d(1)
+    gauss_hermite_1d(MAX_ORDER)
+    legendre_panels([0.0, 1.0], 1)
+    with pytest.raises(TypeError, match="order must be an integer"):
+        gauss_hermite_1d(True)
+    with pytest.raises(TypeError, match="order must be an integer"):
+        legendre_panels([0.0, 1.0], True)
+    for call in (gauss_hermite_1d, lambda k: legendre_panels([0.0, 1.0], k)):
+        with pytest.raises(ValueError, match=f"order must lie in 1..{MAX_ORDER}"):
+            call(MAX_ORDER + 1)
+
+
+def _fresh_legendre_panels(breakpoints, order):
+    """legendre_panels spelled out on a fresh scipy rule."""
+    x, w = roots_legendre(order)
+    nodes, weights = [], []
+    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
+        edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / quadrature.MAX_PANEL_WIDTH)) + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            nodes.append((a + b) / 2 + (b - a) / 2 * x)
+            weights.append((b - a) / 2 * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("breakpoints, order", [([-1.0, 0.0, 3.0], 12), ([0.0, 50.0], 8),
+                                                ([-4.1, -0.3, 0.2, 2.5, 9.7], 48),
+                                                ([0.0, 2.5, 5.0 + 1e-12], 5)])
+def test_legendre_panels_match_a_fresh_rule(breakpoints, order):
+    nodes, weights = legendre_panels(breakpoints, order)
+    expected = _fresh_legendre_panels(np.array(breakpoints), order)
+    assert_array_equal(nodes, expected[0])
+    assert_array_equal(weights, expected[1])
+    assert nodes.flags.writeable and weights.flags.writeable
 
 
 def test_tensor_grid_node_count_and_shape():
