@@ -1,0 +1,8 @@
+"""``python -m polyfock`` runs the command line interface of ``polyfock.cli``."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

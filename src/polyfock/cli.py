@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -35,8 +36,7 @@ from .verify import SUITES, SuiteConfig, run_suite
 def _complex_pairs(values: np.ndarray) -> list:
     """Nested lists with a trailing [re, im] axis replacing complex entries."""
     arr = np.asarray(values, dtype=complex)
-    stacked = np.stack((arr.real, arr.imag), axis=-1)
-    return stacked.tolist()
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def _parse_xi_grid(text: str) -> np.ndarray:
@@ -78,49 +78,57 @@ def _parse_symbol(text: str, n: int) -> VerticalSymbol:
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
-def _load_points(path: str, space: str, n: int) -> dict[str, np.ndarray]:
+# Complex points are named z, w; the flattened spaces take real x, y, u, v.
+COMPLEX_POINTS = ("z", "w")
+REAL_POINTS = ("x", "y", "u", "v")
+
+# --space -> (kernel, names of the points it takes, in call order)
+SPACES = {
+    "F": (kernel_F, COMPLEX_POINTS),
+    "H": (kernel_H, REAL_POINTS),
+    "G": (kernel_G, REAL_POINTS),
+    "S": (kernel_S, COMPLEX_POINTS),
+    "true": (kernel_true_poly, COMPLEX_POINTS),
+}
+
+
+def _load_points(path: str, keys: tuple[str, ...], n: int) -> dict[str, np.ndarray]:
+    """Points of a JSON file as (count, n) rows; z and w are [re, im] pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    keys = ("z", "w") if space in ("F", "S", "true") else ("x", "y", "u", "v")
     out = {}
     for key in keys:
         if key not in raw:
             raise ValueError(f"points file {path} is missing field {key!r}")
         arr = np.asarray(raw[key], dtype=float)
-        if space in ("F", "S", "true"):
-            if arr.ndim == 2 and n == 1 and arr.shape[-1] == 2:
-                arr = arr[:, None, :]
-            if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[-2] != n:
-                raise ValueError(
-                    f"field {key!r} in {path} must be shaped (count, {n}, 2) as [re, im]")
-            out[key] = arr[..., 0] + 1j * arr[..., 1]
-        else:
-            if arr.ndim == 1 and n == 1:
-                arr = arr[:, None]
-            if arr.ndim != 2 or arr.shape[-1] != n:
-                raise ValueError(f"field {key!r} in {path} must be shaped (count, {n})")
-            out[key] = arr
-    counts = {val.shape[0] for val in out.values()}
-    if len(counts) != 1:
+        if key in COMPLEX_POINTS:
+            if arr.shape[-1:] != (2,):
+                raise ValueError(f"field {key!r} in {path} must hold [re, im] pairs")
+            arr = arr[..., 0] + 1j * arr[..., 1]
+        if arr.ndim == 1 and n == 1:
+            arr = arr[:, None]
+        if arr.ndim != 2 or arr.shape[1] != n:
+            raise ValueError(f"field {key!r} in {path} must hold (count, {n}) points")
+        out[key] = arr
+    if len({val.shape[0] for val in out.values()}) != 1:
         raise ValueError(f"point arrays in {path} have mismatched lengths")
     return out
 
 
-def _default_points(space: str, n: int, seed: int, count: int = 8) -> dict[str, np.ndarray]:
+def _default_points(keys: tuple[str, ...], n: int, seed: int,
+                    count: int = 8) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    if space in ("F", "S", "true"):
-        return {
-            "z": rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n)),
-            "w": rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n)),
-        }
-    return {key: rng.uniform(-1, 1, (count, n)) for key in ("x", "y", "u", "v")}
+
+    def draw(key):
+        x = rng.uniform(-1, 1, (count, n))
+        return x + 1j * rng.uniform(-1, 1, (count, n)) if key in COMPLEX_POINTS else x
+
+    return {key: draw(key) for key in keys}
 
 
 def _points_payload(points: dict[str, np.ndarray]) -> dict:
-    payload = {}
-    for key, val in points.items():
-        payload[key] = _complex_pairs(val) if np.iscomplexobj(val) else val.tolist()
-    return payload
+    return {key: _complex_pairs(val) if np.iscomplexobj(val) else val.tolist()
+            for key, val in points.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +149,21 @@ def _build_indices(args) -> dict:
 def _build_kernel(args) -> dict:
     n, m = args.n, args.m
     spec = KernelSpec(n, m, args.alpha)
-    points = (_load_points(args.points, args.space, n) if args.points
-              else _default_points(args.space, n, args.seed))
-    if args.space == "F":
-        values = kernel_F(spec, points["z"], points["w"])
-    elif args.space == "true":
+    kernel, keys = SPACES[args.space]
+    points = (_load_points(args.points, keys, n) if args.points
+              else _default_points(keys, n, args.seed))
+    inputs = [points[key] for key in keys]
+    if args.space == "true":
         beta = [int(b) for b in args.beta.split(",")] if args.beta else [m] * n
-        if len(beta) != n:
-            raise ValueError(f"--beta needs {n} comma-separated entries")
-        values = kernel_true_poly(spec, beta, points["z"], points["w"])
-    elif args.space == "S":
-        values = kernel_S(spec, points["z"], points["w"])
-    elif args.space == "H":
-        values = kernel_H(spec, points["x"], points["y"], points["u"], points["v"])
-    else:
-        values = kernel_G(spec, points["x"], points["y"], points["u"], points["v"])
+        inputs.insert(0, beta)
     out = {
         "space": args.space,
         "n": n,
         "m": m,
         "points": _points_payload(points),
-        "values": _complex_pairs(values),
+        "values": _complex_pairs(kernel(spec, *inputs)),
     }
-    if args.space in ("F", "true", "S"):
+    if keys == COMPLEX_POINTS:
         out["alpha"] = args.alpha
     if args.space == "true":
         out["beta"] = beta
@@ -171,22 +171,17 @@ def _build_kernel(args) -> dict:
 
 
 def _build_fiber(args) -> dict:
-    xi = np.asarray(_parse_floats(args.xi), dtype=float)
-    if xi.shape != (args.n,):
-        raise ValueError(f"--xi needs {args.n} comma-separated entries")
-    kind, _, rest = (args.input or "").partition(":")
+    kind, _, rest = args.input.partition(":")
     if kind != "kernel" or not rest.startswith("iy="):
         raise ValueError("--input supports kernel:iy=y1,...,yn (kernel section at iy)")
-    y = np.asarray(_parse_floats(rest[3:]), dtype=float)
-    if y.shape != (args.n,):
-        raise ValueError(f"kernel:iy= needs {args.n} comma-separated entries")
-    fiber = R_F_kernel_image(KernelSpec(args.n, args.m, args.alpha), y, xi)
+    fiber = R_F_kernel_image(KernelSpec(args.n, args.m, args.alpha),
+                             _parse_floats(rest[3:]), _parse_floats(args.xi))
     return {
         "n": args.n,
         "m": args.m,
         "alpha": args.alpha,
         "input": args.input,
-        "xi": xi.tolist(),
+        "xi": fiber.xi.tolist(),
         "components": _complex_pairs(fiber.components),
     }
 
@@ -215,24 +210,18 @@ def _symbol_csv(payload: dict) -> str:
     d = payload["d"]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = ["xi"]
-    for r in range(d):
-        for s in range(d):
-            header += [f"g_{r}{s}_re", f"g_{r}{s}_im"]
-    writer.writerow(header)
+    writer.writerow(["xi"] + [f"g_{r}{s}_{part}" for r in range(d) for s in range(d)
+                              for part in ("re", "im")])
     for value, matrix in zip(payload["xi"], payload["matrices"]):
-        row = [repr(value)]
-        for r in range(d):
-            for s in range(d):
-                row += [repr(matrix[r][s][0]), repr(matrix[r][s][1])]
-        writer.writerow(row)
+        writer.writerow([repr(value)] + [repr(x) for row in matrix for pair in row for x in pair])
     return buf.getvalue()
 
 
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "csv":
         return _symbol_csv(payload)
-    return json.dumps(payload, indent=2) + "\n"
+    # NaN and Infinity are not JSON: refuse them (exit 2) rather than write them.
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write_out(text: str, path: str | None) -> int:
@@ -253,10 +242,8 @@ def _write_out(text: str, path: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(
-        n_max=args.n_max, m_max=args.m_max, p_max=args.p_max,
-        alpha=args.alpha, order=args.order, seed=args.seed,
-    )
+    config = SuiteConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(SuiteConfig)})
     report = run_suite(args.suite, config)
     reports = report.suites if report.suite == "all" else (report,)
     for rep in reports:
@@ -305,12 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-verification suite")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_verify.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p_verify.add_argument("--p-max", dest="p_max", type=int, default=None)
-    p_verify.add_argument("--alpha", type=float, default=1.0)
-    p_verify.add_argument("--order", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=7)
+    for f in dataclasses.fields(SuiteConfig):
+        p_verify.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                              type=float if f.name == "alpha" else int, default=f.default)
     p_verify.add_argument("--out", type=str, default=None,
                           help="also write the JSON report here")
     p_verify.set_defaults(fn=_cmd_verify)
@@ -322,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernel = sub.add_parser("kernel", help="kernel evaluation")
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
     p_eval = kernel_sub.add_parser("eval", help="evaluate a kernel at points")
-    p_eval.add_argument("--space", choices=("F", "H", "G", "S", "true"), required=True)
+    p_eval.add_argument("--space", choices=tuple(SPACES), required=True)
     _add_common(p_eval, alpha=True, seed=True)
     p_eval.add_argument("--points", type=str, default=None,
                         help="JSON file of evaluation points")

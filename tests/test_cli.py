@@ -7,6 +7,10 @@ serialization, never new numerics.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from numpy.testing import assert_allclose
 
 import polyfock.cli as cli
 from polyfock.cli import main
-from polyfock.kernels import KernelSpec, kernel_F, kernel_H, kernel_S, kernel_true_poly
+from polyfock.kernels import (
+    KernelSpec, kernel_F, kernel_G, kernel_H, kernel_S, kernel_true_poly,
+)
 from polyfock.multiindex import build_index_table
 from polyfock.spectral import R_F_kernel_image
 from polyfock.symbols import gamma_toeplitz, polynomial
@@ -100,6 +106,70 @@ def test_kernel_eval_true_poly_default_type(capsys):
     expected = kernel_true_poly(KernelSpec(2, 2, 1.0), [2, 2], z, w)
     assert_allclose(_pairs_to_complex(payload["values"]), expected, rtol=1e-14)
     assert payload["beta"] == [2, 2]
+
+
+def _library_values(space, spec, points):
+    """The library call behind `kernel eval --space <space>` with default --beta."""
+    if space == "H":
+        return kernel_H(spec, points["x"], points["y"], points["u"], points["v"])
+    if space == "G":
+        return kernel_G(spec, points["x"], points["y"], points["u"], points["v"])
+    if space == "true":
+        return kernel_true_poly(spec, [spec.m] * spec.n, points["z"], points["w"])
+    return {"F": kernel_F, "S": kernel_S}[space](spec, points["z"], points["w"])
+
+
+@pytest.mark.parametrize("source", ["default", "file"])
+@pytest.mark.parametrize("space", ["F", "H", "G", "S", "true"])
+def test_kernel_eval_every_space_matches_library_exactly(space, source, tmp_path, capsys):
+    n, m, alpha = 2, 3, 1.3
+    argv = ["kernel", "eval", "--space", space, "--n", str(n), "--m", str(m),
+            "--alpha", str(alpha), "--seed", "5"]
+    complex_space = space in ("F", "S", "true")
+    if source == "file":
+        rng = np.random.default_rng(4)
+        keys = ("z", "w") if complex_space else ("x", "y", "u", "v")
+        shape = (6, n, 2) if complex_space else (6, n)
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({key: rng.uniform(-1, 1, shape).tolist() for key in keys}))
+        argv += ["--points", str(path)]
+    payload = _run_json(capsys, argv)
+    points = {key: _pairs_to_complex(val) if complex_space else np.asarray(val, dtype=float)
+              for key, val in payload["points"].items()}
+    if source == "file":
+        assert payload["points"] == json.loads(path.read_text())
+    expected = _library_values(space, KernelSpec(n, m, alpha), points)
+    values = np.asarray(payload["values"], dtype=float)
+    assert np.array_equal(values[..., 0], expected.real)
+    assert np.array_equal(values[..., 1], expected.imag)
+    assert payload["space"] == space and payload["n"] == n and payload["m"] == m
+    assert ("alpha" in payload) == complex_space
+    assert payload.get("beta") == ([m] * n if space == "true" else None)
+
+
+@pytest.mark.parametrize("z, m", [([[float("nan"), 0.0]], 2), ([[27.0, 0.0]], 3)],
+                         ids=["nan-point", "overflow"])
+def test_kernel_eval_non_finite_payload_exits_2(z, m, tmp_path, capsys):
+    # a NaN point is copied into the payload; at z = w = 27, exp(alpha |z|^2) overflows
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"z": z, "w": z}))
+    out = tmp_path / "values.json"
+    with np.errstate(all="ignore"), pytest.raises(SystemExit) as err:
+        main(["kernel", "eval", "--space", "F", "--n", "1", "--m", str(m),
+              "--points", str(path), "--out", str(out)])
+    assert err.value.code == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "polyfock", "indices", "--n", "1", "--m", "2"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["d"] == 2
 
 
 def test_fiber_matches_library(capsys):
@@ -196,6 +266,14 @@ def test_usage_errors_exit_2(tmp_path):
         main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign",
               "--xi-grid", "nan:1:2"])
     assert err.value.code == 2
+
+    # lengths of xi, iy and beta are checked by the library calls
+    for argv in (["fiber", "--n", "2", "--xi", "0.5", "--input", "kernel:iy=0.1,0.2"],
+                 ["fiber", "--n", "1", "--input", "kernel:iy=0.1,0.2", "--xi", "0.5"],
+                 ["kernel", "eval", "--space", "true", "--n", "2", "--beta", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
     # the fiber image is closed form, so it takes no quadrature order
     with pytest.raises(SystemExit) as err:
