@@ -21,10 +21,10 @@ Gram-Schmidt (alpha rational), where orthogonality is exact and only the
 final normalization leaves the rationals; it is the reference the
 streamed :func:`kernel_via_basis` is tested against.  The latter runs a
 batched float Cholesky on norm-scaled monomials, whose class Gram entries
-s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1], and turns monomial
-values into basis values by :func:`solve_triangular`, a forward
-substitution that solves one row at a time across the whole stack of
-class factors.
+s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1], inverts the whole
+stack of class factors by :func:`solve_triangular`, a forward
+substitution that solves one row at a time across the stack, and turns
+monomial values into basis values by one batched matmul with the inverses.
 
 Sharing input validation with :mod:`polyfock.multiindex` (and the kernels'
 point rule and :class:`KernelSpec`), which evaluates nothing, keeps the
@@ -261,15 +261,16 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     """Truncated kernel sum over the orthonormal basis: sum_B B(w) conj(B(z)).
 
     Charge classes of equal size are factored together: one batched
-    Cholesky of their Gram matrices and one forward substitution across
-    the stack of factors (:func:`solve_triangular`) turn the norm-scaled
-    monomial values at w and z into basis-element values, so elements are
-    never materialized.  Batches are capped in size, so large p_max
-    truncations stay affordable.  z and w (last axis n, a scalar at n = 1)
-    broadcast over leading axes.  Logs the class count, the class-size
-    histogram, the smallest Cholesky pivot, the number of solve batches
-    and the largest batch shape (classes, class size, columns) to the
-    ``polyfock`` logger at DEBUG level.
+    Cholesky of their Gram matrices, one forward substitution that inverts
+    the stack of factors (:func:`solve_triangular` against the identity, k
+    columns per class however many points there are) and one batched
+    matmul turn the norm-scaled monomial values at w and z into
+    basis-element values, so elements are never materialized.  Batches are
+    capped in size, so large p_max truncations stay affordable.  z and w
+    (last axis n, a scalar at n = 1) broadcast over leading axes.  Logs the
+    class count, the class-size histogram, the smallest Cholesky pivot, the
+    number of solve batches and the largest batch shape (classes, class
+    size, columns) to the ``polyfock`` logger at DEBUG level.
     """
     KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
     p_max = _integer(p_max, "p_max")
@@ -290,10 +291,12 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     for k, rows in _size_groups(starts, n, width=2 * points):
         L = np.linalg.cholesky(_class_grams(P[rows], Q[rows]))
         pivot = min(pivot, float(np.min(np.diagonal(L, axis1=-2, axis2=-1))) ** 2)
-        # One forward substitution for both sides: columns [w points | z points].
+        inverse = solve_triangular(L, np.broadcast_to(np.eye(k), L.shape))
+        # One matmul for both sides: columns [w points | z points].
         values = np.concatenate([_monomial_values(pow_x, pow_cx, P[rows], Q[rows])
                                  for pow_x, pow_cx in tables], axis=-1)
-        elements = solve_triangular(L, scales[rows][..., None] * values)
+        values *= scales[rows][..., None]
+        elements = inverse @ values
         batches += 1
         largest = max(largest, elements.shape, key=math.prod)
         total += np.sum(elements[..., :points] * np.conj(elements[..., points:]), axis=(0, 1))

@@ -148,6 +148,8 @@ def _build_indices(args) -> dict:
 
 def _build_kernel(args) -> dict:
     n, m = args.n, args.m
+    if args.beta is not None and args.space != "true":
+        raise ValueError(f"--beta is an option of --space true only, not --space {args.space}")
     spec = KernelSpec(n, m, args.alpha)
     kernel, keys = SPACES[args.space]
     points = (_load_points(args.points, keys, n) if args.points

@@ -264,6 +264,13 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
     pair of the block is contracted against its factor (a fixed real axis
     against its slice).  The block results, indexed extra_0 + ... +
     extra_{n-1}, are added in block order.  Peak memory is one block.
+
+    The points are coordinate-first in memory: they are the read-only view
+    ``np.moveaxis(buf, 0, -1)`` of one (n, ...) buffer, so ``points[..., r]``
+    is contiguous and ``np.moveaxis(points, -1, 0)`` gives the buffer's
+    layout back without a copy.  The buffer is filled one coordinate at a
+    time and reused from block to block, where only the coordinates with a
+    fixed real axis change.
     """
     n = len(re_nodes)
     sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]
@@ -275,12 +282,17 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
     def along(values, axis):
         return values.reshape([-1 if a == axis else 1 for a in range(free)])
 
+    # Block axes: the free real axes re_fixed..re_{n-1}, then im_0..im_{n-1}.
+    buf = np.empty((n, *sizes[fixed:]), dtype=complex)
+    for r in range(fixed, n):
+        buf[r] = along(re_nodes[r], r - fixed) + 1j * along(im_nodes[r], n - fixed + r)
+    points = np.moveaxis(buf, 0, -1)
+    points.flags.writeable = False
     total = 0.0
     for lead in np.ndindex(*sizes[:fixed]):
-        # Block axes: the free real axes re_fixed..re_{n-1}, then im_0..im_{n-1}.
-        parts = [(re_nodes[r][lead[r]] if r < fixed else along(re_nodes[r], r - fixed))
-                 + 1j * along(im_nodes[r], n - fixed + r) for r in range(n)]
-        cube = integrand(np.stack(np.broadcast_arrays(*parts), axis=-1))
+        for r in range(fixed):
+            buf[r] = re_nodes[r][lead[r]] + 1j * along(im_nodes[r], n - fixed + r)
+        cube = integrand(points)
         for r in range(n):
             # Each contraction drops the pair's axes and appends extra_r.
             if r < fixed:

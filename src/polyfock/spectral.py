@@ -243,7 +243,10 @@ def R_F_apply(
     root = math.sqrt(spec.alpha)
 
     def integrand(points):
-        return _evaluate(f, (points / root).reshape(-1, n)).reshape(points.shape[:-1])
+        # Scaled in stream_pairs' coordinate-first layout, so the (N, n)
+        # points handed to f are a view, not a transposed copy.
+        scaled = np.moveaxis(points, -1, 0) / root
+        return _evaluate(f, scaled.reshape(n, -1).T).reshape(points.shape[:-1])
 
     total = stream_pairs(integrand, [u] * n, vs, factors)
     comps = total[tuple(table.array.T)] * math.pi ** (-3 * n / 4)

@@ -267,6 +267,12 @@ def test_usage_errors_exit_2(tmp_path):
               "--xi-grid", "nan:1:2"])
     assert err.value.code == 2
 
+    # --beta is read by --space true only; elsewhere it is refused, not dropped
+    for space in ("F", "H", "G", "S"):
+        with pytest.raises(SystemExit) as err:
+            main(["kernel", "eval", "--space", space, "--n", "1", "--m", "2", "--beta", "9,9,9"])
+        assert err.value.code == 2
+
     # lengths of xi, iy and beta are checked by the library calls
     for argv in (["fiber", "--n", "2", "--xi", "0.5", "--input", "kernel:iy=0.1,0.2"],
                  ["fiber", "--n", "1", "--input", "kernel:iy=0.1,0.2", "--xi", "0.5"],

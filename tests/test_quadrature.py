@@ -22,6 +22,7 @@ from polyfock.quadrature import (
     gaussian_mean_rule,
     legendre_panels,
     place_hermite,
+    stream_pairs,
     tensor_grid,
     tensor_rule,
 )
@@ -374,3 +375,65 @@ def test_weights_are_overflow_compensated():
     assert np.all(np.isfinite(grid.weights))
     assert grid.weights.max() < 10.0
     assert grid.weights.min() > 0.0
+
+
+def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, block_nodes):
+    """stream_pairs with each block's points stacked coordinate-last by np.stack."""
+    n = len(re_nodes)
+    sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]
+    fixed = 0
+    while fixed < n and math.prod(sizes[fixed:]) > block_nodes:
+        fixed += 1
+    free = 2 * n - fixed
+
+    def along(values, axis):
+        return values.reshape([-1 if a == axis else 1 for a in range(free)])
+
+    total = 0.0
+    for lead in np.ndindex(*sizes[:fixed]):
+        parts = [(re_nodes[r][lead[r]] if r < fixed else along(re_nodes[r], r - fixed))
+                 + 1j * along(im_nodes[r], n - fixed + r) for r in range(n)]
+        cube = integrand(np.stack(np.broadcast_arrays(*parts), axis=-1))
+        for r in range(n):
+            if r < fixed:
+                cube = np.tensordot(cube, factors[r][..., lead[r], :], axes=([n - fixed], [-1]))
+            else:
+                cube = np.tensordot(cube, factors[r], axes=([0, n - r], [-2, -1]))
+        total = total + cube
+    return total
+
+
+STREAM_SHAPES = {1: ([5], [4]), 2: ([3, 4], [5, 2]), 3: ([3, 2, 4], [2, 3, 2])}
+
+
+@pytest.mark.parametrize("n, fixed", [(n, fixed) for n in STREAM_SHAPES for fixed in range(n + 1)])
+def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypatch):
+    # BLOCK_NODES is cut to the product of the free axes, so blocks fix the
+    # first `fixed` real axes and both contraction kinds run.
+    rng = np.random.default_rng([n, fixed])
+    re_sizes, im_sizes = STREAM_SHAPES[n]
+    sizes = re_sizes + im_sizes
+    block_nodes = math.prod(sizes[fixed:])
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    re_nodes = [rng.normal(size=k) for k in re_sizes]
+    im_nodes = [rng.normal(size=k) for k in im_sizes]
+    factors = [rng.normal(size=(r + 1, a, b)) + 1j * rng.normal(size=(r + 1, a, b))
+               for r, (a, b) in enumerate(zip(re_sizes, im_sizes))]
+    seen = []
+
+    def integrand(points):
+        coords = np.moveaxis(points, -1, 0)
+        seen.append((points.shape, points.flags.writeable, coords.flags.c_contiguous))
+        total = 0.0
+        for r in range(points.shape[-1]):
+            total = total + (r + 1) * points[..., r]
+        return np.exp(0.2j * total) * np.cos(points[..., 0] * points[..., -1])
+
+    got = stream_pairs(integrand, re_nodes, im_nodes, factors)
+    blocks = len(seen)
+    want = _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, block_nodes)
+    assert got.shape == tuple(range(1, n + 1))
+    assert_array_equal(got, want)
+    assert blocks == math.prod(sizes[:fixed])
+    # Read-only points, coordinate-first in memory.
+    assert seen[:blocks] == [(tuple(sizes[fixed:]) + (n,), False, True)] * blocks

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfock import orthopoly
-from polyfock.ratpoly import RationalPoly
+from polyfock.ratpoly import EXPONENT_LIMIT, RationalPoly
 
 
 def x_and_y():
@@ -115,8 +115,12 @@ _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 @st.composite
 def _poly_pairs(draw):
-    nvars = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 4)] * nvars).filter(lambda e: sum(e) <= 4)
+    # Up to 7 variables, so keys span several 30-bit int digits.  Each
+    # monomial is drawn as a list of at most 4 variable picks, so the total
+    # degree stays at most 4 without filtering.
+    nvars = draw(st.integers(1, 7))
+    exps = st.lists(st.integers(0, nvars - 1), max_size=4).map(
+        lambda picks: tuple(picks.count(r) for r in range(nvars)))
     terms = st.dictionaries(exps, _coeffs, max_size=6)
     return tuple(f"x{i}" for i in range(nvars)), draw(terms), draw(terms)
 
@@ -141,11 +145,69 @@ def test_ring_matches_fraction_reference(pair, c):
     for name, poly in got.items():
         _assert_canonical(poly)
         assert poly.terms == expected[name], name
+        assert all(type(e) is tuple and len(e) == len(ring) and all(type(c) is int for c in e)
+                   for e in poly.terms), name
         rebuilt = RationalPoly(ring, expected[name])
         assert poly == rebuilt and hash(poly) == hash(rebuilt), name
     assert p * q == q * p and hash(p * q) == hash(q * p)
     diff = p - p
     assert diff.is_zero() and diff._den == 1 and diff == RationalPoly.zero(ring)
+
+
+# -- packed exponent keys --------------------------------------------------
+
+def test_terms_and_hash_follow_the_exponent_tuples():
+    ring = ("x", "y", "z")
+    # Built in different orders and with different intermediate
+    # denominators, the same polynomial has one key set and one hash.
+    x, y, z = (RationalPoly.variable(v, ring) for v in ring)
+    p = (x * y.scale(Fraction(1, 3)) + z * z * x) * y - z.scale(Fraction(5, 2))
+    q = RationalPoly(ring, {(0, 0, 1): Fraction(-5, 2), (1, 1, 2): 1, (1, 2, 0): Fraction(1, 3)})
+    expected = {(1, 2, 0): Fraction(1, 3), (1, 1, 2): Fraction(1), (0, 0, 1): Fraction(-5, 2)}
+    assert p.terms == q.terms == expected
+    assert p == q and hash(p) == hash(q)
+    assert p.total_degree() == 4
+    assert p.coefficient((1, 1, 2)) == 1 and p.coefficient((2, 1, 1)) == 0
+    assert repr(p) == "RationalPoly(-5/2*z + 1/3*x*y^2 + 1*x*y*z^2)"
+    value = p.evaluate([Fraction(2), Fraction(3), Fraction(1, 2)])
+    assert value == Fraction(-5, 4) + 6 + Fraction(3, 2)
+
+
+@pytest.mark.parametrize("exps", [(EXPONENT_LIMIT, 0, 0), (0, EXPONENT_LIMIT, 0),
+                                  (0, 0, EXPONENT_LIMIT), (1, 2 * EXPONENT_LIMIT, 3)])
+def test_constructor_refuses_an_exponent_at_the_field_limit(exps):
+    ring = ("x", "y", "z")
+    with pytest.raises(ValueError, match=f"below {EXPONENT_LIMIT}"):
+        RationalPoly(ring, {exps: 1})
+    below = tuple(min(e, EXPONENT_LIMIT - 1) for e in exps)
+    assert RationalPoly(ring, {below: 1}).terms == {below: 1}
+
+
+def test_products_refuse_a_factor_with_a_guard_bit_set():
+    ring = ("x", "y", "z")
+    top = EXPONENT_LIMIT - 1
+    for r in range(len(ring)):
+        exps = [1, 2, 3]
+        exps[r] = top
+        p = RationalPoly(ring, {tuple(exps): 2, (0, 0, 0): 1})
+        # Below the limit, a square fits its fields (carrying no bit into the
+        # next variable) and is read back exactly.
+        square = p * p
+        doubled = tuple(2 * e for e in exps)
+        assert square.terms == {doubled: 4, tuple(exps): 4, (0, 0, 0): 1}
+        assert square.coefficient(doubled) == 4
+        assert square.total_degree() == 2 * sum(exps)
+        # A factor holding an exponent at or above the limit is refused.
+        var = RationalPoly.variable(ring[r], ring)
+        at_limit = p * var
+        assert at_limit.coefficient(tuple(e + (i == r) for i, e in enumerate(exps))) == 2
+        for a, b in ((square, var), (var, square), (at_limit, var), (at_limit, at_limit)):
+            with pytest.raises(ValueError, match="field"):
+                _ = a * b
+        # Sums and scalings of such polynomials stay exact.
+        assert (square + at_limit - at_limit) == square
+        assert square.scale(Fraction(1, 4)).coefficient(doubled) == 1
+    assert RationalPoly.variable("x", ring).coefficient((1 << 20, 0, 0)) == 0
 
 
 def _decomposition_holds(n, p):
