@@ -19,8 +19,9 @@ one builder.  The vocabulary:
   :func:`gaussian_mean_rule`).  The mean against (alpha/pi)^n
   e^{-alpha|w|^2} on C^n: the Gaussian is folded into the weights, so
   summing weight * f(node) is the mean of f.  Its placement is the
-  Gaussian's own width, moved to the peak of what f adds to it.  The axes
-  alone serve callers that contract a separable integrand axis by axis.
+  Gaussian's own width, moved to the peak of what f adds to it.  The
+  library's routes stream the axes (see below); the built rule is the
+  plain reference their sums are checked against.
 * **Legendre panels** (:func:`legendre_panels`).  Composite Gauss-Legendre
   rules split at the points where an integrand jumps, built from one
   read-only raw rule per order (as for Gauss-Hermite).  The panels are
@@ -31,12 +32,14 @@ one builder.  The vocabulary:
 * **Streamed rules** (:func:`stream_pairs`).  A tensor rule on C^n whose
   integrand is one non-separable function times a product of per-coordinate
   factors is summed in blocks of at most ``BLOCK_NODES`` nodes, and never
-  built.
+  built.  A rule on R^n is the case of one imaginary node 0 per
+  coordinate.  ``R_F_apply``, ``fock_norm``, the reproducing oracle and
+  the direct route of ``sigma_from_gamma`` sum their rules this way.
 * **Budget** (:func:`check_rule_budget`).  The one size check: any tensor
   rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET`` is refused
   before it is built.  :func:`tensor_rule` and :func:`legendre_panels` call
-  it for the rule itself; the fiber integrals and the direct sigma route
-  call it with their own per-node word counts.
+  it for the rule itself; the fiber integrals, ``fock_norm`` and the
+  direct sigma route call it with their own per-node word counts.
 
 Arguments are parsed by their owners, never by hand here: orders and
 ``dim`` by ``multiindex._integer`` (a Python int, so NumPy integers pass
@@ -78,10 +81,9 @@ DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 FIBER_ORDER = 48
 
 # Largest set of per-node float64 arrays that any tensor rule may carry
-# (see check_rule_budget).  The streamed integrals (R_F_apply and the
-# reproducing oracle), which never build their rules, are held to what the
-# rule would take, so their node count, and with it their run time, stays
-# bounded.
+# (see check_rule_budget).  The streamed integrals (see stream_pairs),
+# which never build their rules, are held to what the rule would take, so
+# their node count, and with it their run time, stays bounded.
 RULE_BYTES_BUDGET = 1 << 30
 
 # Largest block of nodes on which a streamed rule (see stream_pairs)
@@ -271,6 +273,13 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
     layout back without a copy.  The buffer is filled one coordinate at a
     time and reused from block to block, where only the coordinates with a
     fixed real axis change.
+
+    A real axis is a pair whose imaginary axis is the single node 0 (with
+    factors of shape extra_r + (len(re_nodes[r]), 1)); the integrand then
+    reads ``points.real``.  Callers: ``spectral.R_F_apply`` and
+    ``transforms.fock_norm`` (complex pairs), the reproducing oracle of
+    ``verify`` (complex pairs, moments read out of the sum) and the direct
+    route of ``symbols.sigma_from_gamma`` (real axes).
     """
     n = len(re_nodes)
     sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]

@@ -25,8 +25,10 @@ smooth axis into a textbook Gauss-Hermite integral.  The sign and box kinds
 jump at axis-aligned breakpoints, so those axes use composite Gauss-Legendre
 panels split exactly at the jumps instead.  The cost is n one-dimensional
 quadratures per term rather than one order^n tensor rule.  The direct
-route of :func:`sigma_from_gamma` keeps the tensor rule and evaluates g
-itself, so it stays an independent check of that factorization.
+route of :func:`sigma_from_gamma` evaluates g itself on every node of the
+order^n tensor rule, which :func:`~polyfock.quadrature.stream_pairs` sums
+in blocks without building it, so it stays an independent check of that
+factorization.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .quadrature import (
     gauss_hermite_1d,
     legendre_panels,
     place_hermite,
-    tensor_rule,
+    stream_pairs,
 )
 
 # Gauss-Hermite tails are cut where e^{-t^2} has decayed to ~1e-35; the
@@ -255,12 +257,6 @@ def _build_v_rule(xi_r: float, breakpoints: Sequence[float], order: int):
     return place_hermite(gauss_hermite_1d(order), -xi_r / 2, math.sqrt(2.0) / 2)
 
 
-def _psi_product_matrix(table: IndexTable, t: np.ndarray) -> np.ndarray:
-    """Matrix [prod_r psi_{phi(j)_r}(t_r)]_{node, j}."""
-    psi = hermite_fn_table(table.m - 1, t)  # (m, N, n)
-    return np.stack(list(index_products(table, psi)), axis=-1)
-
-
 def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
     """g as a sum of per-axis products: [(c_k, [f_k0, ..., f_k,n-1])].
 
@@ -330,12 +326,21 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
     int g((t + eta/2)/sqrt(2)) prod psi_{phi(r)}(t) prod psi_{phi(s)}(t) dt
     from scratch; the two agree and back each other up.
 
-    The direct route builds a tensor rule.  Before it does,
-    :func:`check_rule_budget` counts n + 1 + m n + 3d float64 words per
-    node: the rule (n coordinates and a weight), the Hermite table (m
-    values per axis), the psi-product matrix P (d reals) and the weighted
-    product w g P (d complex numbers).  The temporaries of evaluating g
-    itself are not counted.
+    The direct route sums the order^n tensor rule through
+    :func:`stream_pairs` without building it.  Each coordinate r is a pair
+    whose real axis is the route's own 1-D rule t_r (Gauss-Hermite, or
+    Gauss-Legendre panels split where g jumps) and whose imaginary axis is
+    the single node 0, with the factor F_r[a, b, i, 0] = w_r[i]
+    psi_a(t_ri) psi_b(t_ri).  g is evaluated on every node, a block at a
+    time, and the (a_1, b_1, ..., a_n, b_n) sum is read out at
+    (phi(r), phi(s)).
+
+    Before any table is built, :func:`check_rule_budget` makes three
+    counts.  The rule at n + 1 + m n + 3d float64 words per node (the rule,
+    the Hermite table and the psi products a built rule would carry)
+    bounds the work, as for the other streamed routes.  The m^{2n} complex
+    sums and the n factors, m^2 reals per node of their axis, bound the
+    memory.  The temporaries of evaluating g itself are not counted.
     """
     eta = _frequency(eta, table.n)
     if route == "via-gamma":
@@ -347,9 +352,10 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
     if order is None:
         order = FIBER_ORDER
+    n, m = table.n, table.m
 
     per_axis = []
-    for r in range(table.n):
+    for r in range(n):
         # g's argument on this axis is (t + eta_r/2)/sqrt(2); jumps at
         # v = b pull back to t = sqrt(2) b - eta_r/2.
         brk_t = [math.sqrt(2.0) * b - eta[r] / 2 for b in g.breakpoints_on_axis(r)]
@@ -358,15 +364,21 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
             per_axis.append(legendre_panels(cuts, order))
         else:
             per_axis.append(place_hermite(gauss_hermite_1d(order), 0.0, 1.0))
-    check_rule_budget([len(nodes) for nodes, _ in per_axis],
-                      table.n + 1 + table.m * table.n + 3 * table.d)
-    t, w = tensor_rule(per_axis)
-    P = _psi_product_matrix(table, t)
-    gv = np.asarray(g((t + eta / 2) / math.sqrt(2.0)))
-    entries = P.T @ ((w * gv)[:, None] * P)
+    sizes = [len(t) for t, _ in per_axis]
+    check_rule_budget(sizes, n + 1 + m * n + 3 * table.d)
+    check_rule_budget([m] * (2 * n), 2)
+    check_rule_budget([m, m, sum(sizes)], 1)
+    factors = []
+    for t, w in per_axis:
+        psi = hermite_fn_table(m - 1, t)  # (m, N)
+        factors.append((w * (psi[:, None] * psi[None, :]))[..., None])
+    acc = stream_pairs(lambda points: g((points.real + eta / 2) / math.sqrt(2.0)),
+                       [t for t, _ in per_axis], [np.zeros(1)] * n, factors)
+    ps = table.array
+    entries = acc[tuple(k for r in range(n) for k in (ps[:, r, None], ps[None, :, r]))]
     if g.is_real:
-        entries = entries.real.astype(complex)
-    return SymbolMatrix(xi=eta, entries=entries)
+        entries = entries.real
+    return SymbolMatrix(xi=eta, entries=entries.astype(complex))
 
 
 def weyl_symbol(table: IndexTable, a, xi) -> SymbolMatrix:

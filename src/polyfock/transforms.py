@@ -27,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelSpec, _cpoint, _rpoint
-from .quadrature import gaussian_mean_rule, tensor_grid
+from .quadrature import (_evaluate, check_rule_budget, gaussian_mean_axes, stream_pairs,
+                         tensor_grid)
 
 FOCK = "fock"
 FLAT = "flat"
@@ -176,18 +177,31 @@ def fock_norm(spec: KernelSpec, f: FieldFunction, center=None, order: int | None
     """Weighted L^2 norm of a Fock-side function by Gaussian-mean quadrature.
 
     Computes ((alpha/pi)^n integral |f(z)|^2 e^{-alpha |z|^2} dA(z))^{1/2}
-    over C^n = R^{2n}, the Gaussian mean of |f|^2
-    (:func:`~polyfock.quadrature.gaussian_mean_rule`).  ``center`` (a complex
+    over C^n = R^{2n}, the Gaussian mean of |f|^2 on the order^{2n} rule of
+    :func:`~polyfock.quadrature.gaussian_mean_axes`.  ``center`` (a complex
     point) places the rule; for a kernel section K_w pass center = w, where
     the weighted modulus peaks, and the default order is exact to round-off.
+
+    The rule is streamed by :func:`~polyfock.quadrature.stream_pairs`, with
+    each coordinate's weights np.outer(w_re, w_im) as its factor: f is
+    called on (N, n) points, at most ``BLOCK_NODES`` at a time.  Before f is
+    called, :func:`~polyfock.quadrature.check_rule_budget` still counts the
+    whole rule at 2n + 1 words per node, a bound on the work.
     """
     _require(f, FOCK)
     n = spec.n
     w = _cpoint(np.zeros(n) if center is None else center, n)
-    c = np.concatenate((w.real, w.imag))
-    nodes, weights = gaussian_mean_rule(c, spec.alpha, order)
-    vals = np.abs(f(nodes[:, :n] + 1j * nodes[:, n:])) ** 2
-    return math.sqrt(max(float(np.sum(weights * vals)), 0.0))
+    axes = gaussian_mean_axes(np.concatenate((w.real, w.imag)), spec.alpha, order)
+    check_rule_budget([len(nodes) for nodes, _ in axes], 2 * n + 1)
+
+    def integrand(points):
+        # A view of stream_pairs' coordinate-first buffer, not a copy.
+        flat = np.moveaxis(points, -1, 0).reshape(n, -1).T
+        return np.abs(_evaluate(f, flat).reshape(points.shape[:-1])) ** 2
+
+    total = stream_pairs(integrand, [x for x, _ in axes[:n]], [y for y, _ in axes[n:]],
+                         [np.outer(axes[r][1], axes[n + r][1]) for r in range(n)])
+    return math.sqrt(max(float(total), 0.0))
 
 
 def flat_norm(n: int, g: FieldFunction, center=None, order: int | None = None) -> float:

@@ -437,3 +437,40 @@ def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypat
     assert blocks == math.prod(sizes[:fixed])
     # Read-only points, coordinate-first in memory.
     assert seen[:blocks] == [(tuple(sizes[fixed:]) + (n,), False, True)] * blocks
+
+
+@pytest.mark.parametrize("n, real_axes, fixed",
+                         [(n, real_axes, fixed) for n in (1, 2, 3) for real_axes in (False, True)
+                          for fixed in range(n + 1)])
+def test_stream_pairs_matches_tensor_rule_on_a_non_product_integrand(n, real_axes, fixed,
+                                                                     monkeypatch):
+    # The rule engine against the plain sum over tensor_rule's nodes.  The
+    # real-axis form has one imaginary node 0 per coordinate, as the direct
+    # sigma route uses it.  Blocks fix the first `fixed` real axes.
+    rng = np.random.default_rng([n, real_axes, fixed])
+    re_axes = [place_hermite(gauss_hermite_1d(k), rng.normal(), 1.0) for k in (6, 5, 4)[:n]]
+    im_axes = ([(np.zeros(1), np.ones(1))] * n if real_axes else
+               [place_hermite(gauss_hermite_1d(k), rng.normal(), 0.8) for k in (3, 5, 4)[:n]])
+    sizes = [len(nodes) for nodes, _ in re_axes + im_axes]
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", math.prod(sizes[fixed:]))
+    powers = [np.arange(r + 2) for r in range(n)]
+
+    def integrand(points):
+        dist2 = np.sum(np.abs(points) ** 2, axis=-1)
+        return np.exp(-dist2 / 2 + 0.3j * points[..., 0] * points[..., -1]) / (1 + dist2)
+
+    factors = []
+    for r in range(n):
+        (x, wx), (y, wy) = re_axes[r], im_axes[r]
+        w = x[:, None] + 1j * y[None, :]
+        factors.append(w ** powers[r][:, None, None] * np.outer(wx, wy))
+    got = stream_pairs(integrand, [x for x, _ in re_axes], [y for y, _ in im_axes], factors)
+
+    nodes, weights = tensor_rule(re_axes + im_axes)
+    w = nodes[:, :n] + 1j * nodes[:, n:]
+    base = weights * integrand(w)
+    want = np.zeros(tuple(len(p) for p in powers), dtype=complex)
+    for k in np.ndindex(*want.shape):
+        want[k] = np.sum(base * np.prod(w ** np.array(k), axis=1))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

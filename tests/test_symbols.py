@@ -205,7 +205,7 @@ def test_gamma_matches_direct_sigma_route(n, m):
     table = build_index_table(n, m)
     for g in _kind_samples(n, rng):
         if n == 3 and g.kind == "box-indicator":
-            continue  # the direct route's rule is over the allocation budget
+            continue  # the direct route's rule is over the budget (a bound on its work)
         for eta in rng.uniform(-3.0, 3.0, (3, n)):
             gam = gamma_toeplitz(table, g, -eta / math.sqrt(2.0)).entries
             direct = sigma_from_gamma(table, g, eta, route="direct").entries
@@ -213,7 +213,7 @@ def test_gamma_matches_direct_sigma_route(n, m):
 
 
 def test_gamma_and_direct_route_share_no_assembly(monkeypatch):
-    # gamma_toeplitz builds no tensor rule and never evaluates g; the direct
+    # gamma_toeplitz streams no tensor rule and never evaluates g; the direct
     # sigma route never uses the per-axis split it is the check for
     from polyfock import symbols
 
@@ -223,11 +223,11 @@ def test_gamma_and_direct_route_share_no_assembly(monkeypatch):
     table = build_index_table(2, 3)
     g = gaussian_poly([(1.0, (0, 0)), (0.5, (2, 1))], center=[0.3, -0.2], n=2)
     with monkeypatch.context() as patch:
-        for name in ("tensor_rule", "_psi_product_matrix"):
-            patch.setattr(symbols, name, refuse)
+        patch.setattr(symbols, "stream_pairs", refuse)
         patch.setattr(VerticalSymbol, "__call__", refuse)
         gamma = gamma_toeplitz(table, g, [0.4, -1.0]).entries
-    monkeypatch.setattr(symbols, "_axis_factors", refuse)
+    for name in ("_axis_factors", "gamma_toeplitz"):
+        monkeypatch.setattr(symbols, name, refuse)
     direct = sigma_from_gamma(table, g, [-0.4 * math.sqrt(2.0), math.sqrt(2.0)],
                               route="direct").entries
     assert_allclose(gamma, direct, rtol=0, atol=1e-12)
@@ -246,20 +246,71 @@ def test_direct_route_budget_counts_psi_products(monkeypatch):
         sigma_from_gamma(table, constant(1.0), [0.3], order=10, route="direct")
 
 
-def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
-    # A 128^3 rule alone is 67 MB, under the budget; with d = 35 its psi
-    # products would take 2.1 GB.  Nothing large may be built before refusing.
+def _refuse_direct_route_work(monkeypatch):
     from polyfock import symbols
 
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the budget check")
 
-    for name in ("tensor_rule", "hermite_fn_table", "_psi_product_matrix"):
+    for name in ("stream_pairs", "hermite_fn_table"):
         monkeypatch.setattr(symbols, name, refuse)
+
+
+def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
+    # A 128^3 rule alone is 67 MB, under the budget; with d = 35 the psi
+    # products it would carry take 2.1 GB.  The count bounds the streamed
+    # work, and nothing is built or evaluated before refusing.
+    _refuse_direct_route_work(monkeypatch)
     with pytest.raises(ValueError, match=r"2097152 nodes \(128x128x128\) at 124 words "
                                          r"per node needs 2080374784 bytes"):
         sigma_from_gamma(build_index_table(3, 5), constant(1.0, n=3), [0.1, -0.2, 0.3],
                          order=128, route="direct")
+
+
+# A 2x2 rule with a 100^4 complex sum (n = 2, m = 100), and a 1000x1000
+# factor on each of 384 sign-axis nodes (n = 1, m = 1000): each rule is tiny
+# at its word count, but the sum or the factors are over the budget.
+DIRECT_MEMORY_REFUSALS = {
+    "sum-n2-m100": ((2, 100, constant(1.0, n=2), 2),
+                    r"100000000 nodes \(100x100x100x100\) at 2 words per node "
+                    r"needs 1600000000 bytes"),
+    "factors-n1-m1000": ((1, 1000, sign(), 48),
+                         r"384000000 nodes \(1000x1000x384\) at 1 words per node "
+                         r"needs 3072000000 bytes"),
+}
+
+
+@pytest.mark.parametrize("case, message", DIRECT_MEMORY_REFUSALS.values(),
+                         ids=DIRECT_MEMORY_REFUSALS)
+def test_direct_route_refuses_large_sums_and_factors_before_allocating(case, message,
+                                                                      monkeypatch):
+    n, m, g, order = case
+    table = build_index_table(n, m)
+    _refuse_direct_route_work(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            sigma_from_gamma(table, g, [0.3] * n, order=order, route="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_direct_route_streams_the_n3_rule():
+    # The 384 x 48 x 48 sign rule took 223 MiB when it was built whole.
+    table = build_index_table(3, 3)
+    g = sign(axis=0, n=3)
+    eta = np.array([0.7, -1.3, 2.1])
+    tracemalloc.start()
+    try:
+        direct = sigma_from_gamma(table, g, eta, route="direct").entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    via = sigma_from_gamma(table, g, eta, route="via-gamma").entries
+    assert_allclose(direct, via, rtol=0, atol=1e-12)
 
 
 def test_gamma_box_n3_bounded_and_psd():

@@ -1,12 +1,14 @@
 """Flattening unitary, Weyl shifts, and the Gaussian-RBF picture."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from polyfock.kernels import KernelSpec, kernel_F, kernel_H
+from polyfock.quadrature import gaussian_mean_rule
 from polyfock.transforms import (
     check_intertwining,
     flat_function,
@@ -91,6 +93,38 @@ def test_norms_of_kernel_sections_are_exact_at_the_default_order(n, m):
     assert fock_norm(spec, f, center=w) == pytest.approx(expected, rel=1e-13)
     flat_center = math.sqrt(alpha) * np.concatenate((w.real, w.imag))
     assert flat_norm(n, flatten(spec, f), center=flat_center) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, order", [(1, 16), (2, 10), (3, 8)])
+def test_streamed_fock_norm_matches_the_built_rule(n, order):
+    # Not a kernel section: the integrand is no product over coordinates.
+    # At n = 3 the 8^6 rule streams in blocks with the first real axis fixed.
+    spec = KernelSpec(n, 2, 0.9)
+    center = np.array([0.3 - 0.2j, -0.4 + 0.1j, 0.2 + 0.5j])[:n]
+
+    def g(z):
+        return np.exp(0.4 * np.sum(z, axis=-1)) * (1 + z[..., 0] * np.conj(z[..., -1]) ** 2)
+
+    nodes, weights = gaussian_mean_rule(np.concatenate((center.real, center.imag)),
+                                        spec.alpha, order)
+    plain = math.sqrt(np.sum(weights * np.abs(g(nodes[:, :n] + 1j * nodes[:, n:])) ** 2))
+    got = fock_norm(spec, fock_function(g), center=center, order=order)
+    assert got == pytest.approx(plain, rel=1e-13)
+
+
+def test_fock_norm_never_holds_the_n3_rule():
+    # The 12^6 rule took 547 MiB when it was built whole.
+    spec = KernelSpec(3, 2, 1.3)
+    w = np.array([0.4 - 0.1j, -0.3 + 0.6j, 0.1 + 0.2j])
+    expected = math.sqrt(spec.d * math.exp(spec.alpha * np.sum(np.abs(w) ** 2)))
+    tracemalloc.start()
+    try:
+        got = fock_norm(spec, kernel_section(spec, w), center=w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_fock_norm_rejects_non_finite_center():
