@@ -28,13 +28,15 @@ one builder.  The vocabulary:
   counted against the budget before any is built.
 * **Tensor rules** (:func:`tensor_rule`).  The one builder of
   multi-dimensional rules from per-axis rules; :func:`tensor_grid` is the
-  placed Gauss-Hermite case and keeps the per-axis rules it was built from.
+  placed Gauss-Hermite case, one scale for every axis.
 * **Streamed rules** (:func:`stream_pairs`).  A tensor rule on C^n whose
   integrand is one non-separable function times a product of per-coordinate
   factors is summed in blocks of at most ``BLOCK_NODES`` nodes, and never
-  built.  A rule on R^n is the case of one imaginary node 0 per
-  coordinate.  ``R_F_apply``, ``fock_norm``, the reproducing oracle and
-  the direct route of ``sigma_from_gamma`` sum their rules this way.
+  built.  The integrand takes each block's points as an (N, n) complex
+  array and returns one value per point.  A rule on R^n is the case of one
+  imaginary node 0 per coordinate.  ``R_F_apply``, ``R_H_apply``,
+  ``fock_norm``, the reproducing oracle and the direct route of
+  ``sigma_from_gamma`` sum their rules this way.
 * **Budget** (:func:`check_rule_budget`).  The one size check: any tensor
   rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET`` is refused
   before it is built.  :func:`tensor_rule` and :func:`legendre_panels` call
@@ -172,9 +174,8 @@ def place_hermite(rule: tuple[np.ndarray, np.ndarray], center: float, scale: flo
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor product of 1-D rules, with the per-axis rules it was built from."""
+    """Tensor product of 1-D rules."""
 
-    axes: tuple[tuple[np.ndarray, np.ndarray], ...]  # (nodes, weights) of each axis
     nodes: np.ndarray      # (N, dim), last axis fastest
     weights: np.ndarray    # (N,), all positive
 
@@ -204,18 +205,18 @@ def tensor_rule(per_axis: Sequence[tuple[np.ndarray, np.ndarray]]):
 def tensor_grid(dim: int, order: int | None = None, center=0.0, scale=1.0) -> QuadratureGrid:
     """Tensor Gauss-Hermite rule of order**dim nodes, placed axis by axis.
 
-    ``center`` and ``scale`` are real scalars or length-dim vectors (complex
-    values raise TypeError); each axis is :func:`place_hermite` of the same
-    order-point rule.
+    ``center`` is a real scalar or length-dim vector and ``scale`` one real
+    scalar shared by every axis (complex values, and a vector scale, raise
+    TypeError); each axis is :func:`place_hermite` of the same order-point
+    rule.
     """
     dim = _integer(dim, "dim", 1)
     if order is None:
         order = default_order(dim)
-    center, scale = (np.broadcast_to(_real(p, label), (dim,))
-                     for p, label in ((center, "center"), (scale, "scale")))
+    center = np.broadcast_to(_real(center, "center"), (dim,))
+    scale = _scalar(scale, "scale", positive=True)
     rule = gauss_hermite_1d(order)
-    axes = tuple(place_hermite(rule, c, s) for c, s in zip(center, scale))
-    return QuadratureGrid(axes, *tensor_rule(axes))
+    return QuadratureGrid(*tensor_rule([place_hermite(rule, c, scale) for c in center]))
 
 
 def gaussian_mean_axes(center, alpha: float, order: int | None = None):
@@ -261,25 +262,24 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
     has shape extra_r + (len(re_nodes[r]), len(im_nodes[r])) and carries
     the weights of coordinate r.  The grid is never built: leading real
     axes are fixed until a block has at most ``BLOCK_NODES`` nodes (read at
-    call time), ``integrand`` is called once per block on complex points of
-    shape (..., n) and returns values of shape (...), and each coordinate
-    pair of the block is contracted against its factor (a fixed real axis
-    against its slice).  The block results, indexed extra_0 + ... +
-    extra_{n-1}, are added in block order.  Peak memory is one block.
-
-    The points are coordinate-first in memory: they are the read-only view
-    ``np.moveaxis(buf, 0, -1)`` of one (n, ...) buffer, so ``points[..., r]``
-    is contiguous and ``np.moveaxis(points, -1, 0)`` gives the buffer's
-    layout back without a copy.  The buffer is filled one coordinate at a
-    time and reused from block to block, where only the coordinates with a
-    fixed real axis change.
+    call time), ``integrand`` is called once per block on a read-only
+    (N, n) complex array of its points and must return one value per point
+    (checked as by :func:`_evaluate`), and each coordinate pair of the
+    block is contracted against its factor (a fixed real axis against its
+    slice).  The block results, indexed extra_0 + ... + extra_{n-1}, are
+    added in block order.  Cost: one integrand value and about E
+    multiply-adds per node, E the size of extra_0 (the first contraction
+    dominates while each pair has more nodes than extra_r has entries);
+    peak memory is one block.  ``points[:, r]`` is contiguous, and the
+    points of one block are overwritten by the next.
 
     A real axis is a pair whose imaginary axis is the single node 0 (with
     factors of shape extra_r + (len(re_nodes[r]), 1)); the integrand then
-    reads ``points.real``.  Callers: ``spectral.R_F_apply`` and
-    ``transforms.fock_norm`` (complex pairs), the reproducing oracle of
-    ``verify`` (complex pairs, moments read out of the sum) and the direct
-    route of ``symbols.sigma_from_gamma`` (real axes).
+    reads ``points.real``.  Callers: ``spectral.R_F_apply``,
+    ``spectral.R_H_apply`` and ``transforms.fock_norm`` (complex pairs),
+    the reproducing oracle of ``verify`` (complex pairs, moments read out
+    of the sum) and the direct route of ``symbols.sigma_from_gamma`` (real
+    axes).
     """
     n = len(re_nodes)
     sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]
@@ -287,21 +287,23 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
     while fixed < n and math.prod(sizes[fixed:]) > BLOCK_NODES:
         fixed += 1
     free = 2 * n - fixed
+    block = tuple(sizes[fixed:])
 
     def along(values, axis):
         return values.reshape([-1 if a == axis else 1 for a in range(free)])
 
     # Block axes: the free real axes re_fixed..re_{n-1}, then im_0..im_{n-1}.
-    buf = np.empty((n, *sizes[fixed:]), dtype=complex)
+    # Only the coordinates with a fixed real axis change between blocks.
+    buf = np.empty((n, *block), dtype=complex)
     for r in range(fixed, n):
         buf[r] = along(re_nodes[r], r - fixed) + 1j * along(im_nodes[r], n - fixed + r)
-    points = np.moveaxis(buf, 0, -1)
+    points = buf.reshape(n, -1).T
     points.flags.writeable = False
     total = 0.0
     for lead in np.ndindex(*sizes[:fixed]):
         for r in range(fixed):
             buf[r] = re_nodes[r][lead[r]] + 1j * along(im_nodes[r], n - fixed + r)
-        cube = integrand(points)
+        cube = _evaluate(integrand, points).reshape(block)
         for r in range(n):
             # Each contraction drops the pair's axes and appends extra_r.
             if r < fixed:

@@ -164,32 +164,38 @@ def R_H_apply(
     """Decomposition operator on the flattened side, by 2n-dim quadrature.
 
     components_j = (2 pi)^{-n} iint g(u, v) e^{-i<u, xi>} q_{phi(j), xi}(v) du dv.
-    Supported inputs are kernel-derived (Gaussian envelopes); the grid
-    assumes decay e^{-|u|^2/2} in u centered at 0 and the q-factor Gaussian
-    in v.
+    Supported inputs are kernel-derived (Gaussian envelopes): the u axes
+    are placed at 0 with scale sqrt(2) (decay e^{-|u|^2/2}), the v axes at
+    the q-factor Gaussian, -xi/2 with scale 1.  As in :func:`R_F_apply`,
+    the order^{2n} rule is streamed by :func:`stream_pairs` on the points
+    u + i v, with one (m, order, order) factor per coordinate carrying
+    e^{-i u_r xi_r}, the Hermite functions of q and both 1-D weights.
+    Cost: order^{2n} evaluations of g plus O(m * order^{2n}); peak memory
+    is one block.
 
-    Before anything is built, :func:`check_rule_budget` counts
-    (2n + 1) + 6 + (m n + 2d) float64 words per node: the rule, the complex
-    values with their phase and product, and the q matrix with its Hermite
-    table.  g's own working memory is not counted.
+    Before g is called, :func:`check_rule_budget` counts (2n + 1) + 6 +
+    (m n + 2d) float64 words per node, what the rule with its values, phase
+    and q matrix would take if built: a bound on the work.  g's own working
+    memory is not counted.
     """
     _require(g, FLAT)
-    n = table.n
+    n, m = table.n, table.m
     xi = _frequency(xi, n)
     if order is None:
         order = default_order(2 * n)
-    check_rule_budget([order] * (2 * n), (2 * n + 1) + 6 + (table.m * n + 2 * table.d))
-    # u axes: e^{-|u|^2/2} centered at 0 (scale sqrt(2)); v axes: the q-factor
-    # Gaussian at -xi/2 (scale 1).
-    grid = tensor_grid(2 * n, order, center=np.concatenate((np.zeros(n), -xi / 2)),
-                       scale=np.concatenate((np.full(n, math.sqrt(2.0)), np.ones(n))))
-    u = grid.nodes[:, :n]
-    v = grid.nodes[:, n:]
-    vals = _evaluate(lambda nodes: g(nodes[:, :n], nodes[:, n:]), grid.nodes)
-    vals = vals * np.exp(-1j * u @ xi)
-    q = q_matrix(table, xi, v)  # (N, d)
-    comps = q.T @ (grid.weights * vals) / (2 * math.pi) ** n
-    return FiberVector(xi=xi, components=comps)
+    check_rule_budget([order] * (2 * n), (2 * n + 1) + 6 + (m * n + 2 * table.d))
+    rule = gauss_hermite_1d(order)
+    u, u_weights = place_hermite(rule, 0.0, math.sqrt(2.0))
+    vs, factors = [], []
+    for r in range(n):
+        v, v_weights = place_hermite(rule, -xi[r] / 2, 1.0)
+        phase = np.exp(-1j * u * xi[r])
+        psi = hermite_fn_table(m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))
+        vs.append(v)
+        factors.append(np.outer(u_weights * phase, v_weights) * psi[:, None, :])
+    total = stream_pairs(lambda points: g(points.real, points.imag), [u] * n, vs, factors)
+    front = 2 ** (n / 2) * math.pi ** (n / 4) / (2 * math.pi) ** n
+    return FiberVector(xi=xi, components=total[tuple(table.array.T)] * front)
 
 
 def R_F_apply(
@@ -241,14 +247,7 @@ def R_F_apply(
         vs.append(v)
         factors.append(np.outer(u_weights, v_weights) * phase * psi[:, None, :])
     root = math.sqrt(spec.alpha)
-
-    def integrand(points):
-        # Scaled in stream_pairs' coordinate-first layout, so the (N, n)
-        # points handed to f are a view, not a transposed copy.
-        scaled = np.moveaxis(points, -1, 0) / root
-        return _evaluate(f, scaled.reshape(n, -1).T).reshape(points.shape[:-1])
-
-    total = stream_pairs(integrand, [u] * n, vs, factors)
+    total = stream_pairs(lambda points: f(points / root), [u] * n, vs, factors)
     comps = total[tuple(table.array.T)] * math.pi ** (-3 * n / 4)
     return FiberVector(xi=xi, components=comps)
 

@@ -193,13 +193,8 @@ def fock_norm(spec: KernelSpec, f: FieldFunction, center=None, order: int | None
     w = _cpoint(np.zeros(n) if center is None else center, n)
     axes = gaussian_mean_axes(np.concatenate((w.real, w.imag)), spec.alpha, order)
     check_rule_budget([len(nodes) for nodes, _ in axes], 2 * n + 1)
-
-    def integrand(points):
-        # A view of stream_pairs' coordinate-first buffer, not a copy.
-        flat = np.moveaxis(points, -1, 0).reshape(n, -1).T
-        return np.abs(_evaluate(f, flat).reshape(points.shape[:-1])) ** 2
-
-    total = stream_pairs(integrand, [x for x, _ in axes[:n]], [y for y, _ in axes[n:]],
+    total = stream_pairs(lambda points: np.abs(f(points)) ** 2,
+                         [x for x, _ in axes[:n]], [y for y, _ in axes[n:]],
                          [np.outer(axes[r][1], axes[n + r][1]) for r in range(n)])
     return math.sqrt(max(float(total), 0.0))
 
@@ -210,13 +205,12 @@ def flat_norm(n: int, g: FieldFunction, center=None, order: int | None = None) -
     ``center`` is a real 2n-vector (x-part then y-part) placing the grid.
     The grid has unit width, the width of |g|^2 for a flattened kernel
     section; for the flattened K_w, center = sqrt(alpha) (Re w, Im w) makes
-    the default order exact to round-off.
+    the default order exact to round-off.  g is called once, on the (N, n)
+    x and y parts of all N nodes, and must return one value per node.
     """
     _require(g, FLAT)
     c = np.zeros(2 * n) if center is None else _rpoint(center, 2 * n, "center")
     grid = tensor_grid(2 * n, order, center=c, scale=1.0)
-    x = grid.nodes[:, :n]
-    y = grid.nodes[:, n:]
-    vals = np.abs(g(x, y)) ** 2
+    vals = np.abs(_evaluate(lambda nodes: g(nodes[:, :n], nodes[:, n:]), grid.nodes)) ** 2
     total = float(np.sum(grid.weights * vals)) / (2 * math.pi) ** n
     return math.sqrt(max(total, 0.0))

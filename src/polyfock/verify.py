@@ -51,14 +51,12 @@ from .spectral import L_closed, L_via_fourier
 SUITES = ("laguerre", "kernel-basis", "reproducing", "sum-products",
           "fourier-laguerre", "fourier-kernel")
 
-# Acceptance tolerances per suite.  "laguerre" is exact rational arithmetic
-# (tolerance 0); "reproducing" uses 1e-7 for the 4D integrals (n <= 2) and
-# the relaxed 6D value for n = 3.
+# Acceptance tolerances per suite, one for every case of the suite.
+# "laguerre" is exact rational arithmetic (tolerance 0).
 TOLERANCES = {
     "laguerre": 0.0,
     "kernel-basis": 1e-10,
     "reproducing": 1e-7,
-    "reproducing-6d": 1e-5,
     "sum-products": 1e-11,
     "fourier-laguerre": 1e-8,
     "fourier-kernel": 1e-8,
@@ -145,13 +143,12 @@ def _resolve(suite: str, config: SuiteConfig) -> dict:
 
 
 def _run_cases(suite: str, jobs: _Jobs) -> tuple[CaseResult, ...]:
+    tol = TOLERANCES[suite]
     results = []
     for case_id, fn in jobs:
         t0 = time.perf_counter()
         err = float(fn())
         elapsed = time.perf_counter() - t0
-        tol = TOLERANCES["reproducing-6d" if suite == "reproducing" and "n=3" in case_id
-                         else suite]
         results.append(CaseResult(id=case_id, max_error=err, tolerance=tol,
                                   passed=bool(err <= tol), elapsed_seconds=elapsed))
     return tuple(sorted(results, key=lambda c: c.id))
@@ -412,10 +409,9 @@ _SUITE_TABLE: dict[str, tuple[Callable[[dict], _Jobs], dict]] = {
 def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
     """Run one named suite, or all of them under ``name='all'``.
 
-    A suite's cases take its ``TOLERANCES`` entry, except the n = 3
-    reproducing cases, which take ``reproducing-6d``.  The 'all' report
-    nests the individual suite reports and passes iff every one of them
-    does.
+    Every case of a suite takes the suite's ``TOLERANCES`` entry.  The
+    'all' report nests the individual suite reports and passes iff every
+    one of them does.
     """
     config = config or SuiteConfig()
     t0 = time.perf_counter()

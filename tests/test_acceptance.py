@@ -91,9 +91,8 @@ def test_criterion_3_kernel_via_orthonormal_basis():
 
 def test_criterion_4_reproducing_property():
     report = run_suite("reproducing", SuiteConfig(n_max=3, m_max=3, p_max=5))
-    assert {c.tolerance for c in report.cases} == {1e-7, 1e-5}
-    _suite_line(4, "reproducing property on monomials, rel <= 1e-7 (n <= 2), "
-                   "<= 1e-5 (n = 3)", report)
+    assert {c.tolerance for c in report.cases} == {1e-7}
+    _suite_line(4, "reproducing property on monomials, rel <= 1e-7", report)
 
 
 def test_criterion_5_sum_of_products_decomposition():

@@ -120,22 +120,17 @@ def test_tensor_grid_rejects_non_finite_placement(placement):
         tensor_grid(2, 4, **placement)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.5])
-def test_place_hermite_rejects_non_positive_scale(scale):
-    with pytest.raises(ValueError, match="^scale must be finite and positive"):
+@pytest.mark.parametrize("scale, error, message",
+                         [(0.0, ValueError, "finite and positive"),
+                          (-1.5, ValueError, "finite and positive"),
+                          ([1.0, 2.0], TypeError, "a real number")],
+                         ids=["0.0", "-1.5", "vector"])
+def test_place_hermite_rejects_non_positive_scale(scale, error, message):
+    # tensor_grid takes one scale for every axis, so a vector is refused.
+    with pytest.raises(error, match="^scale must be " + message):
         place_hermite(gauss_hermite_1d(4), 0.0, scale)
-    with pytest.raises(ValueError, match="^scale must be finite and positive"):
-        tensor_grid(2, 4, scale=[1.0, scale])
-
-
-def test_tensor_grid_keeps_its_axes():
-    grid = tensor_grid(3, 4, center=[0.5, 0.0, -1.0], scale=[1.0, 2.0, 0.5])
-    assert len(grid.axes) == 3
-    nodes, weights = tensor_rule(grid.axes)
-    assert np.array_equal(grid.nodes, nodes)
-    assert np.array_equal(grid.weights, weights)
-    t, _ = gauss_hermite_1d(4)
-    assert np.array_equal(grid.axes[1][0], 0.0 + 2.0 * t)
+    with pytest.raises(error, match="^scale must be " + message):
+        tensor_grid(2, 4, scale=scale)
 
 
 @pytest.mark.parametrize("center, alpha", [([0.0, math.nan], 1.0), ([math.inf, 0.0], 1.0),
@@ -156,12 +151,11 @@ def test_default_orders_table():
 @pytest.mark.parametrize("dim, order", [(1, 7), (2, 5), (3, 4)])
 def test_tensor_grid_is_tensor_rule_of_mapped_1d_rules(dim, order):
     center = np.array([0.3, -1.2, 2.0])[:dim]
-    scale = np.array([0.7, 1.9, 1.1])[:dim]
+    scale = 1.9
     grid = tensor_grid(dim, order, center=center, scale=scale)
 
     t, w = gauss_hermite_1d(order)
-    per_axis = [(center[a] + scale[a] * t, scale[a] * (w * np.exp(t * t)))
-                for a in range(dim)]
+    per_axis = [(center[a] + scale * t, scale * (w * np.exp(t * t))) for a in range(dim)]
     nodes, weights = tensor_rule(per_axis)
     assert np.array_equal(grid.nodes, nodes)
     assert np.array_equal(grid.weights, weights)
@@ -378,7 +372,7 @@ def test_weights_are_overflow_compensated():
 
 
 def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, block_nodes):
-    """stream_pairs with each block's points stacked coordinate-last by np.stack."""
+    """stream_pairs with each block's points stacked into a fresh (N, n) array by np.stack."""
     n = len(re_nodes)
     sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]
     fixed = 0
@@ -393,7 +387,8 @@ def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, block_nodes):
     for lead in np.ndindex(*sizes[:fixed]):
         parts = [(re_nodes[r][lead[r]] if r < fixed else along(re_nodes[r], r - fixed))
                  + 1j * along(im_nodes[r], n - fixed + r) for r in range(n)]
-        cube = integrand(np.stack(np.broadcast_arrays(*parts), axis=-1))
+        points = np.stack(np.broadcast_arrays(*parts), axis=-1)
+        cube = integrand(points.reshape(-1, n)).reshape(points.shape[:-1])
         for r in range(n):
             if r < fixed:
                 cube = np.tensordot(cube, factors[r][..., lead[r], :], axes=([n - fixed], [-1]))
@@ -422,12 +417,12 @@ def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypat
     seen = []
 
     def integrand(points):
-        coords = np.moveaxis(points, -1, 0)
-        seen.append((points.shape, points.flags.writeable, coords.flags.c_contiguous))
+        seen.append((points.shape, points.flags.writeable,
+                     all(points[:, r].flags.c_contiguous for r in range(n))))
         total = 0.0
         for r in range(points.shape[-1]):
-            total = total + (r + 1) * points[..., r]
-        return np.exp(0.2j * total) * np.cos(points[..., 0] * points[..., -1])
+            total = total + (r + 1) * points[:, r]
+        return np.exp(0.2j * total) * np.cos(points[:, 0] * points[:, -1])
 
     got = stream_pairs(integrand, re_nodes, im_nodes, factors)
     blocks = len(seen)
@@ -435,8 +430,18 @@ def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypat
     assert got.shape == tuple(range(1, n + 1))
     assert_array_equal(got, want)
     assert blocks == math.prod(sizes[:fixed])
-    # Read-only points, coordinate-first in memory.
-    assert seen[:blocks] == [(tuple(sizes[fixed:]) + (n,), False, True)] * blocks
+    # Read-only (N, n) points whose coordinates are contiguous.
+    assert seen[:blocks] == [((block_nodes, n), False, True)] * blocks
+
+
+@pytest.mark.parametrize("integrand, shape", [(lambda points: np.sum(points[:, 0]), r"\(\)"),
+                                              (lambda points: points[:, :1], r"\(12, 1\)")],
+                         ids=["one-value-per-block", "a-column-per-block"])
+def test_stream_pairs_refuses_an_integrand_without_one_value_per_point(integrand, shape):
+    re_nodes, im_nodes = [np.arange(3.0), np.arange(4.0)], [np.zeros(1), np.zeros(1)]
+    factors = [np.ones((3, 1)), np.ones((4, 1))]
+    with pytest.raises(ValueError, match=rf"^evaluator returned shape {shape} for 12 points"):
+        stream_pairs(integrand, re_nodes, im_nodes, factors)
 
 
 @pytest.mark.parametrize("n, real_axes, fixed",

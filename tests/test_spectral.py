@@ -5,6 +5,8 @@ with them, and against each other on kernel sections.
 """
 
 import math
+import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -14,7 +16,8 @@ from numpy.testing import assert_allclose
 from polyfock.kernels import KernelSpec, kernel_F
 from polyfock.multiindex import build_index_table
 from polyfock.orthopoly import hermite_fn, hermite_fn_table
-from polyfock.quadrature import default_order, tensor_grid
+from polyfock.quadrature import (default_order, gauss_hermite_1d, place_hermite, tensor_grid,
+                                 tensor_rule)
 from polyfock.spectral import (
     FiberVector,
     L_closed,
@@ -28,7 +31,7 @@ from polyfock.spectral import (
     fiber_reconstruct,
     q_matrix,
 )
-from polyfock.transforms import flat_function, flatten, fock_function
+from polyfock.transforms import flat_function, flat_norm, flatten, fock_function
 
 
 def q_gram(table, xi, order=48):
@@ -204,6 +207,14 @@ def test_R_two_routes_on_kernel_sections():
         assert_allclose(direct.components, via_flat.components, atol=1e-7)
 
 
+def _dense_rule(n, xi, order):
+    """The whole order^{2n} rule of R_F_apply and R_H_apply: u axes at 0 with
+    scale sqrt(2), v axes at -xi/2 with scale 1."""
+    rule = gauss_hermite_1d(default_order(2 * n) if order is None else order)
+    return tensor_rule([place_hermite(rule, 0.0, math.sqrt(2.0))] * n
+                       + [place_hermite(rule, -x / 2, 1.0) for x in xi])
+
+
 def R_F_dense(spec, f, xi, order=None):
     """R_F_apply's integral as one weighted sum over the whole 2n-dim grid.
 
@@ -213,19 +224,16 @@ def R_F_dense(spec, f, xi, order=None):
     n = spec.n
     table = build_index_table(n, spec.m)
     xi = np.asarray(xi, dtype=float)
-    order = default_order(2 * n) if order is None else order
-    center = np.concatenate((np.zeros(n), -xi / 2))
-    scale = np.concatenate((np.full(n, math.sqrt(2.0)), np.full(n, 1.0)))
-    grid = tensor_grid(2 * n, order, center=center, scale=scale)
-    u = grid.nodes[:, :n]
-    v = grid.nodes[:, n:]
+    nodes, weights = _dense_rule(n, xi, order)
+    u = nodes[:, :n]
+    v = nodes[:, n:]
     phase = np.exp(-np.sum(u * u, axis=-1) / 2 - np.sum(v * v, axis=-1) / 2
                    - 1j * np.sum(u * v, axis=-1) - 1j * (u @ xi))
     vals = np.asarray(f((u + 1j * v) / math.sqrt(spec.alpha))) * phase
     psi = hermite_fn_table(spec.m - 1, (xi + 2 * v) / math.sqrt(2.0))
     big_psi = np.stack([np.prod([psi[kr, :, r] for r, kr in enumerate(k)], axis=0)
                         for k in table], axis=-1)
-    return big_psi.T @ (grid.weights * vals) * math.pi ** (-3 * n / 4)
+    return big_psi.T @ (weights * vals) * math.pi ** (-3 * n / 4)
 
 
 @pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (2, 4), (3, 2)])
@@ -249,6 +257,76 @@ def test_R_F_apply_matches_dense_sum(n, m):
         assert_allclose(got, R_F_dense(spec, f, xi, order=order), rtol=0, atol=1e-13)
 
 
+def R_H_dense(table, g, xi, order=None):
+    """R_H_apply's integral as one weighted sum over the whole 2n-dim grid.
+
+    The phase and the fiber basis q are evaluated at every node, then
+    contracted with the values in one matrix-vector product.
+    """
+    n = table.n
+    xi = np.asarray(xi, dtype=float)
+    nodes, weights = _dense_rule(n, xi, order)
+    u = nodes[:, :n]
+    v = nodes[:, n:]
+    vals = np.asarray(g(u, v)) * np.exp(-1j * u @ xi)
+    return q_matrix(table, xi, v).T @ (weights * vals) / (2 * math.pi) ** n
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 3), (3, 2)])
+def test_R_H_apply_matches_dense_sum(n, m):
+    # The dense n = 3 rule is built at order 10 only: at the default order
+    # it would take over 600 MiB.
+    orders = (10,) if n == 3 else (None, 10)
+    spec = KernelSpec(n, m, 1.3)
+    table = build_index_table(n, m)
+    rng = np.random.default_rng([39, n, m])
+    y = rng.uniform(-0.8, 0.8, n)
+    xi = rng.uniform(-3, 3, n)
+    g = flatten(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)))
+    # Blocks as for R_F_apply: one leading u axis fixed at n = 2 and order
+    # 20, two at n = 3 and order 10.
+    blocks = {(1, None): 1, (1, 10): 1, (2, None): 20, (2, 10): 1, (3, 10): 100}
+    for order in orders:
+        sizes = []
+        counted = flat_function(lambda u, v: sizes.append(len(u)) or g(u, v))
+        got = R_H_apply(table, counted, xi, order=order).components
+        assert got.shape == (table.d,)
+        assert len(sizes) == blocks[n, order]
+        assert sum(sizes) == (order or default_order(2 * n)) ** (2 * n)
+        assert_allclose(got, R_H_dense(table, g, xi, order=order), rtol=0, atol=1e-13)
+
+
+def test_R_H_apply_peak_memory_is_one_block():
+    # n = 3, m = 2 at the default order 12: the built rule with its phase
+    # and q matrix took 638 MiB.
+    spec = KernelSpec(3, 2)
+    table = build_index_table(3, 2)
+    y = np.array([0.3, -0.5, 0.1])
+    g = flatten(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)))
+    tracemalloc.start()
+    try:
+        got = R_H_apply(table, g, [0.4, -1.0, 0.2]).components
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert got.shape == (table.d,) and np.all(np.isfinite(got))
+
+
+def test_R_H_apply_shares_no_route_with_its_checks(monkeypatch):
+    from polyfock import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called across the route boundary")
+
+    for name in ("q_matrix", "R_F_kernel_image", "R_F_apply", "tensor_grid"):
+        monkeypatch.setattr(spectral, name, refuse)
+    spec = KernelSpec(2, 3)
+    y = np.array([0.3, -0.5])
+    g = flatten(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)))
+    R_H_apply(build_index_table(2, 3), g, [0.4, -1.0], order=8)
+
+
 def test_R_F_apply_shares_no_route_with_its_checks(monkeypatch):
     from polyfock import spectral, transforms
 
@@ -267,13 +345,18 @@ def test_evaluators_must_return_one_value_per_node():
     xi = [0.5]
     table = build_index_table(1, 2)
     calls = [
-        lambda: R_F_apply(KernelSpec(1, 2), fock_function(lambda z: np.ones(z.shape, complex)),
-                          xi, order=8),
-        lambda: R_H_apply(table, flat_function(lambda u, v: np.ones(u.shape)), xi, order=8),
-        lambda: fiber_project(table, xi, lambda v: np.ones(v.shape), order=8),
+        (lambda: R_F_apply(KernelSpec(1, 2), fock_function(lambda z: np.ones(z.shape, complex)),
+                           xi, order=8), "(64, 1)", 64),
+        (lambda: R_H_apply(table, flat_function(lambda u, v: np.ones(u.shape)), xi, order=8),
+         "(64, 1)", 64),
+        (lambda: fiber_project(table, xi, lambda v: np.ones(v.shape), order=8), "(8, 1)", 8),
+        (lambda: flat_norm(1, flat_function(lambda x, y: np.ones(x.shape)), order=8),
+         "(64, 1)", 64),
+        (lambda: flat_norm(1, flat_function(lambda x, y: 1.0), order=8), "()", 64),
     ]
-    for call, nodes in zip(calls, (64, 64, 8)):
-        with pytest.raises(ValueError, match=rf"returned shape \({nodes}, 1\) for {nodes} points"):
+    for call, shape, nodes in calls:
+        with pytest.raises(ValueError, match=rf"returned shape {re.escape(shape)} for {nodes} "
+                                             "points"):
             call()
 
 
@@ -322,14 +405,15 @@ def test_R_H_budget_counts_q_matrix_and_values(monkeypatch):
 
 
 def test_R_H_refuses_large_rules_before_building_them(monkeypatch):
-    # n = 3, m = 1 at order 16: the rule alone (940 MB) fits the budget, its
-    # values, phase and q matrix push the call to 2.4 GB.
+    # n = 3, m = 1 at order 16: the rule alone (940 MB) would fit the
+    # budget, its values, phase and q matrix push the count to 2.4 GB.
     from polyfock import spectral
 
     def refuse(*args, **kwargs):
         raise AssertionError("allocated or evaluated before the budget check")
 
     monkeypatch.setattr(spectral, "tensor_grid", refuse)
+    monkeypatch.setattr(spectral, "stream_pairs", refuse)
     with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\) "
                                          r"at 18 words per node needs 2415919104 bytes"):
         R_H_apply(build_index_table(3, 1), flat_function(refuse), [0.1, 0.2, 0.3], order=16)

@@ -99,7 +99,7 @@ def test_fourier_laguerre_rejects_order_zero():
 
 def test_suite_table_matches_suites_and_tolerances():
     assert tuple(verify._SUITE_TABLE) == SUITES
-    assert set(TOLERANCES) == set(SUITES) | {"reproducing-6d"}
+    assert set(TOLERANCES) == set(SUITES)
     for name, (_, table) in verify._SUITE_TABLE.items():
         for key, (default, cap) in table.items():
             assert getattr(SuiteConfig(), key) is None, (name, key)
@@ -183,7 +183,7 @@ def test_reproducing_job_never_holds_the_full_rule():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert error <= TOLERANCES["reproducing-6d"]
+    assert error <= TOLERANCES["reproducing"]
     assert peak < 16 * 2**20
 
 
