@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelSpec, _cpoint, _rpoint
+from .multiindex import _integer
 from .quadrature import (_evaluate, check_rule_budget, gaussian_mean_axes, stream_pairs,
                          tensor_grid)
 
@@ -209,6 +210,7 @@ def flat_norm(n: int, g: FieldFunction, center=None, order: int | None = None) -
     x and y parts of all N nodes, and must return one value per node.
     """
     _require(g, FLAT)
+    n = _integer(n, "n", 1)
     c = np.zeros(2 * n) if center is None else _rpoint(center, 2 * n, "center")
     grid = tensor_grid(2 * n, order, center=c, scale=1.0)
     vals = np.abs(_evaluate(lambda nodes: g(nodes[:, :n], nodes[:, n:]), grid.nodes)) ** 2

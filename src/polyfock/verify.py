@@ -3,9 +3,9 @@
 Each suite re-derives a family of identities by a route that shares no code
 with the closed forms it checks: exact rational polynomial expansion for
 the Laguerre identities, moment-based Gram-Schmidt for the kernel, tensor
-Gauss-Hermite quadrature for everything integral.  Tolerances are per-suite
-constants (see ``TOLERANCES``); the identity suites are exact, the float
-suites sit 2-4 decades above observed double-precision error.  The original
+Gauss-Hermite quadrature for everything integral.  Each suite is one row of
+``_SUITE_TABLE``; its tolerance is exact for the identities and 2-4 decades
+above observed double-precision error for the float suites.  The original
 computer-algebra versions of these checks ran symbolically (identities, the
 reproducing property) or in extended precision (kernel-vs-basis to 1e-15 at
 truncation 128); the desk-scale substitutes here are documented next to
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 from fractions import Fraction
 from itertools import product as cartesian
 from typing import Callable
@@ -39,6 +39,8 @@ from .orthopoly import (
     laguerre_fn,
 )
 from .quadrature import (
+    FIBER_ORDER,
+    MAX_ORDER,
     check_rule_budget,
     default_order,
     fourier_1d_gaussian_type,
@@ -48,24 +50,10 @@ from .quadrature import (
 )
 from .spectral import L_closed, L_via_fourier
 
-SUITES = ("laguerre", "kernel-basis", "reproducing", "sum-products",
-          "fourier-laguerre", "fourier-kernel")
-
-# Acceptance tolerances per suite, one for every case of the suite.
-# "laguerre" is exact rational arithmetic (tolerance 0).
-TOLERANCES = {
-    "laguerre": 0.0,
-    "kernel-basis": 1e-10,
-    "reproducing": 1e-7,
-    "sum-products": 1e-11,
-    "fourier-laguerre": 1e-8,
-    "fourier-kernel": 1e-8,
-}
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by all suites; None fields fall back to suite defaults."""
+    """Run options; a None size or order takes the suite's default (see run_suite)."""
 
     n_max: int | None = None
     m_max: int | None = None
@@ -121,29 +109,33 @@ class VerificationReport:
 _Jobs = list[tuple[str, Callable[[], float]]]
 
 
+# Lowest value of every size or order a suite may read.
+_LOWEST = {"n_max": 1, "m_max": 1, "p_max": 0, "order": 1}
+
+
+def _unread(suite: str) -> list[str]:
+    return [key for key in _LOWEST if key not in _SUITE_TABLE[suite][2]]
+
+
 def _resolve(suite: str, config: SuiteConfig) -> dict:
-    given = {key: _integer(getattr(config, key), f"{suite}: {key}", low)
-             for key, low in (("n_max", 1), ("m_max", 1), ("p_max", 0), ("order", 1))
-             if getattr(config, key) is not None}
+    for key in _unread(suite):
+        if getattr(config, key) is not None:
+            raise ValueError(f"{suite}: the suite takes no {key}, got {getattr(config, key)}")
+    params = {}
+    for key, (default, cap) in _SUITE_TABLE[suite][2].items():
+        got = getattr(config, key)
+        params[key] = default if got is None else _integer(got, f"{suite}: {key}", _LOWEST[key])
+        if got is not None and params[key] > cap:
+            raise ValueError(f"{suite}: {key} = {params[key]} exceeds supported limit {cap}")
     seed = _integer(config.seed, f"{suite}: seed")
     try:
         KernelSpec(1, 1, config.alpha)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{suite}: {exc}") from None
-    params = {}
-    for key, (default, cap) in _SUITE_TABLE[suite][1].items():
-        params[key] = given.get(key, default)
-        if params[key] > cap:
-            raise ValueError(f"{suite}: {key} = {params[key]} exceeds supported limit {cap}")
-    params["alpha"] = config.alpha
-    params["seed"] = seed
-    if "order" in given:
-        params["order"] = given["order"]
-    return params
+    return {**params, "alpha": config.alpha, "seed": seed}
 
 
-def _run_cases(suite: str, jobs: _Jobs) -> tuple[CaseResult, ...]:
-    tol = TOLERANCES[suite]
+def _run_cases(jobs: _Jobs, tol: float) -> tuple[CaseResult, ...]:
     results = []
     for case_id, fn in jobs:
         t0 = time.perf_counter()
@@ -285,8 +277,7 @@ def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
 
 
 def _reproducing_jobs(params: dict) -> _Jobs:
-    alpha = params["alpha"]
-    order = params.get("order")
+    alpha, order = params["alpha"], params["order"]
 
     # Every case's rule is checked before the first case runs.
     for n in range(1, params["n_max"] + 1):
@@ -330,7 +321,7 @@ def _sum_products_jobs(params: dict) -> _Jobs:
 # ---------------------------------------------------------------------------
 
 def _fourier_laguerre_jobs(params: dict) -> _Jobs:
-    order = params.get("order", 64)
+    order = params["order"]
     a_grid = np.array([0.0, 0.4, 1.0, 2.2])
     xi_grid = np.linspace(-6.0, 6.0, 13)
     u_grid = np.array([0.0, 0.3, 1.1, 2.4])
@@ -370,8 +361,6 @@ def _fourier_laguerre_jobs(params: dict) -> _Jobs:
 # ---------------------------------------------------------------------------
 
 def _fourier_kernel_jobs(params: dict) -> _Jobs:
-    order = params.get("order")
-
     jobs = []
     for n, m in cartesian(range(1, params["n_max"] + 1), range(1, params["m_max"] + 1)):
         def job(n=n, m=m) -> float:
@@ -383,7 +372,7 @@ def _fourier_kernel_jobs(params: dict) -> _Jobs:
                 y = rng.uniform(-1.0, 1.0, n)
                 v = rng.uniform(-1.0, 1.0, n)
                 closed.append(complex(L_closed(table, xi, y, v)))
-                quad.append(L_via_fourier(table, xi, y, v, order=order))
+                quad.append(L_via_fourier(table, xi, y, v, order=params["order"]))
             return _batch_error(quad, closed)
         jobs.append((f"fourier-kernel n={n} m={m}", job))
     return jobs
@@ -393,30 +382,38 @@ def _fourier_kernel_jobs(params: dict) -> _Jobs:
 # entry point
 # ---------------------------------------------------------------------------
 
-# One entry per suite: its job-list builder, params -> [(case id, job)],
-# and {param: (default, cap)}.  Beyond the caps the runtimes and
-# conditioning are untested, so configs are rejected rather than run.
-_SUITE_TABLE: dict[str, tuple[Callable[[dict], _Jobs], dict]] = {
-    "laguerre": (_laguerre_jobs, dict(n_max=(8, 10), p_max=(8, 12))),
-    "kernel-basis": (_kernel_basis_jobs, dict(n_max=(3, 3), m_max=(3, 4), p_max=(64, 128))),
-    "reproducing": (_reproducing_jobs, dict(n_max=(3, 3), m_max=(3, 3), p_max=(5, 6))),
-    "sum-products": (_sum_products_jobs, dict(n_max=(5, 6), m_max=(5, 6))),
-    "fourier-laguerre": (_fourier_laguerre_jobs, dict(p_max=(10, 40))),
-    "fourier-kernel": (_fourier_kernel_jobs, dict(n_max=(2, 2), m_max=(4, 5))),
+# One row per suite: its job-list builder, params -> [(case id, job)], the
+# tolerance of every case (laguerre is exact), and {param: (default, cap)}
+# for each size or order the builder reads; a None order lets the rule pick
+# its own.  Beyond the caps runtimes and conditioning are untested.
+_SUITE_TABLE: dict[str, tuple[Callable[[dict], _Jobs], float, dict]] = {
+    "laguerre": (_laguerre_jobs, 0.0, dict(n_max=(8, 10), p_max=(8, 12))),
+    "kernel-basis": (_kernel_basis_jobs, 1e-10, dict(n_max=(3, 3), m_max=(3, 4), p_max=(64, 128))),
+    "reproducing": (_reproducing_jobs, 1e-7,
+                    dict(n_max=(3, 3), m_max=(3, 3), p_max=(5, 6), order=(None, MAX_ORDER))),
+    "sum-products": (_sum_products_jobs, 1e-11, dict(n_max=(5, 6), m_max=(5, 6))),
+    "fourier-laguerre": (_fourier_laguerre_jobs, 1e-8,
+                         dict(p_max=(10, 40), order=(64, MAX_ORDER))),
+    "fourier-kernel": (_fourier_kernel_jobs, 1e-8,
+                       dict(n_max=(2, 2), m_max=(4, 5), order=(FIBER_ORDER, MAX_ORDER))),
 }
+SUITES = tuple(_SUITE_TABLE)
+TOLERANCES = {name: row[1] for name, row in _SUITE_TABLE.items()}
 
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
     """Run one named suite, or all of them under ``name='all'``.
 
-    Every case of a suite takes the suite's ``TOLERANCES`` entry.  The
-    'all' report nests the individual suite reports and passes iff every
-    one of them does.
+    A size or order outside the suite's ``_SUITE_TABLE`` row, or one the
+    row does not list, raises ``ValueError`` before any job is built.
+    'all' gives each suite ``config`` with the fields it does not read set
+    to None, and passes iff every suite does.
     """
     config = config or SuiteConfig()
     t0 = time.perf_counter()
     if name == "all":
-        reports = tuple(run_suite(s, config) for s in SUITES)
+        reports = tuple(run_suite(s, replace(config, **dict.fromkeys(_unread(s))))
+                        for s in SUITES)
         return VerificationReport(
             suite="all",
             passed=all(r.passed for r in reports),
@@ -428,7 +425,8 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationRepor
     if name not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
     params = _resolve(name, config)
-    cases = _run_cases(name, _SUITE_TABLE[name][0](params))
+    build, tolerance, _ = _SUITE_TABLE[name]
+    cases = _run_cases(build(params), tolerance)
     return VerificationReport(
         suite=name,
         passed=all(c.passed for c in cases),

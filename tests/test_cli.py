@@ -23,7 +23,7 @@ from polyfock.kernels import (
 )
 from polyfock.multiindex import build_index_table
 from polyfock.spectral import R_F_kernel_image
-from polyfock.symbols import gamma_toeplitz, polynomial
+from polyfock.symbols import box, gamma_toeplitz, gaussian_poly, polynomial
 from polyfock.verify import CaseResult, VerificationReport
 
 
@@ -204,6 +204,20 @@ def test_symbol_gamma_grid_matches_library(capsys):
         assert_allclose(_pairs_to_complex(matrix), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("text, g", [
+    ("box:-1,1", box(-1, 1)),
+    ("gausspoly:1,0,1;0.2;0.8", gaussian_poly([1, 0, 1], 0.2, 0.8)),
+])
+def test_symbol_mini_language_matches_library_bit_for_bit(text, g, capsys):
+    payload = _run_json(capsys, ["symbol", "gamma", "--n", "1", "--m", "2",
+                                 "--g", text, "--xi-grid", "-2:2:5"])
+    assert payload["g"] == text
+    table = build_index_table(1, 2)
+    for value, matrix in zip(payload["xi"], payload["matrices"]):
+        expected = gamma_toeplitz(table, g, [value]).entries
+        np.testing.assert_array_equal(_pairs_to_complex(matrix), expected)
+
+
 def test_symbol_gamma_csv_output(capsys):
     rc = main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign",
                "--xi-grid", "0:1:3", "--format", "csv"])
@@ -306,6 +320,19 @@ def test_usage_errors_exit_2(tmp_path):
         main(["kernel", "eval", "--space", "F", "--n", "1", "--m", "1",
               "--points", str(path)])
     assert err.value.code == 2
+
+    # malformed or unknown symbols
+    for text in ("box:1", "gausspoly:1;0.2", "poly:", "wave:1"):
+        with pytest.raises(SystemExit) as err:
+            main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", text, "--xi-grid", "0:1:2"])
+        assert err.value.code == 2
+
+    # a suite refuses an option it does not read rather than dropping it
+    for argv in (["verify", "laguerre", "--order", "5"],
+                 ["verify", "fourier-laguerre", "--n-max", "3", "--m-max", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
     # a non-finite symbol coefficient would write NaN tokens, which are not JSON
     with pytest.raises(SystemExit) as err:

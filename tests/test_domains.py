@@ -112,6 +112,7 @@ INTEGERS = {
     "build_orthonormal_basis": (lambda k: build_orthonormal_basis(1, 1, 2, k), "p_max", (True, 2.5)),
     "tensor_grid": (lambda k: tensor_grid(k, 4), "dim", (True,)),
     "default_xi_grid": (default_xi_grid, "count", (True,)),
+    "flat_norm": (lambda k: flat_norm(k, GAUSSIAN), "n", (True, 2.5)),
 }
 for name, (call, label, bads) in INTEGERS.items():
     for bad in bads:

@@ -254,7 +254,10 @@ def test_R_F_apply_matches_dense_sum(n, m):
         assert got.shape == (spec.d,)
         assert len(sizes) == blocks[n, order]
         assert sum(sizes) == (order or default_order(2 * n)) ** (2 * n)
-        assert_allclose(got, R_F_dense(spec, f, xi, order=order), rtol=0, atol=1e-13)
+        # The dense n = 3 rule is built at order 10 only: at the default
+        # order it took 708 MiB and about 3 s.
+        if n < 3 or order is not None:
+            assert_allclose(got, R_F_dense(spec, f, xi, order=order), rtol=0, atol=1e-13)
 
 
 def R_H_dense(table, g, xi, order=None):

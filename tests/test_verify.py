@@ -97,18 +97,83 @@ def test_fourier_laguerre_rejects_order_zero():
         run_suite("fourier-laguerre", SuiteConfig(order=0))
 
 
+# The sizes and orders each suite reads; every other one it refuses.
+SIZES = ("n_max", "m_max", "p_max", "order")
+READS = {
+    "laguerre": ("n_max", "p_max"),
+    "kernel-basis": ("n_max", "m_max", "p_max"),
+    "reproducing": ("n_max", "m_max", "p_max", "order"),
+    "sum-products": ("n_max", "m_max"),
+    "fourier-laguerre": ("p_max", "order"),
+    "fourier-kernel": ("n_max", "m_max", "order"),
+}
+LOWEST = {"n_max": 1, "m_max": 1, "p_max": 0, "order": 1}
+
+
 def test_suite_table_matches_suites_and_tolerances():
-    assert tuple(verify._SUITE_TABLE) == SUITES
-    assert set(TOLERANCES) == set(SUITES)
-    for name, (_, table) in verify._SUITE_TABLE.items():
-        for key, (default, cap) in table.items():
+    assert SUITES == tuple(READS) == tuple(verify._SUITE_TABLE)
+    assert TOLERANCES == {"laguerre": 0.0, "kernel-basis": 1e-10, "reproducing": 1e-7,
+                          "sum-products": 1e-11, "fourier-laguerre": 1e-8, "fourier-kernel": 1e-8}
+    for name, (_, tolerance, domain) in verify._SUITE_TABLE.items():
+        assert tolerance == TOLERANCES[name]
+        assert tuple(domain) == READS[name]
+        for key, (default, cap) in domain.items():
             assert getattr(SuiteConfig(), key) is None, (name, key)
-            assert (0 if key == "p_max" else 1) <= default <= cap, (name, key)
+            # None lets the suite's rule pick its own order
+            if default is None:
+                assert key == "order", name
+            else:
+                assert LOWEST[key] <= default <= cap, (name, key)
+
+
+class _ReadRecorder(dict):
+    """Params that record each key read and refuse a defaulted read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, *args):
+        raise AssertionError("a builder read a param through params.get")
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_each_builder_reads_exactly_the_params_of_its_row(suite):
+    build, _, domain = verify._SUITE_TABLE[suite]
+    params = _ReadRecorder({**{key: LOWEST[key] for key in domain}, "alpha": 1.0, "seed": 7})
+    for _, job in build(params):
+        job()
+    assert params.read - {"alpha", "seed"} == set(READS[suite])
+
+
+@pytest.mark.parametrize("suite, field", [(suite, field) for suite, reads in READS.items()
+                                          for field in SIZES if field not in reads])
+def test_a_suite_refuses_the_options_it_does_not_read(suite, field, monkeypatch):
+    def fail(params):
+        raise AssertionError("a job list was built")
+
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, *verify._SUITE_TABLE[suite][1:]))
+    with pytest.raises(ValueError, match=rf"^{suite}: the suite takes no {field}, got 5$"):
+        run_suite(suite, SuiteConfig(**{field: 5}))
+
+
+def test_all_gives_each_suite_only_the_options_it_reads():
+    report = run_suite("all", SuiteConfig(order=40, n_max=1, m_max=1, p_max=1))
+    for rep in report.suites:
+        assert {key: rep.params[key] for key in SIZES if key in rep.params} == {
+            key: 40 if key == "order" else 1 for key in READS[rep.suite]}
+    assert [r.suite for r in report.suites if "order" in r.params] == [
+        "reproducing", "fourier-laguerre", "fourier-kernel"]
 
 
 def test_all_aggregates_nested_reports(monkeypatch):
     def stub(*errors):
-        return (lambda params: [(f"case {i}", lambda e=e: e) for i, e in enumerate(errors)], {})
+        return (lambda params: [(f"case {i}", lambda e=e: e) for i, e in enumerate(errors)],
+                0.0, {})
 
     monkeypatch.setattr(verify, "_SUITE_TABLE", {s: stub(0.0) for s in SUITES})
     report = run_suite("all")
@@ -244,7 +309,7 @@ def test_integer_fields_refuse_floats_and_bools(suite, field, value, monkeypatch
     def fail(params):
         raise AssertionError("a job list was built")
 
-    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, verify._SUITE_TABLE[suite][1]))
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, *verify._SUITE_TABLE[suite][1:]))
     with pytest.raises(TypeError, match=rf"^{suite}: {field} must be an integer"):
         run_suite(suite, SuiteConfig(**{field: value}))
 
@@ -263,7 +328,7 @@ def test_alpha_and_seed_are_checked_before_any_job(suite, field, value, error, m
     def fail(params):
         raise AssertionError("a job list was built")
 
-    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, verify._SUITE_TABLE[suite][1]))
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, *verify._SUITE_TABLE[suite][1:]))
     with pytest.raises(error, match=rf"^{suite}: {field} {message}"):
         run_suite(suite, SuiteConfig(**{field: value}))
 
