@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kernels import KernelSpec, _cpoint
 from .multiindex import _integer, _multi_index, build_index_table
@@ -142,16 +141,21 @@ def _size_groups(starts: np.ndarray, n: int, width: int = 0):
             yield k, first[lo : lo + step, None] + np.arange(k)
 
 
+def _log_factorials(top: int) -> np.ndarray:
+    """log(k!) for k = 0..top, each rounded once from the exact factorial."""
+    return np.array([math.log(math.factorial(k)) for k in range(top + 1)])
+
+
 def _class_grams(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Gram matrices of norm-scaled class monomials; entries are alpha-free.
 
     P, Q hold the exponents of classes of k monomials, shape (..., k, n).
     With hat{m} = m / ||m||, the (i, j) entry per coordinate is
     s! / sqrt((a+b)! (c+d)!) with (a, b) from monomial i, (c, d) from
-    monomial j and s = a + d = b + c, computed through gammaln to stay in
-    range.  The diagonal is exactly 1.
+    monomial j and s = a + d = b + c, computed through log-factorials to
+    stay in range.  The diagonal is exactly 1.
     """
-    log_fact = gammaln(np.arange(P.max(initial=0) + Q.max(initial=0) + 1) + 1.0)
+    log_fact = _log_factorials(P.max(initial=0) + Q.max(initial=0))
     half = 0.5 * log_fact[P + Q].sum(axis=-1)
     cross = log_fact[P[..., :, None, :] + Q[..., None, :, :]].sum(axis=-1)
     return np.exp(cross - half[..., :, None] - half[..., None, :])
@@ -160,7 +164,8 @@ def _class_grams(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def _inverse_norms(P: np.ndarray, Q: np.ndarray, alpha: float) -> np.ndarray:
     """1 / ||z^p conj(z)^q|| = prod_r sqrt(alpha^(p+q) / (p+q)!) per monomial."""
     deg = P + Q
-    return np.exp(0.5 * (deg.sum(axis=-1) * math.log(alpha) - gammaln(deg + 1).sum(axis=-1)))
+    log_fact = _log_factorials(deg.max(initial=0))
+    return np.exp(0.5 * (deg.sum(axis=-1) * math.log(alpha) - log_fact[deg].sum(axis=-1)))
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:

@@ -82,14 +82,22 @@ def _parse_symbol(text: str, n: int) -> VerticalSymbol:
 COMPLEX_POINTS = ("z", "w")
 REAL_POINTS = ("x", "y", "u", "v")
 
-# --space -> (kernel, names of the points it takes, in call order)
+# --space -> (kernel, names of the points it takes, in call order, the
+# kernel options it reads besides --n and --m).  H and G depend on n and m
+# alone, so they take no --alpha.
 SPACES = {
-    "F": (kernel_F, COMPLEX_POINTS),
-    "H": (kernel_H, REAL_POINTS),
-    "G": (kernel_G, REAL_POINTS),
-    "S": (kernel_S, COMPLEX_POINTS),
-    "true": (kernel_true_poly, COMPLEX_POINTS),
+    "F": (kernel_F, COMPLEX_POINTS, ("alpha",)),
+    "H": (kernel_H, REAL_POINTS, ()),
+    "G": (kernel_G, REAL_POINTS, ()),
+    "S": (kernel_S, COMPLEX_POINTS, ("alpha",)),
+    "true": (kernel_true_poly, COMPLEX_POINTS, ("alpha", "beta")),
 }
+
+# Defaults of --alpha and --seed.  `kernel eval` leaves both unset while it
+# parses, so it can refuse one that its space or its points do not read, and
+# applies these after.
+DEFAULT_ALPHA = 1.0
+DEFAULT_SEED = 7
 
 
 def _load_points(path: str, keys: tuple[str, ...], n: int) -> dict[str, np.ndarray]:
@@ -148,12 +156,19 @@ def _build_indices(args) -> dict:
 
 def _build_kernel(args) -> dict:
     n, m = args.n, args.m
-    if args.beta is not None and args.space != "true":
-        raise ValueError(f"--beta is an option of --space true only, not --space {args.space}")
-    spec = KernelSpec(n, m, args.alpha)
-    kernel, keys = SPACES[args.space]
+    kernel, keys, reads = SPACES[args.space]
+    for option in ("alpha", "beta"):
+        if getattr(args, option) is not None and option not in reads:
+            spaces = ", ".join(f"--space {space}" for space, row in SPACES.items()
+                               if option in row[2])
+            raise ValueError(f"--{option} is an option of {spaces} only, "
+                             f"not --space {args.space}")
+    if args.seed is not None and args.points:
+        raise ValueError("--seed draws the default points; it is not read with --points")
+    alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+    spec = KernelSpec(n, m, alpha)
     points = (_load_points(args.points, keys, n) if args.points
-              else _default_points(keys, n, args.seed))
+              else _default_points(keys, n, DEFAULT_SEED if args.seed is None else args.seed))
     inputs = [points[key] for key in keys]
     if args.space == "true":
         beta = [int(b) for b in args.beta.split(",")] if args.beta else [m] * n
@@ -165,8 +180,8 @@ def _build_kernel(args) -> dict:
         "points": _points_payload(points),
         "values": _complex_pairs(kernel(spec, *inputs)),
     }
-    if keys == COMPLEX_POINTS:
-        out["alpha"] = args.alpha
+    if "alpha" in reads:
+        out["alpha"] = alpha
     if args.space == "true":
         out["beta"] = beta
     return out
@@ -273,15 +288,14 @@ def _make_builder_cmd(builder):
     return cmd
 
 
-def _add_common(parser: argparse.ArgumentParser, *, alpha=False, order=False, seed=False):
+def _add_common(parser: argparse.ArgumentParser, *, alpha=False, order=False):
     parser.add_argument("--n", type=int, default=1, help="number of complex variables")
     parser.add_argument("--m", type=int, default=1, help="order of polyanalyticity")
     if alpha:
-        parser.add_argument("--alpha", type=float, default=1.0, help="weight parameter")
+        parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                            help="weight parameter")
     if order:
         parser.add_argument("--order", type=int, default=None, help="quadrature order override")
-    if seed:
-        parser.add_argument("--seed", type=int, default=7, help="sample point seed")
     parser.add_argument("--out", type=str, default=None, help="write to file instead of stdout")
 
 
@@ -309,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     kernel_sub = p_kernel.add_subparsers(dest="kernel_command", required=True)
     p_eval = kernel_sub.add_parser("eval", help="evaluate a kernel at points")
     p_eval.add_argument("--space", choices=tuple(SPACES), required=True)
-    _add_common(p_eval, alpha=True, seed=True)
+    _add_common(p_eval)
+    p_eval.add_argument("--alpha", type=float, default=None,
+                        help=f"weight parameter of F, S and true (default {DEFAULT_ALPHA})")
+    p_eval.add_argument("--seed", type=int, default=None,
+                        help=f"seed of the default points (default {DEFAULT_SEED})")
     p_eval.add_argument("--points", type=str, default=None,
                         help="JSON file of evaluation points")
     p_eval.add_argument("--beta", type=str, default=None,

@@ -123,10 +123,13 @@ def _library_values(space, spec, points):
 @pytest.mark.parametrize("space", ["F", "H", "G", "S", "true"])
 def test_kernel_eval_every_space_matches_library_exactly(space, source, tmp_path, capsys):
     n, m, alpha = 2, 3, 1.3
-    argv = ["kernel", "eval", "--space", space, "--n", str(n), "--m", str(m),
-            "--alpha", str(alpha), "--seed", "5"]
+    argv = ["kernel", "eval", "--space", space, "--n", str(n), "--m", str(m)]
     complex_space = space in ("F", "S", "true")
-    if source == "file":
+    if complex_space:
+        argv += ["--alpha", str(alpha)]
+    if source == "default":
+        argv += ["--seed", "5"]
+    else:
         rng = np.random.default_rng(4)
         keys = ("z", "w") if complex_space else ("x", "y", "u", "v")
         shape = (6, n, 2) if complex_space else (6, n)
@@ -253,7 +256,7 @@ def test_missing_points_file_returns_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["kernel", "eval", "--space", "Q", "--n", "1", "--m", "1"])
     assert err.value.code == 2
@@ -286,6 +289,22 @@ def test_usage_errors_exit_2(tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["kernel", "eval", "--space", space, "--n", "1", "--m", "2", "--beta", "9,9,9"])
         assert err.value.code == 2
+
+    # --seed draws the default points and --alpha enters F, S and true only;
+    # an option the command would not read is refused and named, not dropped
+    complex_points = tmp_path / "zw.json"
+    complex_points.write_text(json.dumps({"z": [[0.1, 0.2]], "w": [[0.3, -0.4]]}))
+    real_points = tmp_path / "xyuv.json"
+    real_points.write_text(json.dumps({key: [0.1] for key in ("x", "y", "u", "v")}))
+    for option, argv in (
+            ("--seed", ["--space", "F", "--points", str(complex_points), "--seed", "1"]),
+            ("--seed", ["--space", "H", "--points", str(real_points), "--seed", "99"]),
+            ("--alpha", ["--space", "H", "--alpha", "2.0"]),
+            ("--alpha", ["--space", "G", "--alpha", "1.0"])):
+        with pytest.raises(SystemExit) as err:
+            main(["kernel", "eval", "--n", "1", "--m", "2", *argv])
+        assert err.value.code == 2, argv
+        assert option in capsys.readouterr().err, argv
 
     # lengths of xi, iy and beta are checked by the library calls
     for argv in (["fiber", "--n", "2", "--xi", "0.5", "--input", "kernel:iy=0.1,0.2"],

@@ -104,10 +104,12 @@ def test_public_names_are_pinned():
     assert sorted(polyfock.__all__) == PUBLIC_NAMES
 
 
-def test_import_does_not_load_scipy_linalg():
-    # The basis oracle solves its triangular systems itself; importing
-    # scipy.linalg would cost import time and memory for nothing.
-    script = "import sys, polyfock, polyfock.cli; print('scipy.linalg' in sys.modules)"
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: the Gauss rules, log-factorials
+    # and triangular solves are the library's own, and scipy is a test-only
+    # reference.
+    script = ("import sys, polyfock, polyfock.cli; "
+              "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)

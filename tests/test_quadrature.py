@@ -63,12 +63,54 @@ def test_raw_rules_are_built_once_per_order_and_read_only():
             values *= 2.0
 
 
-@pytest.mark.parametrize("order", [1, 2, 7, 48, 64, MAX_ORDER])
-def test_cached_rules_equal_fresh_scipy_rules(order):
-    for cached, fresh in zip(gauss_hermite_1d(order), roots_hermite(order)):
-        assert_array_equal(cached, fresh)
-    for cached, fresh in zip(quadrature._legendre_rule(order), roots_legendre(order)):
-        assert_array_equal(cached, fresh)
+RULE_ORDERS = [1, 2, 7, 48, 64, MAX_ORDER]
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_raw_rules_agree_with_scipy(order):
+    # scipy is a test-only reference.  Worst cases over these orders: nodes
+    # 2.3e-16 * max(1, |t|), compensated Gauss-Hermite weights w e^{t^2}
+    # 7.7e-13 and Gauss-Legendre weights 7.2e-11 relative, both at the
+    # outermost node of order 128; the bounds keep one decade of margin.
+    t, w = gauss_hermite_1d(order)
+    ref_t, ref_w = roots_hermite(order)
+    assert np.all(np.abs(t - ref_t) <= 3e-15 * np.maximum(1.0, np.abs(ref_t)))
+    assert_allclose(w * np.exp(t * t), ref_w * np.exp(ref_t * ref_t), rtol=8e-12, atol=0)
+    x, v = quadrature._legendre_rule(order)
+    ref_x, ref_v = roots_legendre(order)
+    assert np.all(np.abs(x - ref_x) <= 3e-15)
+    assert_allclose(v, ref_v, rtol=8e-10, atol=0)
+
+
+@pytest.mark.parametrize("order", RULE_ORDERS)
+def test_raw_rules_are_exact_to_degree_2_order_minus_1(order):
+    # Even moments up to degree 2*order - 2 (odd ones vanish by symmetry).
+    # Worst relative gaps over these orders: 4.8e-15 (Hermite) and 2.0e-12
+    # (Legendre, x^254 at order 128); the bounds keep one decade of margin.
+    t, w = gauss_hermite_1d(order)
+    x, v = quadrature._legendre_rule(order)
+    for k in range(order):
+        assert np.sum(w * t ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=5e-14)
+        assert np.sum(v * x ** (2 * k)) == pytest.approx(2 / (2 * k + 1), rel=2e-11)
+
+
+def test_raw_rules_share_no_code_with_the_hermite_functions(monkeypatch):
+    # fourier-laguerre checks hermite_fn against these rules, so the rule
+    # builder must carry its own recurrence.  Both names are patched
+    # wherever a polyfock module holds them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a raw Gauss rule reached the library's Hermite functions")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "polyfock":
+            for helper in ("hermite_fn_table", "hermite_fn"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, refuse)
+    quadrature._hermite_rule.cache_clear()
+    quadrature._legendre_rule.cache_clear()
+    for order in range(1, MAX_ORDER + 1):
+        assert len(gauss_hermite_1d(order)[0]) == order
+        assert len(quadrature._legendre_rule(order)[0]) == order
 
 
 def test_bad_orders_are_refused_with_the_rules_cached():
@@ -85,8 +127,8 @@ def test_bad_orders_are_refused_with_the_rules_cached():
 
 
 def _fresh_legendre_panels(breakpoints, order):
-    """legendre_panels spelled out on a fresh scipy rule."""
-    x, w = roots_legendre(order)
+    """legendre_panels spelled out on the cached raw rule."""
+    x, w = quadrature._legendre_rule(order)
     nodes, weights = [], []
     for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
         edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / quadrature.MAX_PANEL_WIDTH)) + 1)
