@@ -10,9 +10,10 @@ C^n and its relatives:
 * the fiber decomposition under horizontal Fourier transform and the
   resulting d x d matrix symbols of vertical Toeplitz operators;
 * independent numerical oracles (exact rational polynomial identities,
-  Gaussian-moment Gram-Schmidt, tensor Gauss-Hermite quadrature) that
-  cross-check every closed form, runnable via :mod:`polyfock.verify` or the
-  ``polyfock`` command line tool.
+  Gaussian-moment Gram-Schmidt, streamed Gaussian-mean and Gauss-Hermite
+  rules, Legendre panels at jumps) that cross-check every closed form,
+  runnable via :mod:`polyfock.verify` or the ``polyfock`` command line
+  tool.
 """
 
 from .basis_oracle import (

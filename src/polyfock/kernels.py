@@ -90,8 +90,19 @@ def _rpoint(x, n: int, _label: str = "point") -> np.ndarray:
     return x
 
 
+def _one_point(x: np.ndarray, label: str) -> np.ndarray:
+    """x as parsed, if it is one point of shape (n,); a grid of points raises ValueError."""
+    if x.ndim != 1:
+        raise ValueError(f"{label} must be one point, got shape {x.shape}")
+    return x
+
+
 def _frequency(x, n: int) -> np.ndarray:
-    return _rpoint(x, n, "frequency")
+    return _one_point(_rpoint(x, n, "frequency"), "frequency")
+
+
+def _shift(a, n: int) -> np.ndarray:
+    return _one_point(_rpoint(a, n, "shift"), "shift")
 
 
 def kernel_F(spec: KernelSpec, z, w):

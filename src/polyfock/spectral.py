@@ -38,7 +38,7 @@ def q_matrix(table: IndexTable, xi, v) -> np.ndarray:
 
     q_{k, xi}(v) is column ``table.position(k) - 1``."""
     n = table.n
-    xi, v = _frequency(xi, n), _rpoint(v, n)
+    xi, v = _rpoint(xi, n, "frequency"), _rpoint(v, n)
     t = (xi + 2 * v) / math.sqrt(2.0)
     psi = hermite_fn_table(table.m - 1, t)  # (m, ..., n)
     front = 2 ** (n / 2) * math.pi ** (n / 4)
@@ -125,7 +125,7 @@ def R_F_kernel_image(spec: KernelSpec, y, xi) -> FiberVector:
     C(n+m-1, n) e^{alpha |y|^2}.
     """
     table = build_index_table(spec.n, spec.m)
-    y, xi = _rpoint(y, spec.n), _frequency(xi, spec.n)
+    y, xi = _rpoint(y, spec.n), _rpoint(xi, spec.n, "frequency")
     front = 2 ** (-spec.n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
     comps = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)
     return FiberVector(xi=xi, components=comps.astype(complex))

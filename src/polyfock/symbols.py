@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import _frequency, _real, _rpoint, _scalar
+from .kernels import _frequency, _real, _rpoint, _scalar, _shift
 from .multiindex import IndexTable, _integer, _multi_index, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
@@ -383,7 +383,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
 
 def weyl_symbol(table: IndexTable, a, xi) -> SymbolMatrix:
     """Symbol of the horizontal translation by a: the character e^{-i<xi, a>} I_d."""
-    a = _rpoint(a, table.n, "shift")
+    a = _shift(a, table.n)
     xi = _frequency(xi, table.n)
     phase = np.exp(-1j * float(xi @ a))
     return SymbolMatrix(xi=xi, entries=phase * np.eye(table.d, dtype=complex))

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, _cpoint, _rpoint
+from .kernels import KernelSpec, _cpoint, _one_point, _rpoint, _shift
 from .multiindex import _integer
 from .quadrature import (_evaluate, check_rule_budget, gaussian_mean_axes, stream_pairs,
                          tensor_grid)
@@ -108,7 +108,7 @@ def weyl_F(spec: KernelSpec, a, f: FieldFunction) -> FieldFunction:
     """
     _require(f, FOCK)
     n, alpha = spec.n, spec.alpha
-    a = _cpoint(a, n)
+    a = _one_point(_cpoint(a, n), "shift")
     norm2 = float(np.sum(np.abs(a) ** 2))
     a_bar = np.conj(a)
 
@@ -123,7 +123,7 @@ def weyl_F(spec: KernelSpec, a, f: FieldFunction) -> FieldFunction:
 def translate_H(a, g: FieldFunction) -> FieldFunction:
     """Horizontal translation (x, y) -> (x - a, y) by a real point a."""
     _require(g, FLAT)
-    a = _rpoint(a, np.size(a), "shift")
+    a = _shift(a, np.size(a))
 
     def shifted(x, y):
         return g(_rpoint(x, a.size) - a, y)
@@ -139,7 +139,7 @@ def check_intertwining(spec: KernelSpec, a, f: FieldFunction, x, y) -> float:
     up to rounding, so values around 1e-14 are what a correct pair of
     routes produces.
     """
-    a = _rpoint(a, spec.n, "shift")
+    a = _shift(a, spec.n)
     lhs = flatten(spec, weyl_F(spec, a, f))
     rhs = translate_H(math.sqrt(spec.alpha) * a, flatten(spec, f))
     dev = np.abs(lhs(x, y) - rhs(x, y))

@@ -2,8 +2,9 @@
 
 Each suite re-derives a family of identities by a route that shares no code
 with the closed forms it checks: exact rational polynomial expansion for
-the Laguerre identities, moment-based Gram-Schmidt for the kernel, tensor
-Gauss-Hermite quadrature for everything integral.  Each suite is one row of
+the Laguerre identities, moment-based Gram-Schmidt for the kernel,
+streamed Gaussian-mean and Gauss-Hermite rules, Legendre panels at jumps,
+for everything integral.  Each suite is one row of
 ``_SUITE_TABLE``; its tolerance is exact for the identities and 2-4 decades
 above observed double-precision error for the float suites.  The original
 computer-algebra versions of these checks ran symbolically (identities, the

@@ -7,7 +7,9 @@ alpha is checked by ``KernelSpec`` and, on the exact routes, by
 truncations) go through ``multiindex._integer`` and real scalars (alpha,
 centers, scales, halfwidths, lone frequencies, grid ends) through
 ``kernels._scalar``: bools, floats where an integer is due and complex
-values raise TypeError.  ``VerticalSymbol`` parses its own fields, so its
+values raise TypeError.  A lone frequency or shift must be one point:
+``kernels._one_point`` refuses a grid of them with ValueError naming the
+argument and its shape.  ``VerticalSymbol`` parses its own fields, so its
 direct constructor refuses what the named ones do.  Every row must raise
 its exception, with its message, before anything large is allocated.
 """
@@ -32,18 +34,21 @@ from polyfock.quadrature import (
     legendre_panels,
     tensor_grid,
 )
-from polyfock.spectral import L_closed, R_F_kernel_image, default_xi_grid, q_matrix
+from polyfock.spectral import (L_closed, L_via_fourier, R_F_apply, R_F_kernel_image, R_H_apply,
+                               R_true_poly_image, default_xi_grid, fiber_project, q_matrix)
 from polyfock.symbols import (
     VerticalSymbol,
     box,
     constant,
+    convolution_symbol,
     gamma_toeplitz,
     gaussian_poly,
     polynomial,
+    sigma_from_gamma,
     sign,
     weyl_symbol,
 )
-from polyfock.transforms import check_intertwining, flat_function, flat_norm, fock_function
+from polyfock.transforms import check_intertwining, flat_function, flat_norm, fock_function, weyl_F
 from polyfock.verify import SuiteConfig, run_suite
 
 SPEC = KernelSpec(2, 3)
@@ -99,6 +104,30 @@ ROWS.update({
         lambda: VerticalSymbol(1, "gaussian-modulated-polynomial", ((1, (0,)),), (0.3 + 0.5j,), 1.0),
         TypeError, "gauss_center must be real"),
 })
+
+# name -> (call taking a grid of three points where one is due, the argument's label)
+ONE_POINT = {
+    "gamma_toeplitz": (lambda p: gamma_toeplitz(TABLE, sign(n=2), p), "frequency"),
+    "sigma_from_gamma": (lambda p: sigma_from_gamma(TABLE, sign(n=2), p), "frequency"),
+    "sigma_from_gamma-direct": (lambda p: sigma_from_gamma(TABLE, sign(n=2), p, route="direct"),
+                                "frequency"),
+    "weyl_symbol": (lambda p: weyl_symbol(TABLE, [0.1, 0.2], p), "frequency"),
+    "convolution_symbol": (lambda p: convolution_symbol(TABLE, lambda xi: 1.0, p), "frequency"),
+    "R_F_apply": (lambda p: R_F_apply(SPEC, SECTION, p), "frequency"),
+    "R_H_apply": (lambda p: R_H_apply(TABLE, GAUSSIAN, p), "frequency"),
+    "fiber_project": (lambda p: fiber_project(TABLE, p, lambda v: np.ones(v.shape[:-1])),
+                      "frequency"),
+    "L_via_fourier": (lambda p: L_via_fourier(TABLE, p, [0.1, 0.2], [0.3, 0.4]), "frequency"),
+    "R_true_poly_image": (lambda p: R_true_poly_image(SPEC, (1, 1), [0.1, 0.2], p), "frequency"),
+    "weyl_symbol-shift": (lambda p: weyl_symbol(TABLE, p, XI), "shift"),
+    "check_intertwining": (lambda p: check_intertwining(SPEC, p, SECTION, [0.1, 0.2], [0.3, 0.4]),
+                           "shift"),
+    "weyl_F": (lambda p: weyl_F(SPEC, p, SECTION), "shift"),
+}
+GRID = np.array([[0.4, -0.3], [0.1, 0.2], [0.0, 0.5]])
+for name, (call, label) in ONE_POINT.items():
+    ROWS[f"{name}-grid"] = (lambda call=call: call(GRID), ValueError,
+                            f"{label} must be one point, got shape (3, 2)")
 
 # name -> (call taking one bad integer, the label its message starts with, bad values)
 INTEGERS = {

