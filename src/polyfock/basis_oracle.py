@@ -19,12 +19,12 @@ makes this an independent check of the closed form.
 :func:`build_orthonormal_basis` materializes the basis by exact rational
 Gram-Schmidt (alpha rational), where orthogonality is exact and only the
 final normalization leaves the rationals; it is the reference the
-streamed :func:`kernel_via_basis` is tested against.  The latter runs a
-batched float Cholesky on norm-scaled monomials, whose class Gram entries
-s!/sqrt((a+b)!(c+d)!) are alpha-free and lie in (0, 1], inverts the whole
-stack of class factors by :func:`solve_triangular`, a forward
-substitution that solves one row at a time across the stack, and turns
-monomial values into basis values by one batched matmul with the inverses.
+streamed :func:`kernel_via_basis` is tested against.  The latter never
+forms a monomial value: each class adds a phase times a small real
+quadratic form in the radial values |z_r|^(2 s_r), whose matrix comes from
+a batched float Cholesky of the alpha-free norm-scaled class Grams and
+from :func:`solve_triangular`, a forward substitution that inverts a whole
+stack of class factors one row at a time.
 
 Sharing input validation with :mod:`polyfock.multiindex` (and the kernels'
 point rule and :class:`KernelSpec`), which evaluates nothing, keeps the
@@ -120,25 +120,21 @@ def _charge_classes(n: int, m: int, p_max: int):
     return P, Q, np.append(np.flatnonzero(new), len(charge))
 
 
+def _class_charges(n: int, m: int, p_max: int):
+    """Every charge class as exponents (c+, c-) with disjoint supports, and its level.
+
+    Returns ``(plus, minus, level)``, shapes (N, n), (N, n), (N,).  Class c+ - c-
+    holds z^(c+ + s) conj(z)^(c- + s) for |s| <= level = min(m-1-|c-|, p_max-|c+|).
+    """
+    ps = build_index_table(n, p_max + 1).array
+    pairs = [(ps[(ps[:, neg > 0] == 0).all(axis=1)], neg) for neg in build_index_table(n, m).array]
+    plus = np.concatenate([p for p, _ in pairs])
+    minus = np.concatenate([np.broadcast_to(neg, p.shape) for p, neg in pairs])
+    return plus, minus, np.minimum(m - 1 - minus.sum(axis=1), p_max - plus.sum(axis=1))
+
+
 # Elements per batched array; bounds the memory of the class batches.
 _BATCH_ELEMENTS = 1 << 19
-
-
-def _size_groups(starts: np.ndarray, n: int, width: int = 0):
-    """Batches of equal-size classes: yields (k, member rows of shape (batch, k)).
-
-    A class of size k counts as k * max(k * n, width) array elements (its
-    Gram index array, or ``width`` values per member); batches hold at most
-    ``_BATCH_ELEMENTS`` of them, so memory stays bounded at large
-    truncations.
-    """
-    sizes = np.diff(starts)
-    for k in np.unique(sizes):
-        k = int(k)
-        first = starts[:-1][sizes == k]
-        step = max(1, _BATCH_ELEMENTS // (k * max(k * n, width)))
-        for lo in range(0, len(first), step):
-            yield k, first[lo : lo + step, None] + np.arange(k)
 
 
 def _log_factorials(top: int) -> np.ndarray:
@@ -146,26 +142,21 @@ def _log_factorials(top: int) -> np.ndarray:
     return np.array([math.log(math.factorial(k)) for k in range(top + 1)])
 
 
-def _class_grams(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Gram matrices of norm-scaled class monomials; entries are alpha-free.
+def _coordinate_factors(alpha: float, top: int, m: int):
+    """Per-coordinate factors of the class Gram entries and of 1 / ||monomial||.
 
-    P, Q hold the exponents of classes of k monomials, shape (..., k, n).
-    With hat{m} = m / ||m||, the (i, j) entry per coordinate is
-    s! / sqrt((a+b)! (c+d)!) with (a, b) from monomial i, (c, d) from
-    monomial j and s = a + d = b + c, computed through log-factorials to
-    stay in range.  The diagonal is exactly 1.
+    For absolute charge a = 0..top and member exponents x, y < m these are
+    gram[a, x, y] = (a+x+y)! / sqrt((a+2x)! (a+2y)!), alpha-free and exactly
+    1 at x = y, and scale[a, x] = sqrt(alpha^(a+2x) / (a+2x)!), both through
+    log-factorials to stay in range.
     """
-    log_fact = _log_factorials(P.max(initial=0) + Q.max(initial=0))
-    half = 0.5 * log_fact[P + Q].sum(axis=-1)
-    cross = log_fact[P[..., :, None, :] + Q[..., None, :, :]].sum(axis=-1)
-    return np.exp(cross - half[..., :, None] - half[..., None, :])
-
-
-def _inverse_norms(P: np.ndarray, Q: np.ndarray, alpha: float) -> np.ndarray:
-    """1 / ||z^p conj(z)^q|| = prod_r sqrt(alpha^(p+q) / (p+q)!) per monomial."""
-    deg = P + Q
-    log_fact = _log_factorials(deg.max(initial=0))
-    return np.exp(0.5 * (deg.sum(axis=-1) * math.log(alpha) - log_fact[deg].sum(axis=-1)))
+    log_fact = _log_factorials(top + 2 * (m - 1))
+    a = np.arange(top + 1)[:, None]
+    x = np.arange(m)
+    own = log_fact[a + 2 * x]
+    gram = np.exp(log_fact[(a + x)[:, :, None] + x] - 0.5 * (own[:, :, None] + own[:, None, :]))
+    scale = np.exp(0.5 * ((a + 2 * x) * math.log(alpha) - own))
+    return gram, scale
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
@@ -173,14 +164,6 @@ def _powers(x: np.ndarray, top: int) -> np.ndarray:
     steps = np.repeat(x.T[:, None, :], top + 1, axis=1)
     steps[:, 0] = 1
     return np.cumprod(steps, axis=1)
-
-
-def _monomial_values(pow_x, pow_cx, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """x^p conj(x)^q from power tables, shape P.shape[:-1] + (points,)."""
-    out = pow_x[0, P[..., 0]] * pow_cx[0, Q[..., 0]]
-    for r in range(1, P.shape[-1]):
-        out *= pow_x[r, P[..., r]] * pow_cx[r, Q[..., r]]
-    return out
 
 
 def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,17 +248,18 @@ def build_orthonormal_basis(alpha, n: int, m: int, p_max: int) -> list[BasisElem
 def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     """Truncated kernel sum over the orthonormal basis: sum_B B(w) conj(B(z)).
 
-    Charge classes of equal size are factored together: one batched
-    Cholesky of their Gram matrices, one forward substitution that inverts
-    the stack of factors (:func:`solve_triangular` against the identity, k
-    columns per class however many points there are) and one batched
-    matmul turn the norm-scaled monomial values at w and z into
-    basis-element values, so elements are never materialized.  Batches are
-    capped in size, so large p_max truncations stay affordable.  z and w
-    (last axis n, a scalar at n = 1) broadcast over leading axes.  Logs the
-    class count, the class-size histogram, the smallest Cholesky pivot, the
-    number of solve batches and the largest batch shape (classes, class
-    size, columns) to the ``polyfock`` logger at DEBUG level.
+    A monomial of charge c = c+ - c- and member s is phi_c(z) rho_s(z), with
+    phi_c(z) = z^(c+) conj(z)^(c-) and rho_s(z) = prod_r |z_r|^(2 s_r), so
+    class c adds phi_c(w) conj(phi_c(z)) (E rho(w)) . (E rho(z)), where
+    E = L^{-1} diag(1/||monomial||), L L^T is the norm-scaled class Gram
+    matrix and the rho table has d rows shared by all classes.  The classes
+    of one level go in batches of capped size through one Cholesky, one
+    :func:`solve_triangular` against the identity and one matmul with the
+    rho rows.  z and w (last axis n, a scalar at n = 1) broadcast over
+    leading axes.  Logs the class and monomial counts, the class-size
+    histogram, the smallest Cholesky pivot, the number of solve batches and
+    the largest batch shape (classes, class size, columns) to the
+    ``polyfock`` logger at DEBUG level.
     """
     KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
     p_max = _integer(p_max, "p_max")
@@ -286,29 +270,44 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     w = np.broadcast_to(w, shape + (n,)).reshape(-1, n)
     points = z.shape[0]
 
-    P, Q, starts = _charge_classes(n, m, p_max)
-    scales = _inverse_norms(P, Q, float(alpha))
-    tables = [(_powers(x, p_max), _powers(np.conj(x), m - 1)) for x in (w, z)]
+    plus, minus, level = _class_charges(n, m, p_max)
+    members = build_index_table(n, m).array
+    members = members[np.argsort(members.sum(axis=1), kind="stable")]  # level K: C(n+K, n) rows
+    # rho_s at columns [w points | z points]; phi_c(w) conj(phi_c(z)) per
+    # coordinate from powers of w conj(z), indexed by c_r + m - 1.
+    x = np.concatenate([w, z])
+    radial = _powers(x.real ** 2 + x.imag ** 2, m - 1)
+    rho = np.prod([radial[r, members[:, r]] for r in range(n)], axis=0)
+    u = w * np.conj(z)
+    phases = np.concatenate([_powers(np.conj(u), m - 1)[:, :0:-1], _powers(u, p_max)], axis=1)
+    charge = plus - minus + (m - 1)
+    gram_factor, scale_factor = _coordinate_factors(float(alpha), max(p_max, m - 1), m)
 
-    total = np.zeros(points, dtype=complex)
-    pivot = math.inf
-    batches, largest = 0, (0, 0, 0)
-    for k, rows in _size_groups(starts, n, width=2 * points):
-        L = np.linalg.cholesky(_class_grams(P[rows], Q[rows]))
-        pivot = min(pivot, float(np.min(np.diagonal(L, axis1=-2, axis2=-1))) ** 2)
-        inverse = solve_triangular(L, np.broadcast_to(np.eye(k), L.shape))
-        # One matmul for both sides: columns [w points | z points].
-        values = np.concatenate([_monomial_values(pow_x, pow_cx, P[rows], Q[rows])
-                                 for pow_x, pow_cx in tables], axis=-1)
-        values *= scales[rows][..., None]
-        elements = inverse @ values
-        batches += 1
-        largest = max(largest, elements.shape, key=math.prod)
-        total += np.sum(elements[..., :points] * np.conj(elements[..., points:]), axis=(0, 1))
+    total, pivot = np.zeros(points, dtype=complex), math.inf
+    sizes, batches, largest = {}, 0, (0, 0, 0)
+    for K in np.unique(level).tolist():
+        k, classes = math.comb(n + K, n), np.flatnonzero(level == K)
+        s, sizes[k] = members[:k], len(classes)
+        step = max(1, _BATCH_ELEMENTS // max(k * k, m * m, 2 * k * points))
+        for lo in range(0, len(classes), step):
+            batch = classes[lo : lo + step]
+            a = plus[batch] + minus[batch]
+            gram, scale, phase = 1.0, 1.0, 1.0
+            for r in range(n):
+                gram = gram * gram_factor[a[:, r]][:, s[:, None, r], s[:, r]]
+                scale = scale * scale_factor[a[:, r]][:, s[:, r]]
+                phase = phase * phases[r, charge[batch, r]]
+            L = np.linalg.cholesky(gram)
+            pivot = min(pivot, float(np.min(np.diagonal(L, axis1=-2, axis2=-1))) ** 2)
+            E = solve_triangular(L, np.broadcast_to(np.eye(k), L.shape)) * scale[:, None, :]
+            values = (E.reshape(-1, k) @ rho[:k]).reshape(len(batch), k, 2 * points)
+            batches += 1
+            largest = max(largest, values.shape, key=math.prod)
+            quadratic = np.einsum("bkp,bkp->bp", values[..., :points], values[..., points:])
+            total += np.sum(phase * quadratic, axis=0)
 
-    sizes, counts = np.unique(np.diff(starts), return_counts=True)
-    _log.debug("kernel_via_basis n=%d m=%d p_max=%d: %d charge classes, class sizes %s, "
-               "smallest Cholesky pivot %.3e, %d solve batches, largest batch %s",
-               n, m, p_max, len(starts) - 1, dict(zip(sizes.tolist(), counts.tolist())), pivot,
+    _log.debug("kernel_via_basis n=%d m=%d p_max=%d: %d charge classes, %d monomials, "
+               "class sizes %s, smallest Cholesky pivot %.3e, %d solve batches, largest batch %s",
+               n, m, p_max, len(level), sum(k * c for k, c in sizes.items()), sizes, pivot,
                batches, largest)
     return total.reshape(shape)

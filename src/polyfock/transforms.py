@@ -123,7 +123,7 @@ def weyl_F(spec: KernelSpec, a, f: FieldFunction) -> FieldFunction:
 def translate_H(a, g: FieldFunction) -> FieldFunction:
     """Horizontal translation (x, y) -> (x - a, y) by a real point a."""
     _require(g, FLAT)
-    a = _shift(a, np.size(a))
+    a = _shift(a, np.shape(a)[-1] if np.ndim(a) else 1)  # n from the last axis: a grid is refused
 
     def shifted(x, y):
         return g(_rpoint(x, a.size) - a, y)

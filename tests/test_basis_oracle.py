@@ -2,6 +2,8 @@
 
 import logging
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +15,15 @@ import polyfock.basis_oracle as basis_oracle
 from polyfock.basis_oracle import (
     BasisElement,
     _charge_classes,
-    _class_grams,
-    _size_groups,
+    _class_charges,
+    _coordinate_factors,
     build_orthonormal_basis,
     gaussian_monomial_inner,
     kernel_via_basis,
     solve_triangular,
 )
 from polyfock.kernels import KernelSpec, kernel_F
+from polyfock.multiindex import build_index_table
 from polyfock.quadrature import gauss_hermite_1d
 
 
@@ -177,37 +180,65 @@ def test_streamed_kernel_matches_materialized_basis_sum():
     assert_allclose(streamed, by_hand, atol=1e-12)
 
 
+# (n, m, p_max): every (n, m) up to (2, 3) at three truncations, and the
+# suite's m cap at n = 3, where the charge-0 class has 20 members.
+BATCHED_CASES = [(n, m, p_max) for n in (1, 2) for m in (1, 2, 3) for p_max in (0, 3, 8)]
+BATCHED_CASES.append((3, 4, 3))
+
+
 def test_batched_kernel_matches_exact_basis_sum():
     rng = np.random.default_rng(21)
-    for n in (1, 2):
+    for n, m, p_max in BATCHED_CASES:
         z = rng.uniform(-0.4, 0.4, (6, n)) + 1j * rng.uniform(-0.4, 0.4, (6, n))
         w = rng.uniform(-0.4, 0.4, (6, n)) + 1j * rng.uniform(-0.4, 0.4, (6, n))
         w[0] = z[0]
-        for m in (1, 2, 3):
-            for p_max in (0, 3, 8):
-                basis = build_orthonormal_basis(1, n=n, m=m, p_max=p_max)
-                by_hand = sum(b(w) * np.conj(b(z)) for b in basis)
-                batched = kernel_via_basis(1, n, m, p_max, z, w)
-                assert_allclose(batched, by_hand, rtol=1e-13)
+        basis = build_orthonormal_basis(1, n=n, m=m, p_max=p_max)
+        by_hand = sum(b(w) * np.conj(b(z)) for b in basis)
+        batched = kernel_via_basis(1, n, m, p_max, z, w)
+        assert_allclose(batched, by_hand, rtol=1e-13)
+
+
+def _class_members(n, m, p_max):
+    """charge -> the class's (p, q) pairs, from the (c+, c-, level) enumeration."""
+    table = build_index_table(n, m).array
+    out = {}
+    for plus, minus, level in zip(*_class_charges(n, m, p_max)):
+        members = table[table.sum(axis=1) <= level]
+        out[tuple(plus - minus)] = sorted(zip(map(tuple, (plus + members).tolist()),
+                                              map(tuple, (minus + members).tolist())))
+    return out
+
+
+@pytest.mark.parametrize("n, m, p_max", [(1, 3, 4), (2, 3, 5), (3, 2, 3), (3, 4, 2)])
+def test_class_charges_enumerate_the_exact_route_classes(n, m, p_max):
+    P, Q, starts = _charge_classes(n, m, p_max)
+    exact = {tuple(P[lo] - Q[lo]): sorted(zip(map(tuple, P[lo:hi].tolist()),
+                                              map(tuple, Q[lo:hi].tolist())))
+             for lo, hi in zip(starts[:-1], starts[1:])}
+    assert _class_members(n, m, p_max) == exact
+    assert len(_class_charges(n, m, p_max)[2]) == len(starts) - 1
 
 
 def test_class_grams_match_normalized_moments():
+    alpha = Fraction(3, 2)
     for n in (1, 2):
         for m in (1, 2, 3):
-            P, Q, starts = _charge_classes(n, m, 8)
-            checked = 0
-            for _, rows in _size_groups(starts, n):
-                for members, gram in zip(rows, _class_grams(P[rows], Q[rows])):
-                    pairs = list(zip(P[members], Q[members]))
-                    norms = [math.sqrt(gaussian_monomial_inner(1, p, q, p, q)) for p, q in pairs]
-                    expected = np.array([
-                        [float(gaussian_monomial_inner(1, p1, q1, p2, q2)) / (n1 * n2)
-                         for (p2, q2), n2 in zip(pairs, norms)]
-                        for (p1, q1), n1 in zip(pairs, norms)
-                    ])
-                    assert_allclose(gram, expected, rtol=0, atol=1e-15)
-                    checked += 1
-            assert checked == len(starts) - 1
+            p_max = 6
+            gram, scale = _coordinate_factors(float(alpha), p_max, m)
+            for charge, pairs in _class_members(n, m, p_max).items():
+                a = np.abs(charge)
+                s = np.array([np.minimum(p, q) for p, q in pairs])
+                got = np.prod([gram[a[r]][np.ix_(s[:, r], s[:, r])] for r in range(n)], axis=0)
+                got_scale = np.prod([scale[a[r], s[:, r]] for r in range(n)], axis=0)
+                norms = [math.sqrt(gaussian_monomial_inner(alpha, p, q, p, q)) for p, q in pairs]
+                expected = np.array([
+                    [float(gaussian_monomial_inner(alpha, p1, q1, p2, q2)) / (n1 * n2)
+                     for (p2, q2), n2 in zip(pairs, norms)]
+                    for (p1, q1), n1 in zip(pairs, norms)
+                ])
+                assert_allclose(got, expected, rtol=0, atol=1e-15)
+                assert np.all(np.diagonal(got) == 1.0)
+                assert_allclose(got_scale, 1 / np.array(norms), rtol=1e-14)
 
 
 def test_charge_classes_are_sorted_and_complete():
@@ -229,11 +260,28 @@ def test_kernel_via_basis_logs_class_statistics(caplog):
         kernel_via_basis(1.0, 1, 2, 4, z, z)
     (record,) = [r for r in caplog.records if r.name == "polyfock"]
     # charges -1..4: the charge -1 and 4 classes have one member, the rest two
-    assert "6 charge classes" in record.getMessage()
+    assert "6 charge classes, 10 monomials" in record.getMessage()
     assert "{1: 2, 2: 4}" in record.getMessage()
     assert "smallest Cholesky pivot" in record.getMessage()
-    # one batch per class size; the size-2 batch holds 4 classes, 2 columns (w | z)
+    # one batch per level; the level-1 batch holds 4 classes, 2 columns (w | z)
     assert "2 solve batches, largest batch (4, 2, 2)" in record.getMessage()
+
+
+def test_kernel_via_basis_peak_memory():
+    # n = 3, m = 3, p_max = 64 on 20 point pairs: 479,050 monomials in
+    # 60,970 classes.  Forming the monomial values took 74 MiB; this route
+    # measured 17.8 MiB, 9.6 MiB of it the (3, 65) index table of c+.
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-0.3, 0.3, (20, 3)) + 1j * rng.uniform(-0.3, 0.3, (20, 3))
+    w = rng.uniform(-0.3, 0.3, (20, 3)) + 1j * rng.uniform(-0.3, 0.3, (20, 3))
+    tracemalloc.start()
+    try:
+        got = kernel_via_basis(1.0, 3, 3, 64, z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    assert_allclose(got, kernel_F(KernelSpec(3, 3), z, w), rtol=1e-12)
 
 
 @pytest.mark.parametrize("k", range(1, 11))  # 10 is the largest class at n = m = 3
@@ -262,12 +310,17 @@ def test_kernel_via_basis_solves_once_per_batch(monkeypatch):
         return solve_triangular(L, b)
 
     monkeypatch.setattr(basis_oracle, "solve_triangular", counting)
-    monkeypatch.setattr(basis_oracle, "_BATCH_ELEMENTS", 1 << 10)  # split the larger sizes
+    monkeypatch.setattr(basis_oracle, "_BATCH_ELEMENTS", 1 << 10)  # split the larger levels
     split = kernel_via_basis(1.0, 2, 3, 8, z, w)
-    _, _, starts = _charge_classes(2, 3, 8)
-    batches = [(len(rows), k, k) for k, rows in _size_groups(starts, 2, width=2 * len(z))]
-    assert len(batches) > len(np.unique(np.diff(starts)))
-    assert shapes == batches
+    sizes = Counter(math.comb(2 + level, 2) for level in _class_charges(2, 3, 8)[2])
+    assert len(shapes) > len(sizes)
+    # every class of a level is solved once, in batches of at most 1 << 10
+    # elements of (class size x 2 * points) values
+    solved = Counter()
+    for batch, k, _ in shapes:
+        solved[k] += batch
+        assert batch * k * 2 * len(z) <= 1 << 10
+    assert solved == sizes
     assert_allclose(split, unsplit, rtol=1e-14)
 
 
@@ -278,12 +331,10 @@ def test_kernel_via_basis_solves_once_per_batch(monkeypatch):
     (np.full((4, 3), 0.2 + 0.1j), -1),
 ])
 def test_kernel_via_basis_refuses_bad_input_before_any_class(points, p_max, monkeypatch):
-    import polyfock.basis_oracle as basis_oracle
-
     def fail(*args, **kwargs):
         raise AssertionError("a charge class was built")
 
-    monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
+    monkeypatch.setattr(basis_oracle, "_class_charges", fail)
     good = np.full((4, 3), 0.1j)
     with pytest.raises(ValueError):
         kernel_via_basis(1.0, 3, 2, p_max, points, good)

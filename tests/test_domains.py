@@ -48,7 +48,8 @@ from polyfock.symbols import (
     sign,
     weyl_symbol,
 )
-from polyfock.transforms import check_intertwining, flat_function, flat_norm, fock_function, weyl_F
+from polyfock.transforms import (check_intertwining, flat_function, flat_norm, fock_function,
+                                 translate_H, weyl_F)
 from polyfock.verify import SuiteConfig, run_suite
 
 SPEC = KernelSpec(2, 3)
@@ -123,6 +124,7 @@ ONE_POINT = {
     "check_intertwining": (lambda p: check_intertwining(SPEC, p, SECTION, [0.1, 0.2], [0.3, 0.4]),
                            "shift"),
     "weyl_F": (lambda p: weyl_F(SPEC, p, SECTION), "shift"),
+    "translate_H": (lambda p: translate_H(p, GAUSSIAN), "shift"),
 }
 GRID = np.array([[0.4, -0.3], [0.1, 0.2], [0.0, 0.5]])
 for name, (call, label) in ONE_POINT.items():
@@ -239,7 +241,9 @@ def test_out_of_domain_input_is_refused_up_front(call, error, message, monkeypat
     def fail(*args, **kwargs):
         raise AssertionError("a charge class was built")
 
+    # the exact route's classes and the float route's enumeration
     monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
+    monkeypatch.setattr(basis_oracle, "_class_charges", fail)
     tracemalloc.start()
     try:
         with pytest.raises(error, match="^" + re.escape(message)):

@@ -10,6 +10,7 @@ import pytest
 import polyfock.quadrature as quadrature
 import polyfock.verify as verify
 from polyfock.multiindex import build_index_table
+from polyfock.orthopoly import laguerre_eval
 from polyfock.quadrature import gaussian_mean_rule
 from polyfock.verify import (
     SUITES,
@@ -60,6 +61,33 @@ def test_sum_products_still_catches_a_relative_error(monkeypatch):
     case = _sum_products_case(94210641, "sum-products n=5 m=2 form=polynomials")
     assert not case.passed
     assert case.max_error == pytest.approx(1e-9, rel=1e-3)
+
+
+def _wrong_laguerre_parameter(spec, z, w):
+    """e^{alpha <w, z>} L^{(n-1)}_{m-1}(alpha |w - z|^2): the kernel with the wrong parameter."""
+    ip = np.sum(w * np.conj(z), axis=-1)
+    d2 = np.sum(np.abs(w - z) ** 2, axis=-1)
+    return np.exp(spec.alpha * ip) * laguerre_eval(spec.m - 1, spec.n - 1, spec.alpha * d2)
+
+
+# fault patched into verify.kernel_F -> the kernel-basis cases (of 9) that
+# must fail at p_max = 32, seed 7.  A relative error of 1e-12 is below the
+# suite's 1e-10 tolerance; the m = 1 cases cannot see the Laguerre
+# parameter, since L^{(a)}_0 = 1 for every a.
+KERNEL_F_FAULTS = {
+    "scale 1e-12": (lambda kernel_F: lambda s, z, w: kernel_F(s, z, w) * (1 + 1e-12), 0),
+    "scale 1e-9": (lambda kernel_F: lambda s, z, w: kernel_F(s, z, w) * (1 + 1e-9), 9),
+    "conj": (lambda kernel_F: lambda s, z, w: np.conj(kernel_F(s, z, w)), 9),
+    "L^(n-1)": (lambda kernel_F: _wrong_laguerre_parameter, 6),
+}
+
+
+@pytest.mark.parametrize("fault, failing", KERNEL_F_FAULTS.values(), ids=KERNEL_F_FAULTS)
+def test_kernel_basis_sees_faults_in_the_closed_form(fault, failing, monkeypatch):
+    monkeypatch.setattr(verify, "kernel_F", fault(verify.kernel_F))
+    report = run_suite("kernel-basis", SuiteConfig(p_max=32, seed=7))
+    assert len(report.cases) == 9
+    assert sum(not case.passed for case in report.cases) == failing
 
 
 def test_small_exact_suite_passes():
