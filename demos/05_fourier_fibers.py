@@ -55,7 +55,7 @@ print("kernel image residual:",
       float(np.max(np.abs(direct.components - closed_image.components))))
 
 # in two variables the integral is four-dimensional; R_F_apply streams it in
-# blocks of at most 2^15 nodes and contracts one (u_r, v_r) pair of axes at
+# blocks of at most 2^13 nodes and contracts one (u_r, v_r) pair of axes at
 # a time.  Its default order, 20 nodes per
 # axis, leaves a larger residual here than the 32 nodes of one variable.
 spec2 = KernelSpec(2, 3, alpha)

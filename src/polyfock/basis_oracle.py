@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .kernels import KernelSpec, _cpoint
-from .multiindex import _integer, _multi_index, build_index_table
+from .multiindex import _integer, _multi_index, build_index_table, index_array
 
 _log = logging.getLogger("polyfock")
 
@@ -106,7 +106,7 @@ def _charge_classes(n: int, m: int, p_max: int):
     appended.  The class Gram matrices are dense and everything across
     classes is orthogonal.
     """
-    ps = build_index_table(n, p_max + 1).array
+    ps = index_array(n, p_max)
     qs = build_index_table(n, m).array
     P = np.repeat(ps, len(qs), axis=0)
     Q = np.tile(qs, (len(ps), 1))
@@ -126,7 +126,7 @@ def _class_charges(n: int, m: int, p_max: int):
     Returns ``(plus, minus, level)``, shapes (N, n), (N, n), (N,).  Class c+ - c-
     holds z^(c+ + s) conj(z)^(c- + s) for |s| <= level = min(m-1-|c-|, p_max-|c+|).
     """
-    ps = build_index_table(n, p_max + 1).array
+    ps = index_array(n, p_max)
     pairs = [(ps[(ps[:, neg > 0] == 0).all(axis=1)], neg) for neg in build_index_table(n, m).array]
     plus = np.concatenate([p for p, _ in pairs])
     minus = np.concatenate([np.broadcast_to(neg, p.shape) for p, neg in pairs])

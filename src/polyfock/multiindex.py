@@ -13,8 +13,8 @@ in the width of matrix symbols.
 Three things live only here: :func:`_integer` parses every integer scalar
 argument of the library (orders, degrees, counts, truncations),
 :func:`_multi_index` parses every multi-index argument (both refuse, not
-truncate, non-integers), and :attr:`IndexTable.array` is the one exponent
-array of a table.
+truncate, non-integers), and :func:`index_array` builds every exponent
+array of bounded total degree, :attr:`IndexTable.array` included.
 """
 
 from __future__ import annotations
@@ -85,26 +85,26 @@ def dimension(n: int, m: int) -> int:
     return math.comb(n + m - 1, n)
 
 
-def _enumerate(n: int, budget: int) -> Iterator[tuple[int, ...]]:
-    # An odometer emits the indices with |k| <= budget in lexicographic
-    # order, with no recursion and without the full (budget + 1)**n cube.
-    k = [0] * n
-    total = 0
-    while True:
-        yield tuple(k)
-        if n and total < budget:
-            k[-1] += 1
-            total += 1
-            continue
-        # |k| = budget: carry from the last nonzero entry into the one before.
-        j = n - 1
-        while j > 0 and k[j] == 0:
-            j -= 1
-        if j <= 0:
-            return
-        total -= k[j] - 1
-        k[j] = 0
-        k[j - 1] += 1
+def index_array(n: int, budget: int) -> np.ndarray:
+    """The k in N_0^n with |k| <= budget as (count, n) ``intp`` rows, in lexicographic order.
+
+    Built from the last coordinate forward: the rows of one more coordinate
+    are every head h in 0..budget in front of every lexicographic tail of
+    sum <= budget - h.  numpy's ``nonzero`` of the (head, tail) mask walks
+    heads first and tails in their order, so no sort is needed and the full
+    (budget + 1)**n cube is never formed.  ``n`` and ``budget`` are trusted
+    Python ints >= 0.
+    """
+    limits = budget - np.arange(budget + 1)[:, None]
+    columns, sums = [], np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        head, tail = np.nonzero(sums <= limits)
+        columns = [head, *(column[tail] for column in columns)]
+        sums = head + sums[tail]
+    rows = np.empty((len(sums), n), dtype=np.intp)
+    for r, column in enumerate(columns):
+        rows[:, r] = column
+    return rows
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,11 @@ class IndexTable:
 
     def __post_init__(self) -> None:
         _validate_nm(self.n, self.m)
-        indices = tuple(_enumerate(self.n, self.m - 1))
+        array = index_array(self.n, self.m - 1)
+        array.flags.writeable = False
+        indices = tuple(map(tuple, array.tolist()))
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "_pos", {k: j for j, k in enumerate(indices, start=1)})
-        array = np.array(indices, dtype=np.intp)
-        array.flags.writeable = False
         object.__setattr__(self, "array", array)
 
     @property

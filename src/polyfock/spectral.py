@@ -213,7 +213,8 @@ def R_F_apply(
     Everything but f is a product over r of a function of (u_r, v_r), so
     the order^{2n} rule (u axes placed at 0 with scale sqrt(2), v axes at
     -xi/2 with scale 1) is streamed by :func:`stream_pairs`: f is called
-    once per block of at most ``BLOCK_NODES`` nodes (leading u axes fixed),
+    once per block of at most ``BLOCK_NODES`` nodes (leading u axes fixed
+    or cut into chunks),
     and each (u_r, v_r) pair is contracted against an (m, order, order)
     factor that carries the pair's phase, Hermite functions and 1-D
     weights.  Cost: order^{2n} evaluations of f plus O(m * order^{2n}) for

@@ -21,19 +21,23 @@ g(v) = sum_k c_k prod_p f_kp(v_p), so gamma_g(xi) is 2^{n/2} times a sum
 over k of Hadamard products of n one-dimensional m x m matrices
 M_kp[a, b] = int f_kp(v) psi_a(t) psi_b(t) dv, t = (xi_p + 2v)/sqrt(2),
 read at the table's multi-index coordinates.  Substituting t turns every
-smooth axis into a textbook Gauss-Hermite integral.  The sign and box kinds
-jump at axis-aligned breakpoints, so those axes use composite Gauss-Legendre
-panels split exactly at the jumps instead.  The cost is n one-dimensional
-quadratures per term rather than one order^n tensor rule.  The direct
-route of :func:`sigma_from_gamma` evaluates g itself on every node of the
-order^n tensor rule, which :func:`~polyfock.quadrature.stream_pairs` sums
-in blocks without building it, so it stays an independent check of that
+smooth axis into a textbook Gauss-Hermite integral whose nodes, weights and
+Hermite table do not depend on xi; they are built once per (m, order) and
+cached, so a call on a smooth axis only shifts the nodes and evaluates the
+f_kp.  The sign and box kinds jump at axis-aligned breakpoints, so those
+axes use composite Gauss-Legendre panels split exactly at the jumps
+instead, built per xi.  The cost is one (terms, m, m) product per axis
+rather than one order^n tensor rule.  The direct route of
+:func:`sigma_from_gamma` evaluates g itself on every node of the order^n
+tensor rule, which :func:`~polyfock.quadrature.stream_pairs` sums in blocks
+without building it, so it stays an independent check of that
 factorization.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -46,6 +50,7 @@ from .multiindex import IndexTable, _integer, _multi_index, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (
     FIBER_ORDER,
+    _check_order,
     check_rule_budget,
     gauss_hermite_1d,
     legendre_panels,
@@ -247,14 +252,35 @@ class SymbolMatrix:
     entries: np.ndarray
 
 
-def _build_v_rule(xi_r: float, breakpoints: Sequence[float], order: int):
+# (m, order) -> the smooth-axis rule of gamma_toeplitz, keyed by the parsed
+# order.  Small: (m + 2) order floats for each pair in use.
+@functools.lru_cache(maxsize=64)
+def _smooth_axis(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (offsets, weights, psi) of a smooth gamma axis.
+
+    The axis's Gauss-Hermite rule in t = (xi_r + 2v)/sqrt(2) places its
+    nodes at v = -xi_r/2 + t/sqrt(2), so only the shift -xi_r/2 depends on
+    xi: the offsets t/sqrt(2), the Lebesgue weights and the Hermite table
+    psi at the raw nodes t (shape (m, order)) serve every xi.
+    """
+    rule = gauss_hermite_1d(order)
+    offsets, weights = place_hermite(rule, 0.0, math.sqrt(2.0) / 2)
+    psi = hermite_fn_table(m - 1, rule[0])
+    for values in (offsets, weights, psi):
+        values.flags.writeable = False
+    return offsets, weights, psi
+
+
+def _v_rule(m: int, xi_r: float, breakpoints: Sequence[float], order: int):
+    """(v, w, psi) of one gamma axis: the nodes, weights and Hermite table at xi_r."""
+    if not breakpoints:
+        offsets, weights, psi = _smooth_axis(m, order)
+        return offsets - xi_r / 2, weights, psi
     lo = (-math.sqrt(2.0) * T_CUT - xi_r) / 2
     hi = (math.sqrt(2.0) * T_CUT - xi_r) / 2
-    if breakpoints:
-        cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-        return legendre_panels(cuts, order)
-    # t = (xi_r + 2v)/sqrt(2), so v = -xi_r/2 + t/sqrt(2)
-    return place_hermite(gauss_hermite_1d(order), -xi_r / 2, math.sqrt(2.0) / 2)
+    cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
+    v, w = legendre_panels(cuts, order)
+    return v, w, hermite_fn_table(m - 1, (xi_r + 2 * v) / math.sqrt(2.0))
 
 
 def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
@@ -283,35 +309,34 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
 
     entries[r-1, s-1] = 2^{n/2} int g(v) P_r(v) P_s(v) dv with
     P_j(v) = prod_p psi_{phi(j)_p}((xi_p + 2 v_p)/sqrt(2)).  With g split
-    into per-axis products (:func:`_axis_factors`), each term is the
+    into T per-axis products (:func:`_axis_factors`), each term is the
     Hadamard product over p of the one-dimensional matrices
-    M_p = Psi diag(w f_p(v)) Psi^T, read at rows phi(r)_p and columns
-    phi(s)_p.  Every M_p is symmetrized, so a real g gives an exactly
-    symmetric matrix.  ``order`` is the Gauss-Hermite order of a smooth
-    axis, or the Gauss-Legendre order of each panel of a jump axis.
+    M_kp = Psi diag(w f_kp(v)) Psi^T, read at rows phi(r)_p and columns
+    phi(s)_p.  The T matrices of an axis are one (T, m, m) product, and
+    every M_kp is symmetrized, so a real g gives an exactly symmetric
+    matrix.  ``order`` is the Gauss-Hermite order of a smooth axis, or the
+    Gauss-Legendre order of each panel of a jump axis.
+
+    A smooth axis's nodes, weights and Hermite table do not depend on xi
+    (:func:`_smooth_axis`, cached per (m, order)), so a call there only
+    shifts the nodes and evaluates the f_kp.  A jump axis builds its
+    Legendre panels and Hermite table per xi, since the jumps move with xi.
     """
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
     xi = _frequency(xi, table.n)
-    if order is None:
-        order = FIBER_ORDER
-    rules = []
-    for r in range(table.n):
-        v, w = _build_v_rule(float(xi[r]), g.breakpoints_on_axis(r), order)
-        psi = hermite_fn_table(table.m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))  # (m, N)
-        rules.append((v, w, psi))
-    columns = table.array.T  # (n, d)
-    coeffs, blocks = [], []
-    for coeff, factors in _axis_factors(g):
-        per_axis = []
-        for f, (v, w, psi), cols in zip(factors, rules, columns):
-            M = (psi * (w * f(v))) @ psi.T
-            per_axis.append(((M + M.T) / 2)[:, cols])  # (m, d)
-        coeffs.append(coeff)
-        blocks.append(np.stack(per_axis, axis=-1))
+    order = _check_order(FIBER_ORDER if order is None else order)
+    terms = _axis_factors(g)
+    per_axis = []
+    for r, cols in enumerate(table.array.T):
+        v, w, psi = _v_rule(table.m, float(xi[r]), g.breakpoints_on_axis(r), order)
+        values = np.stack([factors[r](v) for _, factors in terms])  # (T, N)
+        M = (psi * (w * values)[:, None]) @ psi.T  # (T, m, m)
+        per_axis.append(((M + M.transpose(0, 2, 1)) / 2)[..., cols])  # (T, m, d)
     # rows[j, k, s] = prod_p M_kp[phi(j)_p, phi(s)_p]
-    rows = np.stack(list(index_products(table, np.stack(blocks, axis=1))))
-    entries = 2 ** (table.n / 2) * sum(coeff * rows[:, k] for k, coeff in enumerate(coeffs))
+    factors = np.stack(per_axis, axis=-1).transpose(1, 0, 2, 3)  # (m, T, d, n)
+    rows = np.stack(list(index_products(table, factors)))
+    entries = 2 ** (table.n / 2) * sum(coeff * rows[:, k] for k, (coeff, _) in enumerate(terms))
     if g.is_real:
         entries = entries.real.astype(complex)
     return SymbolMatrix(xi=xi, entries=entries)

@@ -2,8 +2,9 @@
 
 One row per boundary: (closed form, oracle, helpers the two may share
 beyond ``SHARED_BY_DESIGN``).  A side is a tuple of calls.  Each side runs
-under ``sys.setprofile`` with the Gauss rule caches cleared, so its call
-set holds every function it reaches whatever ran before it.  A row fails
+under ``sys.setprofile`` with every ``functools`` cache of the ``polyfock``
+modules cleared (the Gauss rules, gamma's smooth axes), so its call set
+holds every function it reaches whatever ran before it.  A row fails
 when the two call sets meet outside the allowed names, or when a side
 never reaches its own entry point.  Every function and method defined in
 a ``polyfock`` source file is keyed by its code object; nested functions
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 import polyfock
-from polyfock import quadrature
+from polyfock import quadrature, symbols
 from polyfock.basis_oracle import kernel_via_basis
 from polyfock.kernels import KernelSpec, kernel_F, kernel_F_products
 from polyfock.multiindex import build_index_table
@@ -73,7 +74,7 @@ SHARED_BY_DESIGN = frozenset({
     "kernels.KernelSpec.__post_init__", "kernels.KernelSpec.d",
     "multiindex.IndexTable.__post_init__", "multiindex.IndexTable.d",
     "multiindex.IndexTable.__iter__",
-    "multiindex.build_index_table", "multiindex._enumerate", "multiindex.dimension",
+    "multiindex.build_index_table", "multiindex.index_array", "multiindex.dimension",
 })
 
 # The raw Gauss-Hermite rule and its placement, built cold on each side.
@@ -154,10 +155,15 @@ ROWS = {
 }
 
 
+# Every functools cache of the package, found by its cache_clear method.
+CACHES = {id(obj): obj for module in MODULES for obj in vars(module).values()
+          if callable(getattr(obj, "cache_clear", None))}
+
+
 def _calls(side) -> tuple[set, list]:
     """Names of the keyed functions that the calls of one side reach, and the calls' values."""
-    quadrature._hermite_rule.cache_clear()
-    quadrature._legendre_rule.cache_clear()
+    for cache in CACHES.values():
+        cache.cache_clear()
     seen = set()
 
     def record(frame, event, arg):
@@ -190,6 +196,20 @@ def test_closed_form_and_oracle_share_only_allowed_helpers(row):
     if row.closed is RAW_RULES:
         # every order, built cold, has that many nodes
         assert [len(nodes) for nodes, _ in values] == [call.args[0] for call in RAW_RULES]
+
+
+def test_every_cache_is_cleared_so_a_warm_side_still_reports_its_calls():
+    assert {quadrature._hermite_rule, quadrature._legendre_rule,
+            symbols._smooth_axis} <= set(CACHES.values())
+    # gamma on a smooth symbol reads its Hermite table from the smooth-axis
+    # cache once it is warm; the traced side must still reach the table.
+    side = ROWS["gamma_toeplitz vs direct sigma, gaussian_poly"].closed
+    for call in side:
+        call()
+    assert symbols._smooth_axis.cache_info().currsize > 0
+    seen, _ = _calls(side)
+    assert {"orthopoly.hermite_fn_table", "quadrature._hermite_rule",
+            "symbols._smooth_axis"} <= seen
 
 
 def test_a_route_that_crosses_the_boundary_is_reported():

@@ -1,5 +1,6 @@
 """Tensor Gauss-Hermite grids against closed-form Gaussian integrals."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -394,44 +395,61 @@ def test_weights_are_overflow_compensated():
     assert grid.weights.min() > 0.0
 
 
-def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, block_nodes):
-    """stream_pairs with each block's points stacked into a fresh (N, n) array by np.stack."""
+def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, fixed, chunks):
+    """stream_pairs on a given block plan, each block's points stacked into a fresh (N, n) array.
+
+    The first ``fixed`` real axes go node by node, the next real axis (if
+    any) in ``chunks`` near-equal chunks, the rest whole.  Each pair is
+    contracted against its factor sliced to the block's real range, in one
+    order for every block: the largest (widest block's nodes on the pair) /
+    (extra size) first.
+    """
     n = len(re_nodes)
-    sizes = [len(nodes) for nodes in (*re_nodes, *im_nodes)]
-    fixed = 0
-    while fixed < n and math.prod(sizes[fixed:]) > block_nodes:
-        fixed += 1
-    free = 2 * n - fixed
+    sizes = [len(nodes) for nodes in re_nodes]
+    ranges = [[(i, i + 1) for i in range(size)] for size in sizes[:fixed]]
+    ranges += [[(size * k // chunks, size * (k + 1) // chunks) for k in range(chunks)]
+               for size in sizes[fixed:fixed + 1]]
+    ranges += [[(0, size)] for size in sizes[fixed + 1:]]
+    ratio = [max(hi - lo for lo, hi in ranges[r]) * len(im_nodes[r]) / math.prod(f.shape[:-2])
+             for r, f in enumerate(factors)]
 
     def along(values, axis):
-        return values.reshape([-1 if a == axis else 1 for a in range(free)])
+        return values.reshape([-1 if a == axis else 1 for a in range(2 * n)])
 
     total = 0.0
-    for lead in np.ndindex(*sizes[:fixed]):
-        parts = [(re_nodes[r][lead[r]] if r < fixed else along(re_nodes[r], r - fixed))
-                 + 1j * along(im_nodes[r], n - fixed + r) for r in range(n)]
+    for block in itertools.product(*ranges):
+        parts = [along(re_nodes[r][lo:hi], r) + 1j * along(im_nodes[r], n + r)
+                 for r, (lo, hi) in enumerate(block)]
         points = np.stack(np.broadcast_arrays(*parts), axis=-1)
         cube = integrand(points.reshape(-1, n)).reshape(points.shape[:-1])
-        for r in range(n):
-            if r < fixed:
-                cube = np.tensordot(cube, factors[r][..., lead[r], :], axes=([n - fixed], [-1]))
-            else:
-                cube = np.tensordot(cube, factors[r], axes=([0, n - r], [-2, -1]))
-        total = total + cube
+        labels = list(range(2 * n))
+        for r in sorted(range(n), key=lambda r: -ratio[r]):
+            lo, hi = block[r]
+            axes = [labels.index(r), labels.index(n + r)]
+            cube = np.tensordot(cube, factors[r][..., lo:hi, :], axes=(axes, [-2, -1]))
+            labels = [a for a in labels if a not in (r, n + r)]
+            labels += [(r, e) for e in range(factors[r].ndim - 2)]
+        total = total + np.transpose(cube, sorted(range(len(labels)), key=labels.__getitem__))
     return total
 
 
 STREAM_SHAPES = {1: ([5], [4]), 2: ([3, 4], [5, 2]), 3: ([3, 2, 4], [2, 3, 2])}
+# BLOCK_NODES -> (real axes fixed node by node, chunks of the next real axis),
+# one row per count of fixed axes.  A plan that fixes every real axis has
+# blocks of the imaginary axes alone, larger than BLOCK_NODES here.
+STREAM_PLANS = {1: [(12, 0, 2), (3, 1, None)],
+                2: [(120, 0, 1), (30, 1, 2), (9, 2, None)],
+                3: [(200, 0, 2), (60, 1, 2), (30, 2, 2), (11, 3, None)]}
 
 
 @pytest.mark.parametrize("n, fixed", [(n, fixed) for n in STREAM_SHAPES for fixed in range(n + 1)])
 def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypatch):
-    # BLOCK_NODES is cut to the product of the free axes, so blocks fix the
-    # first `fixed` real axes and both contraction kinds run.
+    # Rows reach a whole rule, chunked axes (uneven chunks included), fixed
+    # axes before a chunked one, and every real axis fixed.
     rng = np.random.default_rng([n, fixed])
     re_sizes, im_sizes = STREAM_SHAPES[n]
-    sizes = re_sizes + im_sizes
-    block_nodes = math.prod(sizes[fixed:])
+    block_nodes, plan_fixed, chunks = STREAM_PLANS[n][fixed]
+    assert plan_fixed == fixed
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     re_nodes = [rng.normal(size=k) for k in re_sizes]
     im_nodes = [rng.normal(size=k) for k in im_sizes]
@@ -440,7 +458,7 @@ def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypat
     seen = []
 
     def integrand(points):
-        seen.append((points.shape, points.flags.writeable,
+        seen.append((len(points), points.shape[1], points.flags.writeable,
                      all(points[:, r].flags.c_contiguous for r in range(n))))
         total = 0.0
         for r in range(points.shape[-1]):
@@ -448,13 +466,16 @@ def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypat
         return np.exp(0.2j * total) * np.cos(points[:, 0] * points[:, -1])
 
     got = stream_pairs(integrand, re_nodes, im_nodes, factors)
-    blocks = len(seen)
-    want = _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, block_nodes)
+    blocks = seen[:]
+    want = _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, fixed, chunks or 1)
     assert got.shape == tuple(range(1, n + 1))
     assert_array_equal(got, want)
-    assert blocks == math.prod(sizes[:fixed])
+    assert len(blocks) == math.prod(re_sizes[:fixed]) * (chunks or 1)
+    assert sum(nodes for nodes, *_ in blocks) == math.prod(re_sizes + im_sizes)
+    largest = math.prod(im_sizes) if fixed == n else block_nodes
+    assert max(nodes for nodes, *_ in blocks) <= largest
     # Read-only (N, n) points whose coordinates are contiguous.
-    assert seen[:blocks] == [((block_nodes, n), False, True)] * blocks
+    assert {tuple(rest) for _, *rest in blocks} == {(n, False, True)}
 
 
 @pytest.mark.parametrize("integrand, shape", [(lambda points: np.sum(points[:, 0]), r"\(\)"),
@@ -467,20 +488,23 @@ def test_stream_pairs_refuses_an_integrand_without_one_value_per_point(integrand
         stream_pairs(integrand, re_nodes, im_nodes, factors)
 
 
-@pytest.mark.parametrize("n, real_axes, fixed",
-                         [(n, real_axes, fixed) for n in (1, 2, 3) for real_axes in (False, True)
-                          for fixed in range(n + 1)])
-def test_stream_pairs_matches_tensor_rule_on_a_non_product_integrand(n, real_axes, fixed,
+@pytest.mark.parametrize("n, real_axes, cut",
+                         [(n, real_axes, cut) for n in (1, 2, 3) for real_axes in (False, True)
+                          for cut in range(n + 1)])
+def test_stream_pairs_matches_tensor_rule_on_a_non_product_integrand(n, real_axes, cut,
                                                                      monkeypatch):
     # The rule engine against the plain sum over tensor_rule's nodes.  The
     # real-axis form has one imaginary node 0 per coordinate, as the direct
-    # sigma route uses it.  Blocks fix the first `fixed` real axes.
-    rng = np.random.default_rng([n, real_axes, fixed])
+    # sigma route uses it.  At cut = 0 the rule is one whole block; at cut
+    # = k >= 1 blocks fix the first k - 1 real axes and cut real axis k - 1
+    # into chunks of two nodes (an uneven last chunk at 5 nodes).
+    rng = np.random.default_rng([n, real_axes, cut])
     re_axes = [place_hermite(gauss_hermite_1d(k), rng.normal(), 1.0) for k in (6, 5, 4)[:n]]
     im_axes = ([(np.zeros(1), np.ones(1))] * n if real_axes else
                [place_hermite(gauss_hermite_1d(k), rng.normal(), 0.8) for k in (3, 5, 4)[:n]])
     sizes = [len(nodes) for nodes, _ in re_axes + im_axes]
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", math.prod(sizes[fixed:]))
+    block_nodes = 2 * math.prod(sizes[cut:]) if cut else math.prod(sizes)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     powers = [np.arange(r + 2) for r in range(n)]
 
     def integrand(points):
@@ -492,7 +516,12 @@ def test_stream_pairs_matches_tensor_rule_on_a_non_product_integrand(n, real_axe
         (x, wx), (y, wy) = re_axes[r], im_axes[r]
         w = x[:, None] + 1j * y[None, :]
         factors.append(w ** powers[r][:, None, None] * np.outer(wx, wy))
-    got = stream_pairs(integrand, [x for x, _ in re_axes], [y for y, _ in im_axes], factors)
+    blocks = []
+    got = stream_pairs(lambda points: blocks.append(len(points)) or integrand(points),
+                       [x for x, _ in re_axes], [y for y, _ in im_axes], factors)
+    chunks = -(-sizes[cut - 1] // 2) if cut else 1
+    assert len(blocks) == math.prod(sizes[:max(cut - 1, 0)]) * chunks
+    assert max(blocks) <= block_nodes and sum(blocks) == math.prod(sizes)
 
     nodes, weights = tensor_rule(re_axes + im_axes)
     w = nodes[:, :n] + 1j * nodes[:, n:]

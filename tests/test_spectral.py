@@ -16,8 +16,8 @@ from numpy.testing import assert_allclose
 from polyfock.kernels import KernelSpec, kernel_F
 from polyfock.multiindex import build_index_table
 from polyfock.orthopoly import hermite_fn, hermite_fn_table
-from polyfock.quadrature import (default_order, gauss_hermite_1d, place_hermite, tensor_grid,
-                                 tensor_rule)
+from polyfock.quadrature import (BLOCK_NODES, default_order, gauss_hermite_1d, place_hermite,
+                                 tensor_grid, tensor_rule)
 from polyfock.spectral import (
     FiberVector,
     L_closed,
@@ -243,16 +243,19 @@ def test_R_F_apply_matches_dense_sum(n, m):
     y = rng.uniform(-0.8, 0.8, n)
     xi = rng.uniform(-3, 3, n)
     f = fock_function(lambda z: kernel_F(spec, 1j * y, z))
-    # Blocks hold at most 2^15 nodes, so the leading u axes are fixed: one
-    # at n = 2 and order 20 (20 blocks), two at n = 3 and orders 12 and 10
-    # (144 and 100 blocks), and the block results are added up.
-    blocks = {(1, None): 1, (1, 10): 1, (2, None): 20, (2, 10): 1, (3, None): 144, (3, 10): 100}
+    # Blocks hold at most 2^13 nodes.  At n = 2 the first u axis is cut into
+    # chunks: 20 of one node at order 20, 2 of five at order 10.  At n = 3
+    # two u axes are fixed and the third is cut: 3 chunks of four nodes at
+    # order 12 (432 blocks), 2 of five at order 10 (200 blocks).  The block
+    # results are added up.
+    blocks = {(1, None): 1, (1, 10): 1, (2, None): 20, (2, 10): 2, (3, None): 432, (3, 10): 200}
     for order in (None, 10):
         sizes = []
         counted = fock_function(lambda z: sizes.append(len(z)) or kernel_F(spec, 1j * y, z))
         got = R_F_apply(spec, counted, xi, order=order).components
         assert got.shape == (spec.d,)
         assert len(sizes) == blocks[n, order]
+        assert max(sizes) <= BLOCK_NODES
         assert sum(sizes) == (order or default_order(2 * n)) ** (2 * n)
         # The dense n = 3 rule is built at order 10 only: at the default
         # order it took 708 MiB and about 3 s.
@@ -286,15 +289,16 @@ def test_R_H_apply_matches_dense_sum(n, m):
     y = rng.uniform(-0.8, 0.8, n)
     xi = rng.uniform(-3, 3, n)
     g = flatten(spec, fock_function(lambda z: kernel_F(spec, 1j * y, z)))
-    # Blocks as for R_F_apply: one leading u axis fixed at n = 2 and order
-    # 20, two at n = 3 and order 10.
-    blocks = {(1, None): 1, (1, 10): 1, (2, None): 20, (2, 10): 1, (3, 10): 100}
+    # Blocks as for R_F_apply: the first u axis cut into 20 and 2 chunks at
+    # n = 2, two u axes fixed and the third cut in two at n = 3 and order 10.
+    blocks = {(1, None): 1, (1, 10): 1, (2, None): 20, (2, 10): 2, (3, 10): 200}
     for order in orders:
         sizes = []
         counted = flat_function(lambda u, v: sizes.append(len(u)) or g(u, v))
         got = R_H_apply(table, counted, xi, order=order).components
         assert got.shape == (table.d,)
         assert len(sizes) == blocks[n, order]
+        assert max(sizes) <= BLOCK_NODES
         assert sum(sizes) == (order or default_order(2 * n)) ** (2 * n)
         assert_allclose(got, R_H_dense(table, g, xi, order=order), rtol=0, atol=1e-13)
 

@@ -8,12 +8,15 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from polyfock import symbols
 from polyfock.kernels import KernelSpec
-from polyfock.multiindex import build_index_table
+from polyfock.multiindex import build_index_table, index_products
 from polyfock.orthopoly import hermite_fn_table
-from polyfock.quadrature import gauss_hermite_1d, tensor_grid
+from polyfock.quadrature import (FIBER_ORDER, gauss_hermite_1d, legendre_panels, place_hermite,
+                                 tensor_grid)
 from polyfock.spectral import R_F_kernel_image, q_matrix
 from polyfock.symbols import (
+    T_CUT,
     SymbolMatrix,
     VerticalSymbol,
     _axis_factors,
@@ -185,6 +188,67 @@ def test_sign_symbol_offdiagonal_closed_form():
     assert_allclose(mat.entries[0, 0], 0.0, atol=1e-12)
     assert_allclose(mat.entries[1, 1], 0.0, atol=1e-12)
     assert_allclose(mat.entries[0, 1], math.sqrt(2 / math.pi), rtol=1e-12)
+
+
+def _gamma_per_xi_and_term(table, g, xi):
+    """gamma_toeplitz assembled per xi and per term, with the Hermite table
+    of every axis built at t = (xi + 2v)/sqrt(2) from the placed nodes."""
+    n, m = table.n, table.m
+    rules = []
+    for r in range(n):
+        breakpoints = g.breakpoints_on_axis(r)
+        if breakpoints:
+            lo, hi = ((s * math.sqrt(2.0) * T_CUT - xi[r]) / 2 for s in (-1, 1))
+            v, w = legendre_panels(sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)}),
+                                   FIBER_ORDER)
+        else:
+            v, w = place_hermite(gauss_hermite_1d(FIBER_ORDER), -xi[r] / 2, math.sqrt(2.0) / 2)
+        rules.append((v, w, hermite_fn_table(m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))))
+    entries = np.zeros((table.d, table.d), dtype=complex)
+    for coeff, factors in _axis_factors(g):
+        per_axis = []
+        for f, (v, w, psi), cols in zip(factors, rules, table.array.T):
+            M = (psi * (w * f(v))) @ psi.T
+            per_axis.append(((M + M.T) / 2)[:, cols])
+        rows = np.stack(list(index_products(table, np.stack(per_axis, axis=-1))))
+        entries = entries + coeff * rows
+    entries = 2 ** (n / 2) * entries
+    return entries.real.astype(complex) if g.is_real else entries
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 3)])
+def test_gamma_matches_the_per_xi_per_term_assembly(n, m):
+    # The cached smooth axes read the Hermite table at the raw Gauss-Hermite
+    # nodes, and the terms of an axis are one stacked product; both move
+    # gamma by round-off only.
+    rng = np.random.default_rng(70 + n)
+    table = build_index_table(n, m)
+    for g in _kind_samples(n, rng):
+        for x in (-8.0, -3.3, 0.0, 2.7, 8.0):
+            xi = np.full(n, x)
+            got = gamma_toeplitz(table, g, xi).entries
+            want = _gamma_per_xi_and_term(table, g, xi)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 2e-15 * scale, f"{g.kind} xi={x}"
+            if g.is_real:
+                assert np.array_equal(got, got.T)
+
+
+def test_smooth_axis_cache_is_read_only_and_keyed_by_the_parsed_order():
+    table = build_index_table(2, 3)
+    g = gaussian_poly([(1.0, (0, 0)), (0.5, (2, 0))], center=[0.2, -0.1], n=2)
+    symbols._smooth_axis.cache_clear()
+    with pytest.raises(TypeError, match="order must be an integer"):
+        gamma_toeplitz(table, g, [0.1, 0.2], order=True)
+    assert symbols._smooth_axis.cache_info().currsize == 0
+    first = gamma_toeplitz(table, g, [0.1, 0.2], order=48).entries
+    again = gamma_toeplitz(table, g, [0.1, 0.2], order=np.int64(48)).entries
+    info = symbols._smooth_axis.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+    assert np.array_equal(first, again)
+    offsets, weights, psi = symbols._smooth_axis(3, 48)
+    assert psi.shape == (3, 48) and offsets.shape == weights.shape == (48,)
+    assert not any(values.flags.writeable for values in (offsets, weights, psi))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -235,11 +235,14 @@ def test_coordinate_factors_match_direct_powers():
         assert abs(table[a, b, i, j] - direct) <= 1e-14 * abs(direct)
 
 
-@pytest.mark.parametrize("n, order, fixed", [(1, 8, 0), (1, 8, 1), (2, 6, 0), (2, 6, 1), (2, 6, 2)])
-def test_reproducing_moments_match_the_materialized_rule(n, order, fixed, monkeypatch):
-    # Blocks of order^{2n - fixed} nodes fix the first `fixed` x axes, so
-    # the fixed-axis and the free-axis contractions are both exercised.
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", order ** (2 * n - fixed))
+@pytest.mark.parametrize("n, order, cut", [(1, 8, 0), (1, 8, 1), (2, 6, 0), (2, 6, 1), (2, 6, 2)])
+def test_reproducing_moments_match_the_materialized_rule(n, order, cut, monkeypatch):
+    # At cut = 0 the rule is one whole block; at cut = k >= 1 blocks of
+    # 2 order^{2n - k} nodes fix the first k - 1 x axes and cut x axis
+    # k - 1 into chunks of two nodes, so whole, chunked and fixed axes are
+    # all contracted.
+    block_nodes = 2 * order ** (2 * n - cut) if cut else order ** (2 * n)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     m, p_bound = 3, 3
     spec = verify.KernelSpec(n, m, 0.8)
     z = np.array([0.4 - 0.3j, -0.2 + 0.5j])[:n]
