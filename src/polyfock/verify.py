@@ -4,9 +4,13 @@ Each suite re-derives a family of identities by a route that shares no code
 with the closed forms it checks: exact rational polynomial expansion for
 the Laguerre identities, moment-based Gram-Schmidt for the kernel,
 streamed Gaussian-mean and Gauss-Hermite rules, Legendre panels at jumps,
-for everything integral.  Each suite is one row of
-``_SUITE_TABLE``; its tolerance is exact for the identities and 2-4 decades
-above observed double-precision error for the float suites.  The original
+for everything integral.  Each suite is one :class:`Suite` row of
+``_SUITE_TABLE``: its jobs, its tolerance (exact for the identities and
+2-4 decades above observed double-precision error for the float suites),
+the sizes and orders it reads, and the names of the closed form and the
+oracle its jobs call.  The tests trace each float suite's own run through
+those names to check that the two sides share no code, and patch faults
+into the closed form through them.  The original
 computer-algebra versions of these checks ran symbolically (identities, the
 reproducing property) or in extended precision (kernel-vs-basis to 1e-15 at
 truncation 128); the desk-scale substitutes here are documented next to
@@ -25,7 +29,7 @@ import time
 from dataclasses import dataclass, asdict, field, replace
 from fractions import Fraction
 from itertools import product as cartesian
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,7 +119,7 @@ _LOWEST = {"n_max": 1, "m_max": 1, "p_max": 0, "order": 1}
 
 
 def _unread(suite: str) -> list[str]:
-    return [key for key in _LOWEST if key not in _SUITE_TABLE[suite][2]]
+    return [key for key in _LOWEST if key not in _SUITE_TABLE[suite].domain]
 
 
 def _resolve(suite: str, config: SuiteConfig) -> dict:
@@ -123,7 +127,7 @@ def _resolve(suite: str, config: SuiteConfig) -> dict:
         if getattr(config, key) is not None:
             raise ValueError(f"{suite}: the suite takes no {key}, got {getattr(config, key)}")
     params = {}
-    for key, (default, cap) in _SUITE_TABLE[suite][2].items():
+    for key, (default, cap) in _SUITE_TABLE[suite].domain.items():
         got = getattr(config, key)
         params[key] = default if got is None else _integer(got, f"{suite}: {key}", _LOWEST[key])
         if got is not None and params[key] > cap:
@@ -322,14 +326,20 @@ def _sum_products_jobs(params: dict) -> _Jobs:
 # ---------------------------------------------------------------------------
 
 def _fourier_laguerre_jobs(params: dict) -> _Jobs:
-    order = params["order"]
     a_grid = np.array([0.0, 0.4, 1.0, 2.2])
     xi_grid = np.linspace(-6.0, 6.0, 13)
     u_grid = np.array([0.0, 0.3, 1.1, 2.4])
 
     jobs = []
     for p in range(params["p_max"] + 1):
-        def forward(p=p) -> float:
+        order = params["order"]
+        if order is None:
+            # Order 64 leaves two decades of margin up to p = 12 (9.3e-11
+            # forward) but misses the 1e-8 tolerance from p = 14 (2.3e-8);
+            # order 128 holds 2.3e-14 up to the cap p = 40.
+            order = 64 if p <= 12 else 128
+
+        def forward(p=p, order=order) -> float:
             closed = [math.sqrt(math.pi)
                       * hermite_fn(p, (xi_grid + a) / math.sqrt(2.0))
                       * hermite_fn(p, (xi_grid - a) / math.sqrt(2.0))
@@ -341,7 +351,7 @@ def _fourier_laguerre_jobs(params: dict) -> _Jobs:
             return _batch_error(quad, closed)
         jobs.append((f"fourier-laguerre forward p={p:02d}", forward))
 
-        def inverse(p=p) -> float:
+        def inverse(p=p, order=order) -> float:
             # ell_p(u^2 + a^2) = 2^{-1/2} integral e^{i u xi} psi_p((xi+a)/sqrt2) psi_p((xi-a)/sqrt2) dxi
             grid = tensor_grid(1, order, center=0.0, scale=math.sqrt(2.0))
             xi = grid.nodes[:, 0]
@@ -383,23 +393,51 @@ def _fourier_kernel_jobs(params: dict) -> _Jobs:
 # entry point
 # ---------------------------------------------------------------------------
 
-# One row per suite: its job-list builder, params -> [(case id, job)], the
-# tolerance of every case (laguerre is exact), and {param: (default, cap)}
-# for each size or order the builder reads; a None order lets the rule pick
-# its own.  Beyond the caps runtimes and conditioning are untested.
-_SUITE_TABLE: dict[str, tuple[Callable[[dict], _Jobs], float, dict]] = {
-    "laguerre": (_laguerre_jobs, 0.0, dict(n_max=(8, 10), p_max=(8, 12))),
-    "kernel-basis": (_kernel_basis_jobs, 1e-10, dict(n_max=(3, 3), m_max=(3, 4), p_max=(64, 128))),
-    "reproducing": (_reproducing_jobs, 1e-7,
-                    dict(n_max=(3, 3), m_max=(3, 3), p_max=(5, 6), order=(None, MAX_ORDER))),
-    "sum-products": (_sum_products_jobs, 1e-11, dict(n_max=(5, 6), m_max=(5, 6))),
-    "fourier-laguerre": (_fourier_laguerre_jobs, 1e-8,
-                         dict(p_max=(10, 40), order=(64, MAX_ORDER))),
-    "fourier-kernel": (_fourier_kernel_jobs, 1e-8,
-                       dict(n_max=(2, 2), m_max=(4, 5), order=(FIBER_ORDER, MAX_ORDER))),
+class Suite(NamedTuple):
+    """One row of ``_SUITE_TABLE``.
+
+    ``jobs`` maps the resolved params to [(case id, job)], and every case
+    passes at ``tolerance`` (0 for the exact suites).  ``domain`` holds
+    {param: (default, cap)} for each size or order the jobs read; a None
+    order lets each case or rule pick its own.  Beyond the caps runtimes
+    and conditioning are untested.
+
+    ``closed`` and ``oracle`` name the attributes of this module that the
+    jobs call on the two sides of the check.  A fault in a closed form is
+    patched in through its name here, and the two sides share no function
+    beyond the argument parsers.  ``nested`` lists the closed entries the
+    oracle may call, as its integrand.  An exact suite names no sides.
+    """
+
+    jobs: Callable[[dict], _Jobs]
+    tolerance: float
+    domain: dict
+    closed: tuple[str, ...] = ()
+    oracle: tuple[str, ...] = ()
+    nested: tuple[str, ...] = ()
+
+
+_SUITE_TABLE: dict[str, Suite] = {
+    "laguerre": Suite(_laguerre_jobs, 0.0, dict(n_max=(8, 10), p_max=(8, 12))),
+    "kernel-basis": Suite(_kernel_basis_jobs, 1e-10,
+                          dict(n_max=(3, 3), m_max=(3, 4), p_max=(64, 128)),
+                          closed=("kernel_F",), oracle=("kernel_via_basis",)),
+    "reproducing": Suite(_reproducing_jobs, 1e-7,
+                         dict(n_max=(3, 3), m_max=(3, 3), p_max=(5, 6), order=(None, MAX_ORDER)),
+                         closed=("kernel_F",), oracle=("_reproducing_moments",),
+                         nested=("kernel_F",)),
+    "sum-products": Suite(_sum_products_jobs, 1e-11, dict(n_max=(5, 6), m_max=(5, 6)),
+                          closed=("kernel_F",), oracle=("kernel_F_products",)),
+    "fourier-laguerre": Suite(_fourier_laguerre_jobs, 1e-8,
+                              dict(p_max=(10, 40), order=(None, MAX_ORDER)),
+                              closed=("hermite_fn",),
+                              oracle=("laguerre_fn", "fourier_1d_gaussian_type", "tensor_grid")),
+    "fourier-kernel": Suite(_fourier_kernel_jobs, 1e-8,
+                            dict(n_max=(2, 2), m_max=(4, 5), order=(FIBER_ORDER, MAX_ORDER)),
+                            closed=("L_closed",), oracle=("L_via_fourier",)),
 }
 SUITES = tuple(_SUITE_TABLE)
-TOLERANCES = {name: row[1] for name, row in _SUITE_TABLE.items()}
+TOLERANCES = {name: suite.tolerance for name, suite in _SUITE_TABLE.items()}
 
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
@@ -426,8 +464,8 @@ def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationRepor
     if name not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
     params = _resolve(name, config)
-    build, tolerance, _ = _SUITE_TABLE[name]
-    cases = _run_cases(build(params), tolerance)
+    suite = _SUITE_TABLE[name]
+    cases = _run_cases(suite.jobs(params), suite.tolerance)
     return VerificationReport(
         suite=name,
         passed=all(c.passed for c in cases),

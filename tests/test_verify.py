@@ -70,24 +70,66 @@ def _wrong_laguerre_parameter(spec, z, w):
     return np.exp(spec.alpha * ip) * laguerre_eval(spec.m - 1, spec.n - 1, spec.alpha * d2)
 
 
-# fault patched into verify.kernel_F -> the kernel-basis cases (of 9) that
-# must fail at p_max = 32, seed 7.  A relative error of 1e-12 is below the
-# suite's 1e-10 tolerance; the m = 1 cases cannot see the Laguerre
-# parameter, since L^{(a)}_0 = 1 for every a.
-KERNEL_F_FAULTS = {
-    "scale 1e-12": (lambda kernel_F: lambda s, z, w: kernel_F(s, z, w) * (1 + 1e-12), 0),
-    "scale 1e-9": (lambda kernel_F: lambda s, z, w: kernel_F(s, z, w) * (1 + 1e-9), 9),
-    "conj": (lambda kernel_F: lambda s, z, w: np.conj(kernel_F(s, z, w)), 9),
-    "L^(n-1)": (lambda kernel_F: _wrong_laguerre_parameter, 6),
+def _scale(s):
+    return lambda closed: lambda *args, **kwargs: closed(*args, **kwargs) * (1 + s)
+
+
+def _conj(closed):
+    return lambda *args, **kwargs: np.conj(closed(*args, **kwargs))
+
+
+def _wrong_parameter(closed):
+    return _wrong_laguerre_parameter
+
+
+# suite -> (a config of the smallest cases that see its faults, their number,
+# {fault: (make, failing)}).  ``make`` maps the suite's closed form, read from
+# verify through the row's closed name, to a faulty one, which must fail
+# ``failing`` cases at seed 7.  The scale faults sit one decade above each
+# tolerance; kernel-basis also has one below its tolerance.  The m = 1 cases
+# cannot see the Laguerre parameter, since L^{(a)}_0 = 1 for every a.
+# L_closed and hermite_fn are real, so a conjugation fault changes nothing
+# there; the third fault of those suites is one they must see instead.
+FAULTS = {
+    "kernel-basis": (SuiteConfig(p_max=32), 9, {
+        "scale 1e-12": (_scale(1e-12), 0), "scale 1e-9": (_scale(1e-9), 9),
+        "conj": (_conj, 9), "L^(n-1)": (_wrong_parameter, 6)}),
+    "reproducing": (SuiteConfig(n_max=2, m_max=2), 4, {
+        "scale 1e-6": (_scale(1e-6), 4), "conj": (_conj, 4), "L^(n-1)": (_wrong_parameter, 2)}),
+    "sum-products": (SuiteConfig(n_max=2, m_max=2), 8, {
+        "scale 1e-10": (_scale(1e-10), 8), "conj": (_conj, 8), "L^(n-1)": (_wrong_parameter, 4)}),
+    "fourier-kernel": (SuiteConfig(n_max=1, m_max=2), 2, {
+        "scale 1e-7": (_scale(1e-7), 2), "conj": (_conj, 0),
+        "-xi": (lambda L: lambda table, xi, y, v: L(table, -xi, y, v), 2)}),
+    "fourier-laguerre": (SuiteConfig(p_max=1), 4, {
+        "scale 1e-7": (_scale(1e-7), 4), "conj": (_conj, 0),
+        "psi_(p+1)": (lambda psi: lambda p, x: psi(p + 1, x), 4)}),
 }
 
 
-@pytest.mark.parametrize("fault, failing", KERNEL_F_FAULTS.values(), ids=KERNEL_F_FAULTS)
-def test_kernel_basis_sees_faults_in_the_closed_form(fault, failing, monkeypatch):
-    monkeypatch.setattr(verify, "kernel_F", fault(verify.kernel_F))
-    report = run_suite("kernel-basis", SuiteConfig(p_max=32, seed=7))
-    assert len(report.cases) == 9
+def _assert_fault_count(suite, fault, monkeypatch):
+    config, count, faults = FAULTS[suite]
+    make, failing = faults[fault]
+    name = verify._SUITE_TABLE[suite].closed[0]
+    monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    report = run_suite(suite, config)
+    assert len(report.cases) == count
     assert sum(not case.passed for case in report.cases) == failing
+
+
+@pytest.mark.parametrize("fault", FAULTS["kernel-basis"][2])
+def test_kernel_basis_sees_faults_in_the_closed_form(fault, monkeypatch):
+    _assert_fault_count("kernel-basis", fault, monkeypatch)
+
+
+@pytest.mark.parametrize("suite, fault", [(suite, fault) for suite, row in FAULTS.items()
+                                          if suite != "kernel-basis" for fault in row[2]])
+def test_float_suites_see_faults_in_the_closed_form(suite, fault, monkeypatch):
+    _assert_fault_count(suite, fault, monkeypatch)
+
+
+def test_every_float_suite_has_fault_rows():
+    assert set(FAULTS) == {name for name, row in verify._SUITE_TABLE.items() if row.tolerance > 0}
 
 
 def test_small_exact_suite_passes():
@@ -125,6 +167,18 @@ def test_fourier_laguerre_rejects_order_zero():
         run_suite("fourier-laguerre", SuiteConfig(order=0))
 
 
+def test_fourier_laguerre_passes_at_its_p_cap():
+    # At order 64 for every case, 31 of these 82 cases failed.
+    report = run_suite("fourier-laguerre", SuiteConfig(p_max=40))
+    assert report.passed
+    assert len(report.cases) == 82
+    assert report.params["order"] is None
+    # The cases up to p = 12 keep order 64, bit for bit.
+    low = run_suite("fourier-laguerre", SuiteConfig(p_max=12, order=64))
+    assert [(c.id, c.max_error) for c in report.cases if int(c.id[-2:]) <= 12] == [
+        (c.id, c.max_error) for c in low.cases]
+
+
 # The sizes and orders each suite reads; every other one it refuses.
 SIZES = ("n_max", "m_max", "p_max", "order")
 READS = {
@@ -142,10 +196,17 @@ def test_suite_table_matches_suites_and_tolerances():
     assert SUITES == tuple(READS) == tuple(verify._SUITE_TABLE)
     assert TOLERANCES == {"laguerre": 0.0, "kernel-basis": 1e-10, "reproducing": 1e-7,
                           "sum-products": 1e-11, "fourier-laguerre": 1e-8, "fourier-kernel": 1e-8}
-    for name, (_, tolerance, domain) in verify._SUITE_TABLE.items():
-        assert tolerance == TOLERANCES[name]
-        assert tuple(domain) == READS[name]
-        for key, (default, cap) in domain.items():
+    for name, row in verify._SUITE_TABLE.items():
+        assert isinstance(row, verify.Suite)
+        assert row.tolerance == TOLERANCES[name]
+        assert tuple(row.domain) == READS[name]
+        # a float suite names both sides of its check, an exact one neither
+        assert bool(row.closed) == bool(row.oracle) == (row.tolerance > 0), name
+        assert not set(row.closed) & set(row.oracle), name
+        assert set(row.nested) <= set(row.closed), name
+        for attr in row.closed + row.oracle:
+            assert callable(getattr(verify, attr)), (name, attr)
+        for key, (default, cap) in row.domain.items():
             assert getattr(SuiteConfig(), key) is None, (name, key)
             # None lets the suite's rule pick its own order
             if default is None:
@@ -171,9 +232,9 @@ class _ReadRecorder(dict):
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_builder_reads_exactly_the_params_of_its_row(suite):
-    build, _, domain = verify._SUITE_TABLE[suite]
-    params = _ReadRecorder({**{key: LOWEST[key] for key in domain}, "alpha": 1.0, "seed": 7})
-    for _, job in build(params):
+    row = verify._SUITE_TABLE[suite]
+    params = _ReadRecorder({**{key: LOWEST[key] for key in row.domain}, "alpha": 1.0, "seed": 7})
+    for _, job in row.jobs(params):
         job()
     assert params.read - {"alpha", "seed"} == set(READS[suite])
 
@@ -184,7 +245,7 @@ def test_a_suite_refuses_the_options_it_does_not_read(suite, field, monkeypatch)
     def fail(params):
         raise AssertionError("a job list was built")
 
-    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, *verify._SUITE_TABLE[suite][1:]))
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, verify._SUITE_TABLE[suite]._replace(jobs=fail))
     with pytest.raises(ValueError, match=rf"^{suite}: the suite takes no {field}, got 5$"):
         run_suite(suite, SuiteConfig(**{field: 5}))
 
@@ -200,8 +261,8 @@ def test_all_gives_each_suite_only_the_options_it_reads():
 
 def test_all_aggregates_nested_reports(monkeypatch):
     def stub(*errors):
-        return (lambda params: [(f"case {i}", lambda e=e: e) for i, e in enumerate(errors)],
-                0.0, {})
+        return verify.Suite(
+            lambda params: [(f"case {i}", lambda e=e: e) for i, e in enumerate(errors)], 0.0, {})
 
     monkeypatch.setattr(verify, "_SUITE_TABLE", {s: stub(0.0) for s in SUITES})
     report = run_suite("all")
@@ -326,7 +387,7 @@ def test_integer_fields_refuse_floats_and_bools(suite, field, value, monkeypatch
     def fail(params):
         raise AssertionError("a job list was built")
 
-    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, *verify._SUITE_TABLE[suite][1:]))
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, verify._SUITE_TABLE[suite]._replace(jobs=fail))
     with pytest.raises(TypeError, match=rf"^{suite}: {field} must be an integer"):
         run_suite(suite, SuiteConfig(**{field: value}))
 
@@ -345,7 +406,7 @@ def test_alpha_and_seed_are_checked_before_any_job(suite, field, value, error, m
     def fail(params):
         raise AssertionError("a job list was built")
 
-    monkeypatch.setitem(verify._SUITE_TABLE, suite, (fail, *verify._SUITE_TABLE[suite][1:]))
+    monkeypatch.setitem(verify._SUITE_TABLE, suite, verify._SUITE_TABLE[suite]._replace(jobs=fail))
     with pytest.raises(error, match=rf"^{suite}: {field} {message}"):
         run_suite(suite, SuiteConfig(**{field: value}))
 
