@@ -3,9 +3,14 @@
 Two parallel tracks are deliberately kept apart:
 
 * exact generalized Laguerre polynomials as :class:`~polyfock.ratpoly.RationalPoly`
-  objects, built from the three-term recurrence over the rationals.  These
-  feed the zero-tolerance identity checks (`check_laguerre_*`), where both
-  sides are expanded and compared term by term;
+  objects, built from the three-term recurrence over the rationals, one
+  sum of products per step.  The parameter is an int or a ``Fraction``,
+  never a float.  These feed the zero-tolerance identity checks
+  (`check_laguerre_*`), where both sides are expanded and compared term by
+  term.  Each check builds its recurrences once up to its degree p and
+  reads every lower degree from that build: the addition formula and
+  telescoping hold at every degree <= p, and ``_decomposition_degrees``
+  gives the decomposition's result at each degree;
 * plain floating-point evaluators driven by the same recurrences, which are
   what the kernel and symbol code actually calls.
 
@@ -22,14 +27,15 @@ factorials.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .multiindex import _integer, build_index_table
-from .ratpoly import RationalPoly
+from .multiindex import _integer, _is_integer, build_index_table
+from .ratpoly import RationalPoly, _sum_of_products
 
 ExactScalar = Union[int, Fraction]
 
@@ -38,20 +44,33 @@ ExactScalar = Union[int, Fraction]
 # exact track
 # ---------------------------------------------------------------------------
 
+def _parameter(a) -> Fraction:
+    """A Laguerre parameter as a Fraction: an int (not a bool) or a Fraction."""
+    if isinstance(a, Fraction):
+        return a
+    if _is_integer(a):
+        return Fraction(operator.index(a))
+    raise TypeError(f"Laguerre parameter must be an int or a Fraction, got {a!r}")
+
+
 def _laguerre_in(p: int, a: ExactScalar, s: RationalPoly) -> list[RationalPoly]:
-    """All L_k^{(a)}(s) for k = 0..p with s an element of a rational polynomial ring."""
-    p = _integer(p, "degree")
-    a = Fraction(a)
+    """All L_k^{(a)}(s) for k = 0..p with s an element of a rational polynomial ring.
+
+    Each step (k+1) L_{k+1} = (2k+1+a) L_k - s L_k - (k+a) L_{k-1} is one
+    sum of products, reduced once.
+    """
+    p, a = _integer(p, "degree"), _parameter(a)
     ring = s.variables
-    one = RationalPoly.constant(1, ring)
-    out = [one]
+    out = [RationalPoly.constant(1, ring)]
     if p == 0:
         return out
-    out.append(RationalPoly.constant(1 + a, ring) - s)
+    out.append(_sum_of_products(ring, ((1 + a, ()), (-1, (s,)))))
     for k in range(1, p):
-        lead = out[k].scale(Fraction(2 * k + 1) + a) - s * out[k]
-        tail = out[k - 1].scale(Fraction(k) + a)
-        out.append((lead - tail).scale(Fraction(1, k + 1)))
+        out.append(_sum_of_products(ring, (
+            ((2 * k + 1 + a) / (k + 1), (out[k],)),
+            (Fraction(-1, k + 1), (s, out[k])),
+            (-(k + a) / (k + 1), (out[k - 1],)),
+        )))
     return out
 
 
@@ -60,54 +79,77 @@ def laguerre_poly(p: int, a: ExactScalar = 0, var: str = "x") -> RationalPoly:
 
     Satisfies the three-term recurrence
     (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}; the leading coefficient
-    is (-1)^p / p!.
+    is (-1)^p / p!.  The parameter a is an int or a Fraction; anything else
+    (a float, a bool, a string) raises TypeError.
     """
+    p, a = _integer(p, "degree"), _parameter(a)
     x = RationalPoly.variable(var, (var,))
     return _laguerre_in(p, a, x)[p]
 
 
 def check_laguerre_of_sum(a: ExactScalar, b: ExactScalar, p: int) -> bool:
-    """Exact check of L_p^{(a+b+1)}(x+y) = sum_k L_k^{(a)}(x) L_{p-k}^{(b)}(y)."""
+    """Exact check of L_q^{(a+b+1)}(x+y) = sum_k L_k^{(a)}(x) L_{q-k}^{(b)}(y) at every q <= p.
+
+    Both sides are built once up to degree p, so all p + 1 degrees cost
+    about as much as degree p alone.
+    """
+    a, b, p = _parameter(a), _parameter(b), _integer(p, "degree")
     ring = ("x", "y")
     x = RationalPoly.variable("x", ring)
     y = RationalPoly.variable("y", ring)
-    lhs = _laguerre_in(p, Fraction(a) + Fraction(b) + 1, x + y)[p]
+    lhs = _laguerre_in(p, a + b + 1, x + y)
     in_x = _laguerre_in(p, a, x)
     in_y = _laguerre_in(p, b, y)
-    rhs = RationalPoly.zero(ring)
-    for k in range(p + 1):
-        rhs = rhs + in_x[k] * in_y[p - k]
-    return (lhs - rhs).is_zero()
+    return all(
+        lhs[q] == _sum_of_products(ring, [(1, (in_x[k], in_y[q - k])) for k in range(q + 1)])
+        for q in range(p + 1))
 
 
 def check_laguerre_telescoping(a: ExactScalar, p: int) -> bool:
-    """Exact check of sum_{k<=p} L_k^{(a)}(x) = L_p^{(a+1)}(x)."""
+    """Exact check of sum_{k<=q} L_k^{(a)}(x) = L_q^{(a+1)}(x) at every q <= p."""
+    a, p = _parameter(a), _integer(p, "degree")
     x = RationalPoly.variable("x", ("x",))
-    partial = _laguerre_in(p, a, x)
-    total = RationalPoly.zero(("x",))
-    for poly in partial:
-        total = total + poly
-    lhs = _laguerre_in(p, Fraction(a) + 1, x)[p]
-    return (lhs - total).is_zero()
+    partial = accumulate(_laguerre_in(p, a, x))
+    return all(lhs == total for lhs, total in zip(_laguerre_in(p, a + 1, x), partial))
 
 
-def _laguerre_product_sum(coords: Sequence[RationalPoly], p: int) -> RationalPoly:
-    """sum over |k| <= p of prod_r L_{k_r}(t_r), folded one coordinate at a time.
+def _laguerre_product_sums(coords: Sequence[RationalPoly], p: int) -> Iterator[RationalPoly]:
+    """Yield sum over |k| <= q of prod_r L_{k_r}(t_r) for q = 0..p, folded one coordinate at a time.
 
     With S_n(b) = sum_{k<=b} L_k(t_n) and
-    S_r(b) = sum_{k<=b} L_k(t_r) S_{r+1}(b-k), the sum is S_1(p); this is
-    the same polynomial as the summand-by-summand expansion.
+    S_r(b) = sum_{k<=b} L_k(t_r) S_{r+1}(b-k), entry q is S_1(q); this is
+    the same polynomial as the summand-by-summand expansion.  Each inner
+    level is held as a list while the level above reads it; S_1 comes one
+    degree at a time.
     """
+    ring = coords[0].variables
+
+    def fold(lag: list[RationalPoly], inner: Iterable[RationalPoly]) -> Iterator[RationalPoly]:
+        inner = list(inner)
+        for b in range(p + 1):
+            yield _sum_of_products(ring, [(1, (lag[k], inner[b - k])) for k in range(b + 1)])
+
     per_coord = [_laguerre_in(p, 0, c) for c in coords]
-    zero = RationalPoly.zero(coords[0].variables)
+    partial = accumulate(per_coord[-1])
+    for lag in reversed(per_coord[:-1]):
+        partial = fold(lag, partial)
+    return partial
 
-    def fold(lag: list[RationalPoly], inner: list[RationalPoly], b: int) -> RationalPoly:
-        return sum((lag[k] * inner[b - k] for k in range(b + 1)), zero)
 
-    partial = list(accumulate(per_coord[-1]))
-    for lag in reversed(per_coord[1:-1]):
-        partial = [fold(lag, partial, b) for b in range(p + 1)]
-    return fold(per_coord[0], partial, p) if len(coords) > 1 else partial[p]
+def _decomposition_degrees(n: int, p: int) -> list[tuple[bool, int]]:
+    """``(identity_holds, summand_count)`` of the decomposition at every degree q = 0..p.
+
+    One build of each side serves all p + 1 degrees.  Entry q compares
+    degree q alone, so a fault at one degree fails only its entry.
+    """
+    n, p = _integer(n, "n", 1), _integer(p, "degree")
+    ring = tuple(f"t{r}" for r in range(1, n + 1))
+    coords = [RationalPoly.variable(v, ring) for v in ring]
+    lhs = _laguerre_in(p, n, _sum_of_products(ring, [(1, (c,)) for c in coords]))
+    rhs = _laguerre_product_sums(coords, p)
+    degrees = build_index_table(n, p + 1).array.sum(axis=1)
+    return [(left == right, int(np.count_nonzero(degrees <= q)))
+            for q, (left, right) in enumerate(zip(lhs, rhs))]
 
 
 def check_laguerre_decomposition(n: int, p: int) -> tuple[bool, int]:
@@ -118,15 +160,7 @@ def check_laguerre_decomposition(n: int, p: int) -> tuple[bool, int]:
     variables.  Returns ``(identity_holds, summand_count)`` so callers can
     compare the count against C(n+p, n) themselves.
     """
-    n = _integer(n, "n", 1)
-    ring = tuple(f"t{r}" for r in range(1, n + 1))
-    coords = [RationalPoly.variable(v, ring) for v in ring]
-    total = RationalPoly.zero(ring)
-    for c in coords:
-        total = total + c
-    lhs = _laguerre_in(p, n, total)[p]
-    rhs = _laguerre_product_sum(coords, p)
-    return (lhs - rhs).is_zero(), len(build_index_table(n, p + 1))
+    return _decomposition_degrees(n, p)[-1]
 
 
 # ---------------------------------------------------------------------------

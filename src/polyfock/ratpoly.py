@@ -5,18 +5,23 @@ identity checks: two expressions agree as polynomials iff their difference
 normalizes to the empty term map.
 
 A polynomial is stored as integer numerators over one common positive
-denominator, so the ring operations multiply and add Python ints and
-reduce by a single gcd at the end instead of normalizing a ``Fraction``
-per term.  The form is canonical: no zero numerators, ``_den > 0``,
-``gcd(_den, *numerators) == 1``, and the zero polynomial has ``_den == 1``.
-Equality and hashing therefore compare the stored numbers directly.
+denominator.  Every ring operation is one call of the private primitive
+``_sum_of_products``, which multiplies out sum_i c_i prod(factors_i) over
+the numerators into one dict and reduces it by a single gcd at the end,
+instead of normalizing a ``Fraction`` per term or a polynomial per
+intermediate step; the exact Laguerre recurrence and the decomposition
+fold of :mod:`polyfock.orthopoly` call it directly.  The form is
+canonical: no zero numerators, ``_den > 0``, ``gcd(_den, *numerators) ==
+1``, and the zero polynomial has ``_den == 1``.  Equality and hashing
+therefore compare the stored numbers directly.
 
 Each exponent tuple is stored as one Python int: variable r occupies bits
 r*FIELD_BITS .. (r+1)*FIELD_BITS - 1 (variable 0 lowest), so multiplying
 two monomials adds two ints.  The top bit of every field is a guard:
 exponents given to the constructor must lie below ``EXPONENT_LIMIT``
 (2^(FIELD_BITS - 1)), so the sum of two such exponents still fits its
-field, and ``__mul__`` refuses a factor with a guard bit set instead of
+field, and a product (``__mul__``, or a term of ``_sum_of_products`` with
+two or more factors) refuses a factor with a guard bit set instead of
 letting a field carry into the next.  Overflow is refused with
 ValueError, never wrapped.  ``terms`` is the read view as
 ``{exponent tuple: Fraction}``.
@@ -67,16 +72,58 @@ def _guard_bits(n: int) -> int:
     return sum(1 << (FIELD_BITS * r + FIELD_BITS - 1) for r in range(n))
 
 
-def _canonical(variables: tuple[str, ...], num: dict[int, int],
-               den: int) -> "RationalPoly":
-    """The polynomial num / den; num holds no zeros and den > 0."""
-    g = math.gcd(den, *num.values())
+def _sum_of_products(
+    variables: tuple[str, ...],
+    terms: Iterable[tuple[Scalar, Sequence["RationalPoly"]]],
+) -> "RationalPoly":
+    """sum_i c_i prod(factors_i) in the ring ``variables``, reduced by one gcd.
+
+    Every product is multiplied out over the integer numerators straight
+    into one dict over the lcm of the terms' denominators; no intermediate
+    polynomial is normalized.  A term with no factors is the constant c_i.
+    Multiplying by c_i never carries, but each later factor refuses a
+    partial product or factor with a guard bit set, as ``__mul__`` does.
+    """
+    terms = [(_as_fraction(c), tuple(factors)) for c, factors in terms]
+    for _, factors in terms:
+        for f in factors:
+            if f.variables != variables:
+                raise ValueError(f"mixed variable sets {variables} vs {f.variables}")
+    dens = [c.denominator * math.prod(f._den for f in factors) for c, factors in terms]
+    den = math.lcm(*dens)
+    guard = _guard_bits(len(variables))
+    out: dict[int, int] = {}
+    for (c, factors), term_den in zip(terms, dens):
+        if not c:
+            continue
+        prod = {0: c.numerator * (den // term_den)}
+        for i, f in enumerate(factors):
+            if i and (reduce(or_, prod, 0) | reduce(or_, f._num, 0)) & guard:
+                raise ValueError(f"product would carry an exponent past its field: a factor "
+                                 f"has an exponent of at least {EXPONENT_LIMIT}")
+            last = i == len(factors) - 1
+            acc = out if last else {}
+            get = acc.get
+            f_items = f._num.items()
+            for e1, c1 in prod.items():
+                for e2, c2 in f_items:
+                    key = e1 + e2
+                    acc[key] = get(key, 0) + c1 * c2
+            if not last:
+                prod = {e: v for e, v in acc.items() if v}
+        if not factors:
+            out[0] = out.get(0, 0) + prod[0]
+    # Canonical form, in place: no zero numerators, and gcd(den, *out) == 1.
+    for e in [e for e, v in out.items() if not v]:
+        del out[e]
+    g = math.gcd(den, *out.values())
     if g != 1:
-        num = {e: c // g for e, c in num.items()}
+        for e in out:
+            out[e] //= g
         den //= g
     result = RationalPoly.__new__(RationalPoly)
     result.variables = variables
-    result._num = num
+    result._num = out
     result._den = den
     return result
 
@@ -124,60 +171,24 @@ class RationalPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_ring(self, other: "RationalPoly") -> None:
-        if self.variables != other.variables:
-            raise ValueError(
-                f"mixed variable sets {self.variables} vs {other.variables}"
-            )
-
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        self._check_ring(other)
-        den = math.lcm(self._den, other._den)
-        f1, f2 = den // self._den, den // other._den
-        out = dict(self._num) if f1 == 1 else {e: c * f1 for e, c in self._num.items()}
-        get = out.get
-        for exps, coeff in other._num.items():
-            # Stored numerators are nonzero, so a zero sum means exps was in out.
-            coeff = get(exps, 0) + coeff * f2
-            if coeff:
-                out[exps] = coeff
-            else:
-                del out[exps]
-        return _canonical(self.variables, out, den)
+        return _sum_of_products(self.variables, ((1, (self,)), (1, (other,))))
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
+        return _sum_of_products(self.variables, ((1, (self,)), (-1, (other,))))
 
     def __neg__(self) -> "RationalPoly":
-        return _canonical(self.variables, {e: -c for e, c in self._num.items()}, self._den)
+        return self.scale(-1)
 
     def __mul__(self, other: "RationalPoly | Scalar") -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_ring(other)
-        if (reduce(or_, self._num, 0) | reduce(or_, other._num, 0)) & _guard_bits(
-                len(self.variables)):
-            raise ValueError(f"product would carry an exponent past its field: a factor "
-                             f"has an exponent of at least {EXPONENT_LIMIT}")
-        out: dict[int, int] = {}
-        get = out.get
-        other_items = other._num.items()
-        for e1, c1 in self._num.items():
-            for e2, c2 in other_items:
-                key = e1 + e2
-                out[key] = get(key, 0) + c1 * c2
-        return _canonical(self.variables, {e: c for e, c in out.items() if c},
-                          self._den * other._den)
+        return _sum_of_products(self.variables, ((1, (self, other)),))
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "RationalPoly":
-        c = _as_fraction(c)
-        if not c:
-            return _canonical(self.variables, {}, 1)
-        return _canonical(self.variables,
-                          {e: v * c.numerator for e, v in self._num.items()},
-                          self._den * c.denominator)
+        return _sum_of_products(self.variables, ((c, (self,)),))
 
     # -- queries -----------------------------------------------------------
 

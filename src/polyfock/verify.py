@@ -16,10 +16,13 @@ reproducing property) or in extended precision (kernel-vs-basis to 1e-15 at
 truncation 128); the desk-scale substitutes here are documented next to
 each suite.
 
-Cases inside a suite are independent and pure.  They run one after
-another in the calling thread (the work holds the interpreter lock, so a
-thread pool would not overlap it); reports are sorted by case id and are
-deterministic for a fixed seed.
+Cases inside a suite are independent and pure, with one exception: the
+laguerre decomposition cases of one n read a table of per-degree results
+that the first of them to run builds, once per ``run_suite`` call.  Each
+still compares only its own degree, and its result does not depend on
+which case ran first.  Cases run one after another in the calling thread
+(the work holds the interpreter lock, so a thread pool would not overlap
+it); reports are sorted by case id and are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ from .basis_oracle import kernel_via_basis
 from .kernels import KernelSpec, kernel_F, kernel_F_products
 from .multiindex import _integer, build_index_table
 from .orthopoly import (
+    _decomposition_degrees,
+    # Unused here (the decomposition cases read one build per n), but kept
+    # as a name of this module: perfbench/layers.py wraps it.
     check_laguerre_decomposition,
     check_laguerre_of_sum,
     check_laguerre_telescoping,
@@ -166,23 +172,33 @@ def _batch_error(got, expected) -> float:
 # ---------------------------------------------------------------------------
 
 def _laguerre_jobs(params: dict) -> _Jobs:
-    """Exact decomposition, sum, and telescoping identities over Q."""
+    """Exact decomposition, sum, and telescoping identities over Q.
+
+    Every degree of an identity comes from one build: a laguerre-of-sum
+    or telescoping job checks all degrees <= p_max in one call, and the
+    first decomposition case of each n fills that n's entry of
+    ``degrees`` with the per-degree results, which the other cases of n
+    read.  The table lives as long as this run's jobs.
+    """
     n_max, p_max = params["n_max"], params["p_max"]
     shifts = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3))
+    degrees: dict[int, list[tuple[bool, int]]] = {}
 
     jobs = []
     for n, p in cartesian(range(1, n_max + 1), range(p_max + 1)):
         def job(n=n, p=p) -> float:
-            ok, count = check_laguerre_decomposition(n, p)
+            if n not in degrees:
+                degrees[n] = _decomposition_degrees(n, p_max)
+            ok, count = degrees[n][p]
             return 0.0 if ok and count == math.comb(n + p, n) else 1.0
         jobs.append((f"decomposition n={n} p={p:02d}", job))
     for a, b in cartesian(shifts, shifts):
-        def job(a=a, b=b, p=p_max) -> float:
-            return 0.0 if all(check_laguerre_of_sum(a, b, p) for p in range(p + 1)) else 1.0
+        def job(a=a, b=b) -> float:
+            return 0.0 if check_laguerre_of_sum(a, b, p_max) else 1.0
         jobs.append((f"laguerre-of-sum a={a} b={b}", job))
     for a in shifts:
-        def job(a=a, p=p_max) -> float:
-            return 0.0 if all(check_laguerre_telescoping(a, p) for p in range(p + 1)) else 1.0
+        def job(a=a) -> float:
+            return 0.0 if check_laguerre_telescoping(a, p_max) else 1.0
         jobs.append((f"telescoping a={a}", job))
     return jobs
 

@@ -10,8 +10,11 @@ centers, scales, halfwidths, lone frequencies, grid ends) through
 values raise TypeError.  A lone frequency or shift must be one point:
 ``kernels._one_point`` refuses a grid of them with ValueError naming the
 argument and its shape.  ``VerticalSymbol`` parses its own fields, so its
-direct constructor refuses what the named ones do.  Every row must raise
-its exception, with its message, before anything large is allocated.
+direct constructor refuses what the named ones do.  The parameter of an
+exact Laguerre polynomial goes through ``orthopoly._parameter``: an int
+(not a bool) or a ``Fraction``, nothing else.  Every row must raise its
+exception, with its message, before anything large is allocated and
+before any ``RationalPoly`` is built.
 """
 
 import math
@@ -23,10 +26,14 @@ import numpy as np
 import pytest
 
 import polyfock.basis_oracle as basis_oracle
+import polyfock.orthopoly as orthopoly
+import polyfock.ratpoly as ratpoly
 from polyfock.basis_oracle import build_orthonormal_basis, gaussian_monomial_inner, kernel_via_basis
 from polyfock.kernels import KernelSpec, kernel_F, kernel_G, kernel_H, kernel_H_products
 from polyfock.multiindex import IndexTable, build_index_table
-from polyfock.orthopoly import hermite_fn_table, laguerre_eval_all, laguerre_poly
+from polyfock.orthopoly import (check_laguerre_decomposition, check_laguerre_of_sum,
+                                check_laguerre_telescoping, hermite_fn_table, laguerre_eval_all,
+                                laguerre_poly)
 from polyfock.quadrature import (
     fourier_1d_gaussian_type,
     gauss_hermite_1d,
@@ -34,6 +41,7 @@ from polyfock.quadrature import (
     legendre_panels,
     tensor_grid,
 )
+from polyfock.ratpoly import RationalPoly
 from polyfock.spectral import (L_closed, L_via_fourier, R_F_apply, R_F_kernel_image, R_H_apply,
                                R_true_poly_image, default_xi_grid, fiber_project, q_matrix)
 from polyfock.symbols import (
@@ -209,6 +217,28 @@ ROWS.update({
                         ValueError, "a box-indicator symbol takes no terms"),
 })
 
+# The exact track takes a rational Laguerre parameter only: a float's binary
+# expansion, a string Fraction would parse, or a bool read as 0 or 1 is refused.
+PARAMETER = "Laguerre parameter must be an int or a Fraction"
+ROWS.update({
+    "laguerre_poly-a=0.1": (lambda: laguerre_poly(2, 0.1), TypeError, PARAMETER),
+    "laguerre_poly-a=nan": (lambda: laguerre_poly(2, math.nan), TypeError, PARAMETER),
+    "laguerre_poly-a='1/2'": (lambda: laguerre_poly(2, "1/2"), TypeError, PARAMETER),
+    "laguerre_poly-a=True": (lambda: laguerre_poly(2, True), TypeError, PARAMETER),
+    "check_laguerre_telescoping-a=True": (lambda: check_laguerre_telescoping(True, 2),
+                                          TypeError, PARAMETER),
+    "check_laguerre_telescoping-p=2.0": (lambda: check_laguerre_telescoping(1, 2.0),
+                                         TypeError, "degree must be an integer"),
+    "check_laguerre_of_sum-b=0.5": (lambda: check_laguerre_of_sum(Fraction(1, 2), 0.5, 2),
+                                    TypeError, PARAMETER),
+    "check_laguerre_of_sum-a=True": (lambda: check_laguerre_of_sum(True, 0, 2),
+                                     TypeError, PARAMETER),
+    "check_laguerre_decomposition-n=True": (lambda: check_laguerre_decomposition(True, 2),
+                                            TypeError, "n must be an integer"),
+    "check_laguerre_decomposition-n=0": (lambda: check_laguerre_decomposition(0, 2),
+                                         ValueError, "n must be >= 1"),
+})
+
 POSITIVE = "alpha must be finite and positive"
 REAL = "alpha must be a real number"
 RATIONAL = "exact arithmetic needs a rational alpha"
@@ -239,11 +269,15 @@ for name, (call, cases) in ALPHA_ROWS.items():
 @pytest.mark.parametrize("call, error, message", ROWS.values(), ids=ROWS)
 def test_out_of_domain_input_is_refused_up_front(call, error, message, monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("a charge class was built")
+        raise AssertionError("a charge class or a polynomial was built")
 
-    # the exact route's classes and the float route's enumeration
+    # the exact route's classes, the float route's enumeration, and every
+    # RationalPoly: its constructor and the one primitive that builds the rest
     monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
     monkeypatch.setattr(basis_oracle, "_class_charges", fail)
+    monkeypatch.setattr(RationalPoly, "__init__", fail)
+    monkeypatch.setattr(ratpoly, "_sum_of_products", fail)
+    monkeypatch.setattr(orthopoly, "_sum_of_products", fail)
     tracemalloc.start()
     try:
         with pytest.raises(error, match="^" + re.escape(message)):

@@ -18,7 +18,7 @@ from scipy.special import roots_laguerre
 from polyfock.multiindex import build_index_table
 from polyfock.orthopoly import (
     _laguerre_in,
-    _laguerre_product_sum,
+    _laguerre_product_sums,
     check_laguerre_decomposition,
     check_laguerre_of_sum,
     check_laguerre_telescoping,
@@ -114,10 +114,10 @@ def test_folded_product_sum_equals_expansion():
     for n in range(1, 4):
         ring = tuple(f"t{r}" for r in range(1, n + 1))
         coords = [RationalPoly.variable(v, ring) for v in ring]
+        folded = list(_laguerre_product_sums(coords, 5))
+        assert len(folded) == 6
         for p in range(6):
-            folded = _laguerre_product_sum(coords, p)
-            expanded = _laguerre_product_sum_expanded(coords, p)
-            assert folded == expanded
+            assert folded[p] == _laguerre_product_sum_expanded(coords, p)
 
 
 # -- float track ------------------------------------------------------------

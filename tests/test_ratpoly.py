@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyfock import orthopoly
-from polyfock.ratpoly import EXPONENT_LIMIT, RationalPoly
+from polyfock.ratpoly import EXPONENT_LIMIT, RationalPoly, _sum_of_products
 
 
 def x_and_y():
@@ -114,7 +114,7 @@ _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 @st.composite
-def _poly_pairs(draw):
+def _poly_triples(draw):
     # Up to 7 variables, so keys span several 30-bit int digits.  Each
     # monomial is drawn as a list of at most 4 variable picks, so the total
     # degree stays at most 4 without filtering.
@@ -122,16 +122,32 @@ def _poly_pairs(draw):
     exps = st.lists(st.integers(0, nvars - 1), max_size=4).map(
         lambda picks: tuple(picks.count(r) for r in range(nvars)))
     terms = st.dictionaries(exps, _coeffs, max_size=6)
-    return tuple(f"x{i}" for i in range(nvars)), draw(terms), draw(terms)
+    return tuple(f"x{i}" for i in range(nvars)), draw(terms), draw(terms), draw(terms)
+
+
+# Terms of a sum of products: a coefficient and up to three of (p, q, r) by position.
+_product_terms = st.lists(st.tuples(_coeffs, st.lists(st.integers(0, 2), max_size=3)),
+                          max_size=4)
+
+
+def _ref_sum_of_products(refs, ring, terms):
+    total = {}
+    for c, picks in terms:
+        prod = {(0,) * len(ring): Fraction(1)}
+        for i in picks:
+            prod = _ref_mul(prod, refs[i])
+        total = _ref_add(total, _ref_scale(prod, c))
+    return total
 
 
 @settings(max_examples=150, deadline=None)
-@given(pair=_poly_pairs(), c=_coeffs)
-def test_ring_matches_fraction_reference(pair, c):
-    ring, a, b = pair
-    ref_a = {e: v for e, v in a.items() if v}
-    ref_b = {e: v for e, v in b.items() if v}
-    p, q = RationalPoly(ring, a), RationalPoly(ring, b)
+@given(triple=_poly_triples(), c=_coeffs, terms=_product_terms)
+def test_ring_matches_fraction_reference(triple, c, terms):
+    ring, a, b, d = triple
+    refs = [{e: v for e, v in t.items() if v} for t in (a, b, d)]
+    ref_a, ref_b = refs[:2]
+    polys = [RationalPoly(ring, t) for t in (a, b, d)]
+    p, q = polys[:2]
     expected = {
         "p": ref_a,
         "p + q": _ref_add(ref_a, ref_b),
@@ -139,9 +155,12 @@ def test_ring_matches_fraction_reference(pair, c):
         "-p": _ref_scale(ref_a, -1),
         "p * q": _ref_mul(ref_a, ref_b),
         "p.scale(c)": _ref_scale(ref_a, c),
+        "sum of products": _ref_sum_of_products(refs, ring, terms),
     }
     got = {"p": p, "p + q": p + q, "p - q": p - q, "-p": -p, "p * q": p * q,
-           "p.scale(c)": p.scale(c)}
+           "p.scale(c)": p.scale(c),
+           "sum of products": _sum_of_products(
+               ring, [(k, [polys[i] for i in picks]) for k, picks in terms])}
     for name, poly in got.items():
         _assert_canonical(poly)
         assert poly.terms == expected[name], name
@@ -210,6 +229,26 @@ def test_products_refuse_a_factor_with_a_guard_bit_set():
     assert RationalPoly.variable("x", ring).coefficient((1 << 20, 0, 0)) == 0
 
 
+def test_sum_of_products_refuses_a_carry_and_a_mixed_ring():
+    ring = ("x", "y")
+    top = RationalPoly(ring, {(EXPONENT_LIMIT - 1, 0): 1})
+    x = RationalPoly.variable("x", ring)
+    at_limit = top * x
+    # A guard bit in a factor, or in the partial product of the earlier
+    # factors, is refused; scaling such a polynomial is not.
+    for factors in ((at_limit, x), (x, at_limit), (top, x, x), (x, top, x, top)):
+        with pytest.raises(ValueError, match="field"):
+            _sum_of_products(ring, [(1, (x,)), (2, factors)])
+    scaled = _sum_of_products(ring, [(Fraction(1, 3), (at_limit,)), (-1, (x,))])
+    assert scaled.terms == {(EXPONENT_LIMIT, 0): Fraction(1, 3), (1, 0): -1}
+    other = RationalPoly.variable("t", ("t",))
+    for terms in ([(1, (other,))], [(1, (x,)), (1, (x, other))], [(0, (other,))]):
+        with pytest.raises(ValueError, match="mixed variable sets"):
+            _sum_of_products(ring, terms)
+    assert _sum_of_products(ring, []) == RationalPoly.zero(ring)
+    assert _sum_of_products(ring, [(Fraction(3, 2), ())]) == RationalPoly.constant(Fraction(3, 2), ring)
+
+
 def _decomposition_holds(n, p):
     holds, count = orthopoly.check_laguerre_decomposition(n, p)
     assert count == math.comb(n + p, n)
@@ -220,12 +259,12 @@ def test_decomposition_detects_a_one_over_nine_factorial_perturbation(monkeypatc
     # The right-hand side of L_8^{(3)}(t1+t2+t3) has coefficients with
     # denominators up to 8!; a change of 1/9! in one of them must not be lost.
     assert _decomposition_holds(3, 8)
-    fold = orthopoly._laguerre_product_sum
+    fold = orthopoly._laguerre_product_sums
 
     def perturbed(coords, p):
-        rhs = fold(coords, p)
-        bump = RationalPoly(rhs.variables, {(p, 0, 0): Fraction(1, math.factorial(9))})
-        return rhs + bump
+        rhs = list(fold(coords, p))
+        bump = RationalPoly(coords[0].variables, {(p, 0, 0): Fraction(1, math.factorial(9))})
+        return rhs[:-1] + [rhs[-1] + bump]
 
-    monkeypatch.setattr(orthopoly, "_laguerre_product_sum", perturbed)
+    monkeypatch.setattr(orthopoly, "_laguerre_product_sums", perturbed)
     assert not _decomposition_holds(3, 8)

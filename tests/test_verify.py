@@ -3,15 +3,18 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import polyfock.orthopoly as orthopoly
 import polyfock.quadrature as quadrature
 import polyfock.verify as verify
 from polyfock.multiindex import build_index_table
 from polyfock.orthopoly import laguerre_eval
 from polyfock.quadrature import gaussian_mean_rule
+from polyfock.ratpoly import RationalPoly
 from polyfock.verify import (
     SUITES,
     TOLERANCES,
@@ -141,6 +144,60 @@ def test_small_exact_suite_passes():
         assert case.passed
     ids = [c.id for c in report.cases]
     assert ids == sorted(ids)
+
+
+# A change of 1/9! to one coefficient: below the denominators (up to 8!)
+# of every polynomial the suite builds at p_max = 8.
+NINTH = Fraction(1, math.factorial(9))
+
+
+def _bump(poly, degree):
+    ring = poly.variables
+    return poly + RationalPoly(ring, {(degree,) + (0,) * (len(ring) - 1): NINTH})
+
+
+def _failed_laguerre_cases(n_max):
+    report = run_suite("laguerre", SuiteConfig(n_max=n_max, p_max=8))
+    return [c.id for c in report.cases if not c.passed]
+
+
+def test_laguerre_suite_fails_only_the_perturbed_decomposition_degree(monkeypatch):
+    # The fault goes into the right side built once for n = 3 and read by
+    # all nine of its cases; only the degree it touches may fail.  A clean
+    # run comes first, so a build kept from an earlier run would hide it.
+    assert _failed_laguerre_cases(3) == []
+    fold = orthopoly._laguerre_product_sums
+
+    def perturbed(coords, p):
+        rhs = list(fold(coords, p))
+        if len(coords) == 3:
+            rhs[8] = _bump(rhs[8], 8)
+        return rhs
+
+    monkeypatch.setattr(orthopoly, "_laguerre_product_sums", perturbed)
+    assert _failed_laguerre_cases(3) == ["decomposition n=3 p=08"]
+
+
+@pytest.mark.parametrize("ring, parameter, failed", [
+    (("x", "y"), Fraction(1), "laguerre-of-sum a=0 b=0"),  # left side L^{(a+b+1)}(x+y)
+    (("x",), Fraction(4), "telescoping a=3"),               # left side L^{(a+1)}(x)
+    (("x",), Fraction(3), "telescoping a=3"),               # the summands L^{(a)}(x)
+], ids=["sum-left", "telescoping-left", "telescoping-summands"])
+def test_laguerre_suite_sees_one_perturbed_degree_below_p_max(ring, parameter, failed,
+                                                              monkeypatch):
+    # Each job checks every degree <= p_max from one build, so a fault at
+    # degree 5 alone fails the one job whose polynomials carry it.
+    assert _failed_laguerre_cases(1) == []
+    build = orthopoly._laguerre_in
+
+    def perturbed(p, a, s):
+        out = build(p, a, s)
+        if s.variables == ring and a == parameter and len(s.terms) == len(ring):
+            out[5] = _bump(out[5], 5)
+        return out
+
+    monkeypatch.setattr(orthopoly, "_laguerre_in", perturbed)
+    assert _failed_laguerre_cases(1) == [failed]
 
 
 def test_small_quadrature_suite_passes():
