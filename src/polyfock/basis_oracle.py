@@ -26,9 +26,9 @@ a batched float Cholesky of the alpha-free norm-scaled class Grams and
 from :func:`solve_triangular`, a forward substitution that inverts a whole
 stack of class factors one row at a time.
 
-Sharing input validation with :mod:`polyfock.multiindex` (and the kernels'
-point rule and :class:`KernelSpec`), which evaluates nothing, keeps the
-oracle independent of the closed forms.
+Sharing input validation with :mod:`polyfock.multiindex`, the kernels'
+point rule, :class:`KernelSpec` and ``ratpoly._rational``, none of which
+evaluates anything, keeps the oracle independent of the closed forms.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ import numpy as np
 
 from .kernels import KernelSpec, _cpoint
 from .multiindex import _integer, _multi_index, build_index_table, index_array
+from .ratpoly import _rational
 
 _log = logging.getLogger("polyfock")
 
 
 def _exact_alpha(alpha) -> Fraction:
-    """alpha for exact arithmetic: an int or Fraction (not a bool) that KernelSpec accepts."""
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
-        raise ValueError(f"exact arithmetic needs a rational alpha, got {alpha!r}")
-    return Fraction(KernelSpec(1, 1, alpha).alpha)
+    """alpha for exact arithmetic: a rational (``ratpoly._rational``) that KernelSpec accepts."""
+    return KernelSpec(1, 1, _rational(alpha, "alpha")).alpha
 
 
 def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
@@ -230,8 +229,8 @@ def build_orthonormal_basis(alpha, n: int, m: int, p_max: int) -> list[BasisElem
     Output order is deterministic: classes sorted by charge, elements by
     conj-degree.
     """
-    KernelSpec(n, m, alpha)  # refuses bad (n, m, alpha) before any class is built
     alpha = _exact_alpha(alpha)
+    KernelSpec(n, m, alpha)  # refuses bad (n, m) before any class is built
     p_max = _integer(p_max, "p_max")
     P, Q, starts = _charge_classes(n, m, p_max)
     out = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import _multi_index, _validate_nm, build_index_table, dimension, index_products
+from .multiindex import _integer, _multi_index, build_index_table, dimension, index_products
 from .orthopoly import laguerre_eval, laguerre_eval_all, laguerre_fn_all
 
 
@@ -39,7 +39,8 @@ class KernelSpec:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        _validate_nm(self.n, self.m)
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
         # checked, not converted: a Fraction alpha stays exact for the exact routes
         _scalar(self.alpha, "alpha", positive=True)
 

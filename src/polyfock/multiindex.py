@@ -11,7 +11,7 @@ which is the vector-space dimension showing up in kernel normalizations and
 in the width of matrix symbols.
 
 Three things live only here: :func:`_integer` parses every integer scalar
-argument of the library (orders, degrees, counts, truncations),
+argument of the library (n and m, orders, degrees, counts, truncations),
 :func:`_multi_index` parses every multi-index argument (both refuse, not
 truncate, non-integers), and :func:`index_array` builds every exponent
 array of bounded total degree, :attr:`IndexTable.array` included.
@@ -67,13 +67,6 @@ def _multi_index(k, n: int, low: int = 0) -> tuple[int, ...]:
     return key
 
 
-def _validate_nm(n: int, m: int) -> None:
-    if not (_is_integer(n) and _is_integer(m)):
-        raise TypeError(f"n and m must be integers, got n={n!r}, m={m!r}")
-    if n < 1 or m < 1:
-        raise ValueError(f"n and m must be positive, got n={n}, m={m}")
-
-
 def dimension(n: int, m: int) -> int:
     """Number of multi-indices k in N_0^n with |k| <= m - 1.
 
@@ -81,7 +74,7 @@ def dimension(n: int, m: int) -> int:
     positive n, m (Python integers never wrap around); the library as a
     whole is exercised for n + m <= 40.
     """
-    _validate_nm(n, m)
+    n, m = _integer(n, "n", 1), _integer(m, "m", 1)
     return math.comb(n + m - 1, n)
 
 
@@ -125,7 +118,8 @@ class IndexTable:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validate_nm(self.n, self.m)
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        object.__setattr__(self, "m", _integer(self.m, "m", 1))
         array = index_array(self.n, self.m - 1)
         array.flags.writeable = False
         indices = tuple(map(tuple, array.tolist()))

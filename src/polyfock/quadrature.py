@@ -5,9 +5,9 @@ or C^n of a (bounded, mildly oscillatory or piecewise smooth) factor times a
 Gaussian.  Every rule here is a list of 1-D rules, one per axis, composed by
 one builder.  The vocabulary:
 
-* **Raw rules.**  Gauss-Hermite and Gauss-Legendre rules are built by the
-  Golub-Welsch method (eigenvalues of the Jacobi matrix) plus one Newton
-  step, once per order, and cached read-only (see :func:`_gauss_rule`).
+* **Raw rules.**  numpy's ``hermgauss`` and ``leggauss``, built once per
+  order and cached read-only; they share no code with the Hermite
+  functions they check.
 * **Placement** (:func:`place_hermite`).  The raw Gauss-Hermite rule (t, w)
   of :func:`gauss_hermite_1d`, built once per order and returned read-only
   to every caller, mapped to new arrays of nodes center + scale*t with
@@ -124,48 +124,20 @@ def _read_only(rule: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndar
     return rule
 
 
-def _gauss_rule(order: int, b: Callable[[np.ndarray], np.ndarray], p0: float):
-    """Gauss rule of the orthonormal family x p_k = b_{k+1} p_{k+1} + b_k p_{k-1}.
-
-    ``b`` maps k = 1, 2, ... to b_k and ``p0`` is the constant p_0, so the
-    weight function has total mass 1 / p0^2.  The nodes are the eigenvalues
-    of the zero-diagonal Jacobi matrix (Golub-Welsch), each refined by one
-    Newton step on p_order; the weights are 1 / (b_order p_{order-1} p'_order)
-    at the refined nodes.  Nodes and weights are then symmetrized about 0.
-    The recurrence is this function's own: the rules check the library's
-    Hermite functions, so they must not be built from them.
-    """
-    beta = b(np.arange(1.0, order + 1))
-
-    def top_rows(x):
-        # p_{k+1} = (x p_k - b_k p_{k-1}) / b_{k+1}, differentiated alongside.
-        p_prev, p = np.zeros_like(x), np.full_like(x, p0)
-        d_prev, d = np.zeros_like(x), np.zeros_like(x)
-        for k in range(order):
-            b_k = beta[k - 1] if k else 0.0
-            p_prev, p, d_prev, d = (p, (x * p - b_k * p_prev) / beta[k],
-                                    d, (p + x * d - b_k * d_prev) / beta[k])
-        return p_prev, p, d
-
-    x = np.linalg.eigvalsh(np.diag(beta[:-1], 1), UPLO="U")
-    _, p, d = top_rows(x)
-    x = x - p / d
-    p_prev, _, d = top_rows(x)
-    w = 1.0 / (beta[-1] * p_prev * d)
-    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
-
-
 # One raw rule per family and order, built on first use and shared after.
 # They are keyed by the parsed order, a Python int in 1..MAX_ORDER, so each
-# cache holds at most MAX_ORDER rules (under 1 MB for both families).
+# cache holds at most MAX_ORDER rules (under 1 MB for both families).  The
+# first rule imports numpy.polynomial, which ``import polyfock`` does not.
 @functools.lru_cache(maxsize=None)
 def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(_gauss_rule(order, lambda k: np.sqrt(k / 2), math.pi ** -0.25))
+    from numpy.polynomial.hermite import hermgauss
+    return _read_only(hermgauss(order))
 
 
 @functools.lru_cache(maxsize=None)
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _read_only(_gauss_rule(order, lambda k: k / np.sqrt(4 * k * k - 1), math.sqrt(0.5)))
+    from numpy.polynomial.legendre import leggauss
+    return _read_only(leggauss(order))
 
 
 def gauss_hermite_1d(order: int) -> tuple[np.ndarray, np.ndarray]:

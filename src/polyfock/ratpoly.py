@@ -26,6 +26,10 @@ letting a field carry into the next.  Overflow is refused with
 ValueError, never wrapped.  ``terms`` is the read view as
 ``{exponent tuple: Fraction}``.
 
+``_rational`` is the library's one parser of exact rationals: every
+coefficient here, the exact Laguerre parameter and the exact alpha of the
+basis oracle.
+
 Only the ring operations needed by the orthogonal-polynomial checks are
 implemented; this is an oracle, not a computer-algebra system.
 """
@@ -33,12 +37,13 @@ implemented; this is an oracle, not a computer-algebra system.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
-from .multiindex import _multi_index
+from .multiindex import _is_integer, _multi_index
 
 Scalar = Union[int, Fraction]
 
@@ -47,12 +52,13 @@ EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
+def _rational(value, label: str = "coefficient") -> Fraction:
+    """value as a Fraction: a Fraction or a Python or NumPy integer; the rest raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if _is_integer(value):
+        return Fraction(operator.index(value))
+    raise TypeError(f"{label} must be an int or a Fraction, got {value!r}")
 
 
 def _pack(exps: tuple[int, ...]) -> int:
@@ -84,7 +90,7 @@ def _sum_of_products(
     Multiplying by c_i never carries, but each later factor refuses a
     partial product or factor with a guard bit set, as ``__mul__`` does.
     """
-    terms = [(_as_fraction(c), tuple(factors)) for c, factors in terms]
+    terms = [(_rational(c), tuple(factors)) for c, factors in terms]
     for _, factors in terms:
         for f in factors:
             if f.variables != variables:
@@ -144,7 +150,7 @@ class RationalPoly:
             exps = _multi_index(exps, len(self.variables))
             if any(e >= EXPONENT_LIMIT for e in exps):
                 raise ValueError(f"exponents must lie below {EXPONENT_LIMIT}, got {exps}")
-            val = _as_fraction(coeff)
+            val = _rational(coeff)
             if val:
                 clean[_pack(exps)] = val
         den = math.lcm(*(c.denominator for c in clean.values()))
@@ -181,14 +187,14 @@ class RationalPoly:
         return self.scale(-1)
 
     def __mul__(self, other: "RationalPoly | Scalar") -> "RationalPoly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalPoly):
             return self.scale(other)
         return _sum_of_products(self.variables, ((1, (self, other)),))
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "RationalPoly":
-        return _sum_of_products(self.variables, ((c, (self,)),))
+        return _sum_of_products(self.variables, ((_rational(c), (self,)),))
 
     # -- queries -----------------------------------------------------------
 

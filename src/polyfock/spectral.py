@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_H, _frequency, _rpoint, _scalar
+from .kernels import KernelSpec, kernel_H, _frequency, _one_point, _rpoint, _scalar
 from .multiindex import IndexTable, _integer, _multi_index, build_index_table, index_products
 from .orthopoly import hermite_fn_table
 from .quadrature import (FIBER_ORDER, _evaluate, check_rule_budget, default_order,
@@ -134,9 +134,9 @@ def R_F_kernel_image(spec: KernelSpec, y, xi) -> FiberVector:
 def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
     """Closed-form fiber image of the true-polyanalytic kernel section at z = i y.
 
-    For type beta = phi(j0) + 1 only component j0 survives:
-    2^{-n/2} e^{alpha |y|^2 / 2} q_{phi(j0), xi}(sqrt(alpha) y).  The
-    domain of beta is n integers >= 1 with |beta| - n <= m - 1.
+    For type beta = phi(j0) + 1 only component j0 of
+    :func:`R_F_kernel_image` survives.  The domain of beta is n integers
+    >= 1 with |beta| - n <= m - 1; y and xi are one point each.
     """
     n, m = spec.n, spec.m
     domain = f"beta must be {n} integers >= 1 with |beta| - n <= m - 1 = {m - 1}, got {beta!r}"
@@ -146,13 +146,11 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
         raise ValueError(domain) from None
     if sum(beta) - n > m - 1:
         raise ValueError(domain)
-    table = build_index_table(n, m)
-    j0 = table.position(tuple(b - 1 for b in beta))
-    y, xi = _rpoint(y, n), _frequency(xi, n)
-    comps = np.zeros(table.d, dtype=complex)
-    front = 2 ** (-n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
-    comps[j0 - 1] = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)[j0 - 1]
-    return FiberVector(xi=xi, components=comps)
+    j0 = build_index_table(n, m).position(tuple(b - 1 for b in beta))
+    full = R_F_kernel_image(spec, _one_point(_rpoint(y, n), "y"), _frequency(xi, n))
+    comps = np.zeros_like(full.components)
+    comps[j0 - 1] = full.components[j0 - 1]
+    return FiberVector(xi=full.xi, components=comps)
 
 
 def R_H_apply(

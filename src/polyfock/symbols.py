@@ -303,6 +303,21 @@ def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
     return [(coeff, [lambda v, e=e: v ** e for e in exps]) for coeff, exps in g.terms]
 
 
+def _checked_order(table: IndexTable, g: VerticalSymbol, order) -> int:
+    """The parsed order of gamma and direct sigma, refused below m on a smooth axis.
+
+    An order-N Gauss-Hermite axis integrates psi_a psi_b exactly only for
+    a + b <= 2N - 1, so psi_{m-1}^2 needs N >= m: at N = m - 1 a constant
+    symbol's matrix misses I by 1.  Jump axes use Legendre panels and are
+    not checked here.
+    """
+    order = _check_order(FIBER_ORDER if order is None else order)
+    if table.m > order and not all(g.breakpoints_on_axis(r) for r in range(table.n)):
+        raise ValueError(f"m = {table.m} exceeds the order {order}: an axis without jumps "
+                         f"needs a Gauss-Hermite order of at least m")
+    return order
+
+
 def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
                    order: int | None = None) -> SymbolMatrix:
     """Matrix symbol gamma_g(xi) of the vertical multiplier g.
@@ -315,7 +330,8 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
     phi(s)_p.  The T matrices of an axis are one (T, m, m) product, and
     every M_kp is symmetrized, so a real g gives an exactly symmetric
     matrix.  ``order`` is the Gauss-Hermite order of a smooth axis, or the
-    Gauss-Legendre order of each panel of a jump axis.
+    Gauss-Legendre order of each panel of a jump axis; with a smooth axis,
+    m above the order raises ValueError.
 
     A smooth axis's nodes, weights and Hermite table do not depend on xi
     (:func:`_smooth_axis`, cached per (m, order)), so a call there only
@@ -325,7 +341,7 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
     xi = _frequency(xi, table.n)
-    order = _check_order(FIBER_ORDER if order is None else order)
+    order = _checked_order(table, g, order)
     terms = _axis_factors(g)
     per_axis = []
     for r, cols in enumerate(table.array.T):
@@ -349,7 +365,8 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
     route="via-gamma" evaluates exactly that composition.  route="direct"
     computes the equivalent integral
     int g((t + eta/2)/sqrt(2)) prod psi_{phi(r)}(t) prod psi_{phi(s)}(t) dt
-    from scratch; the two agree and back each other up.
+    from scratch; the two agree and back each other up.  Both refuse m
+    above the order when g has an axis without jumps, as gamma does.
 
     The direct route sums the order^n tensor rule through
     :func:`stream_pairs` without building it.  Each coordinate r is a pair
@@ -375,8 +392,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
         raise ValueError(f"route must be 'via-gamma' or 'direct', got {route!r}")
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
-    if order is None:
-        order = FIBER_ORDER
+    order = _checked_order(table, g, order)
     n, m = table.n, table.m
 
     per_axis = []

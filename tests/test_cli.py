@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,23 @@ def test_fiber_rejects_non_finite_frequency(xi, capsys):
         main(["fiber", "--n", "1", "--m", "2", f"--xi={xi}", "--input", "kernel:iy=0.3"])
     assert err.value.code == 2
     assert "frequency must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "49"], "m = 49 exceeds the order 48"),
+    (["--m", "11", "--order", "10"], "m = 11 exceeds the order 10"),
+])
+def test_symbol_gamma_refuses_m_above_the_order(argv, message, capsys):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            main(["symbol", "gamma", "--g", "const:1", "--xi-grid", "0:0:1", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_symbol_gamma_grid_matches_library(capsys):

@@ -1,19 +1,23 @@
-"""One table of refusals for the input owners.
+"""One table of refusals for the input owners, one owner per scalar kind.
 
-Real points go through ``kernels._rpoint`` (complex values raise TypeError,
-non-finite ones ValueError), index tables are built from (n, m) alone, and
-alpha is checked by ``KernelSpec`` and, on the exact routes, by
-``basis_oracle._exact_alpha``.  Integer scalars (orders, degrees, counts,
-truncations) go through ``multiindex._integer`` and real scalars (alpha,
-centers, scales, halfwidths, lone frequencies, grid ends) through
-``kernels._scalar``: bools, floats where an integer is due and complex
-values raise TypeError.  A lone frequency or shift must be one point:
+* Integers (n and m, orders, degrees, counts, truncations) go through
+  ``multiindex._integer``, which returns a Python int: NumPy integers pass,
+  and bools, floats and complex values raise TypeError.
+* Reals go through ``kernels._scalar`` (alpha, centers, scales,
+  halfwidths, lone frequencies, grid ends) and ``kernels._rpoint`` (real
+  points): bools and complex values raise TypeError, non-finite values
+  ValueError.
+* Exact rationals (``RationalPoly`` coefficients, the exact Laguerre
+  parameter, the exact alpha of ``basis_oracle``) go through
+  ``ratpoly._rational``: a ``Fraction`` or a Python or NumPy integer,
+  nothing else.
+
+Index tables are built from (n, m) alone, and alpha is also checked by
+``KernelSpec``.  A lone frequency or shift must be one point:
 ``kernels._one_point`` refuses a grid of them with ValueError naming the
 argument and its shape.  ``VerticalSymbol`` parses its own fields, so its
-direct constructor refuses what the named ones do.  The parameter of an
-exact Laguerre polynomial goes through ``orthopoly._parameter``: an int
-(not a bool) or a ``Fraction``, nothing else.  Every row must raise its
-exception, with its message, before anything large is allocated and
+direct constructor refuses what the named ones do.  Every row must raise
+its exception, with its message, before anything large is allocated and
 before any ``RationalPoly`` is built.
 """
 
@@ -30,7 +34,7 @@ import polyfock.orthopoly as orthopoly
 import polyfock.ratpoly as ratpoly
 from polyfock.basis_oracle import build_orthonormal_basis, gaussian_monomial_inner, kernel_via_basis
 from polyfock.kernels import KernelSpec, kernel_F, kernel_G, kernel_H, kernel_H_products
-from polyfock.multiindex import IndexTable, build_index_table
+from polyfock.multiindex import IndexTable, build_index_table, dimension
 from polyfock.orthopoly import (check_laguerre_decomposition, check_laguerre_of_sum,
                                 check_laguerre_telescoping, hermite_fn_table, laguerre_eval_all,
                                 laguerre_poly)
@@ -103,8 +107,8 @@ ROWS.update({
                                   TypeError, "frequency must be real"),
     "IndexTable-given-indices": (lambda: IndexTable(2, 3, ((5, 5, 5),)),
                                  TypeError, "IndexTable.__init__() takes 3 positional arguments"),
-    "IndexTable-float-n": (lambda: IndexTable(2.0, 3), TypeError, "n and m must be integers"),
-    "IndexTable-zero-m": (lambda: IndexTable(2, 0), ValueError, "n and m must be positive"),
+    "IndexTable-float-n": (lambda: IndexTable(2.0, 3), TypeError, "n must be an integer, got 2.0"),
+    "IndexTable-zero-m": (lambda: IndexTable(2, 0), ValueError, "m must be >= 1, got 0"),
     "tensor_grid-complex-center": (lambda: tensor_grid(1, 4, center=0.5 + 2j),
                                    TypeError, "center must be real"),
     "gaussian_mean_rule-complex-center": (lambda: gaussian_mean_rule(np.array([0.5 + 2j, 0.1]), 1.0, 4),
@@ -128,6 +132,7 @@ ONE_POINT = {
                       "frequency"),
     "L_via_fourier": (lambda p: L_via_fourier(TABLE, p, [0.1, 0.2], [0.3, 0.4]), "frequency"),
     "R_true_poly_image": (lambda p: R_true_poly_image(SPEC, (1, 1), [0.1, 0.2], p), "frequency"),
+    "R_true_poly_image-y": (lambda p: R_true_poly_image(SPEC, (1, 1), p, XI), "y"),
     "weyl_symbol-shift": (lambda p: weyl_symbol(TABLE, p, XI), "shift"),
     "check_intertwining": (lambda p: check_intertwining(SPEC, p, SECTION, [0.1, 0.2], [0.3, 0.4]),
                            "shift"),
@@ -241,7 +246,7 @@ ROWS.update({
 
 POSITIVE = "alpha must be finite and positive"
 REAL = "alpha must be a real number"
-RATIONAL = "exact arithmetic needs a rational alpha"
+RATIONAL = "alpha must be an int or a Fraction"
 ALPHA_ROWS = {
     "KernelSpec": (lambda a: KernelSpec(1, 2, a),
                    [(math.nan, ValueError, POSITIVE), (math.inf, ValueError, POSITIVE),
@@ -250,10 +255,10 @@ ALPHA_ROWS = {
     "gaussian_monomial_inner": (lambda a: gaussian_monomial_inner(a, [1], [0], [1], [0]),
                                 [(-2, ValueError, POSITIVE), (0, ValueError, POSITIVE),
                                  (Fraction(-1, 2), ValueError, POSITIVE),
-                                 (True, ValueError, RATIONAL), (1.5, ValueError, RATIONAL)]),
+                                 (True, TypeError, RATIONAL), (1.5, TypeError, RATIONAL)]),
     "build_orthonormal_basis": (lambda a: build_orthonormal_basis(a, 1, 2, 2),
                                 [(-1, ValueError, POSITIVE), (0, ValueError, POSITIVE),
-                                 (True, TypeError, REAL), (1.5, ValueError, RATIONAL)]),
+                                 (True, TypeError, RATIONAL), (1.5, TypeError, RATIONAL)]),
     "kernel_via_basis": (lambda a: kernel_via_basis(a, 1, 2, 4, [0.1j], [0.2]),
                          [(-1.0, ValueError, POSITIVE), (0.0, ValueError, POSITIVE),
                           (math.nan, ValueError, POSITIVE), (True, TypeError, REAL)]),
@@ -264,6 +269,29 @@ ALPHA_ROWS = {
 for name, (call, cases) in ALPHA_ROWS.items():
     for alpha, error, message in cases:
         ROWS[f"{name}-alpha={alpha!r}"] = (lambda call=call, alpha=alpha: call(alpha), error, message)
+
+
+# m above the Gauss-Hermite order: an order-N axis without jumps cannot
+# integrate psi_{m-1}^2 once m > N, so gamma and direct sigma refuse.
+M49, M11, M11_N2 = build_index_table(1, 49), build_index_table(1, 11), build_index_table(2, 11)
+ABOVE = "m = {} exceeds the order {}: an axis without jumps needs a Gauss-Hermite order"
+ROWS.update({
+    "gamma_toeplitz-m=49-default-order": (lambda: gamma_toeplitz(M49, constant(1.0), [0.0]),
+                                          ValueError, ABOVE.format(49, 48)),
+    "gamma_toeplitz-m=11-order=10": (lambda: gamma_toeplitz(M11, constant(1.0), [0.3], order=10),
+                                     ValueError, ABOVE.format(11, 10)),
+    # sign on axis 0 jumps there, but axis 1 is smooth
+    "gamma_toeplitz-sign-n=2-order=10": (lambda: gamma_toeplitz(M11_N2, sign(n=2), XI, order=10),
+                                         ValueError, ABOVE.format(11, 10)),
+    "sigma_from_gamma-direct-m=49": (
+        lambda: sigma_from_gamma(M49, constant(1.0), [0.0], route="direct"),
+        ValueError, ABOVE.format(49, 48)),
+    "sigma_from_gamma-direct-m=11-order=10": (
+        lambda: sigma_from_gamma(M11, gaussian_poly([1.0]), [0.3], order=10, route="direct"),
+        ValueError, ABOVE.format(11, 10)),
+    "sigma_from_gamma-via-gamma-m=49": (lambda: sigma_from_gamma(M49, constant(1.0), [0.0]),
+                                        ValueError, ABOVE.format(49, 48)),
+})
 
 
 @pytest.mark.parametrize("call, error, message", ROWS.values(), ids=ROWS)
@@ -295,3 +323,75 @@ def test_numpy_integers_are_integers():
     cases = [run_suite("fourier-laguerre", SuiteConfig(order=order, p_max=1)).cases
              for order in (64, np.int64(64))]
     assert [(c.id, c.max_error) for c in cases[0]] == [(c.id, c.max_error) for c in cases[1]]
+
+
+# Every exact entry point parses its rational through ratpoly._rational: a
+# bool, a float, a string or a complex value raises the one TypeError.
+X = RationalPoly.variable("x", ("x",))
+EXACT = {
+    "RationalPoly": (lambda c: RationalPoly(("x",), {(1,): c}), "coefficient"),
+    "RationalPoly.constant": (lambda c: RationalPoly.constant(c, ("x",)), "coefficient"),
+    "RationalPoly.scale": (lambda c: X.scale(c), "coefficient"),
+    "RationalPoly.__mul__": (lambda c: X * c, "coefficient"),
+    "laguerre_poly": (lambda a: laguerre_poly(2, a), "Laguerre parameter"),
+    "check_laguerre_of_sum-a": (lambda a: check_laguerre_of_sum(a, 0, 2), "Laguerre parameter"),
+    "check_laguerre_of_sum-b": (lambda b: check_laguerre_of_sum(0, b, 2), "Laguerre parameter"),
+    "check_laguerre_telescoping": (lambda a: check_laguerre_telescoping(a, 2), "Laguerre parameter"),
+    "gaussian_monomial_inner": (lambda a: gaussian_monomial_inner(a, [1], [0], [1], [0]), "alpha"),
+    "build_orthonormal_basis": (lambda a: build_orthonormal_basis(a, 1, 2, 2), "alpha"),
+}
+NOT_RATIONAL = (True, 1.5, "1/2", 1 + 0j)
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_entry_points_refuse_what_is_not_rational(name, bad, monkeypatch):
+    call, label = EXACT[name]
+    init = RationalPoly.__init__
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a charge class or a product was built")
+
+    def init_unless_built(self, *args, **kwargs):
+        # the constructor is an entry point itself: it may run, but not finish
+        init(self, *args, **kwargs)
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
+    monkeypatch.setattr(RationalPoly, "__init__", init_unless_built)
+    monkeypatch.setattr(ratpoly, "_sum_of_products", fail)
+    monkeypatch.setattr(orthopoly, "_sum_of_products", fail)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError, match="^" + re.escape(f"{label} must be an int or a "
+                                                              f"Fraction, got {bad!r}")):
+            call(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_exact_entry_points_take_numpy_integers_as_ints():
+    two = np.int64(2)
+    for name, (call, _) in EXACT.items():
+        if name != "build_orthonormal_basis":
+            assert call(two) == call(2), name
+    for got, want in zip(build_orthonormal_basis(two, 1, 2, 2), build_orthonormal_basis(2, 1, 2, 2),
+                         strict=True):
+        assert (got.p, got.q, got.monomials) == (want.p, want.q, want.monomials)
+        assert np.array_equal(got.coeffs, want.coeffs)
+    expected = X * 2 + RationalPoly.constant(3, ("x",))
+    assert ratpoly._sum_of_products(("x",), [(two, (X,)), (np.int32(3), ())]) == expected
+
+
+def test_specs_and_tables_store_python_ints():
+    spec = KernelSpec(np.int64(2), np.int32(3))
+    table = IndexTable(np.int64(2), np.int32(3))
+    # repr tells a stored NumPy integer from a Python int
+    assert repr(spec) == repr(KernelSpec(2, 3)) and repr(table) == repr(IndexTable(2, 3))
+    assert all(type(value) is int for value in (spec.n, spec.m, spec.d, table.n, table.m, table.d))
+    assert type(dimension(np.int64(2), np.int32(3))) is int
+    z, w = np.array([0.2 + 0.1j, -0.3j]), np.array([0.1, 0.25 - 0.2j])
+    assert np.array_equal(kernel_F(spec, z, w), kernel_F(KernelSpec(2, 3), z, w))
+    assert np.array_equal(table.array, IndexTable(2, 3).array)

@@ -61,14 +61,14 @@ SHARED_BY_DESIGN = frozenset({
     "kernels._shaped", "kernels._cpoint", "kernels._real", "kernels._scalar", "kernels._rpoint",
     "kernels._one_point", "kernels._frequency", "kernels._shift", "kernels.KernelSpec.__post_init__",
     "kernels.KernelSpec.d", "multiindex._is_integer", "multiindex._integer",
-    "multiindex._multi_index", "multiindex._validate_nm", "multiindex.IndexTable.__post_init__",
-    "multiindex.IndexTable.d", "multiindex.IndexTable.__iter__", "multiindex.build_index_table",
-    "multiindex.index_array", "multiindex.dimension"})
+    "multiindex._multi_index", "multiindex.IndexTable.__post_init__", "multiindex.IndexTable.d",
+    "multiindex.IndexTable.__iter__", "multiindex.build_index_table", "multiindex.index_array",
+    "multiindex.dimension"})
 
 # The raw Gauss-Hermite rule and its placement, built cold on each side.
 HERMITE_RULE = frozenset({
     "quadrature.gauss_hermite_1d", "quadrature._check_order", "quadrature._hermite_rule",
-    "quadrature._gauss_rule", "quadrature._read_only", "quadrature.place_hermite"})
+    "quadrature._read_only", "quadrature.place_hermite"})
 
 
 class Row(NamedTuple):
@@ -128,7 +128,8 @@ ROWS = {
         (partial(sigma_from_gamma, TABLE, g, -np.sqrt(2.0) * XI, order=16, route="direct"),),
         HERMITE_RULE | {"orthopoly.hermite_fn_table", "quadrature.legendre_panels",
                         "quadrature._legendre_rule", "quadrature.check_rule_budget",
-                        "symbols.VerticalSymbol.breakpoints_on_axis", "symbols.VerticalSymbol.is_real"})
+                        "symbols._checked_order", "symbols.VerticalSymbol.breakpoints_on_axis",
+                        "symbols.VerticalSymbol.is_real"})
        for kind, g in SYMBOLS.items()},
     "raw Gauss rules vs Hermite functions": in_turn(
         RAW_RULES, (partial(hermite_fn, 5, T), partial(hermite_fn_table, 5, T))),

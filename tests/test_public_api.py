@@ -105,9 +105,9 @@ def test_public_names_are_pinned():
 
 
 def test_import_loads_no_scipy():
-    # numpy is the only runtime dependency: the Gauss rules, log-factorials
-    # and triangular solves are the library's own, and scipy is a test-only
-    # reference.
+    # numpy is the only runtime dependency: the Gauss rules are numpy's,
+    # the log-factorials and triangular solves the library's own, and scipy
+    # is a test-only reference.
     script = ("import sys, polyfock, polyfock.cli; "
               "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -69,10 +69,11 @@ RULE_ORDERS = [1, 2, 7, 48, 64, MAX_ORDER]
 
 @pytest.mark.parametrize("order", RULE_ORDERS)
 def test_raw_rules_agree_with_scipy(order):
-    # scipy is a test-only reference.  Worst cases over these orders: nodes
-    # 2.3e-16 * max(1, |t|), compensated Gauss-Hermite weights w e^{t^2}
-    # 7.7e-13 and Gauss-Legendre weights 7.2e-11 relative, both at the
-    # outermost node of order 128; the bounds keep one decade of margin.
+    # scipy is a test-only reference.  Worst cases of numpy's rules over
+    # these orders: nodes 2.3e-16 * max(1, |t|), compensated Gauss-Hermite
+    # weights w e^{t^2} 7.8e-13 and Gauss-Legendre weights 4.1e-11
+    # relative, both at the outermost node of order 128; the bounds keep
+    # one decade of margin.
     t, w = gauss_hermite_1d(order)
     ref_t, ref_w = roots_hermite(order)
     assert np.all(np.abs(t - ref_t) <= 3e-15 * np.maximum(1.0, np.abs(ref_t)))
@@ -86,8 +87,9 @@ def test_raw_rules_agree_with_scipy(order):
 @pytest.mark.parametrize("order", RULE_ORDERS)
 def test_raw_rules_are_exact_to_degree_2_order_minus_1(order):
     # Even moments up to degree 2*order - 2 (odd ones vanish by symmetry).
-    # Worst relative gaps over these orders: 4.8e-15 (Hermite) and 2.0e-12
-    # (Legendre, x^254 at order 128); the bounds keep one decade of margin.
+    # Worst relative gaps over these orders: 4.2e-15 (Hermite, t^202 at
+    # order 128) and 1.2e-12 (Legendre, x^254 at order 128); the bounds
+    # keep one decade of margin.
     t, w = gauss_hermite_1d(order)
     x, v = quadrature._legendre_rule(order)
     for k in range(order):

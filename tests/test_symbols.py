@@ -83,6 +83,16 @@ def test_constant_symbol_scales_identity():
     assert_allclose(mat.entries, (-2.5 + 0.5j) * np.eye(table.d), atol=1e-10)
 
 
+@pytest.mark.parametrize("m, order, xi", [(FIBER_ORDER, None, 0.0), (10, 10, 0.3)])
+def test_m_up_to_the_order_is_still_exact_for_constants(m, order, xi):
+    # An order-N Gauss-Hermite rule integrates psi_{N-1}^2 exactly; at
+    # m = N + 1 both routes missed I by 1 and are refused (test_domains).
+    table = build_index_table(1, m)
+    for mat in (gamma_toeplitz(table, constant(1.0), [xi], order=order),
+                sigma_from_gamma(table, constant(1.0), [xi], order=order, route="direct")):
+        assert np.max(np.abs(mat.entries - np.eye(m))) <= 1e-14
+
+
 def test_gamma_real_symmetric_for_real_symbols():
     table = build_index_table(1, 4)
     for g in [polynomial([0.0, 1.0]), sign(), box(-0.7, 1.2),
@@ -314,7 +324,7 @@ def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
 # factor on each of 384 sign-axis nodes (n = 1, m = 1000): each rule is tiny
 # at its word count, but the sum or the factors are over the budget.
 DIRECT_MEMORY_REFUSALS = {
-    "sum-n2-m100": ((2, 100, constant(1.0, n=2), 2),
+    "sum-n2-m100": ((2, 100, box([-1, -1], [1, 1], n=2), 2),
                     r"100000000 nodes \(100x100x100x100\) at 2 words per node "
                     r"needs 1600000000 bytes"),
     "factors-n1-m1000": ((1, 1000, sign(), 48),
