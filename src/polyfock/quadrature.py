@@ -37,12 +37,15 @@ one builder.  The vocabulary:
   factors is summed in blocks of at most ``BLOCK_NODES`` nodes, and never
   built: leading real axes are fixed node by node only while the rest is
   too large, and the next real axis is cut into near-equal chunks that fill
-  a block.  The integrand takes each block's points as an (N, n) complex
-  array and returns one value per point; each pair is contracted against
-  its factor, the pairs that shrink the block most first.  A rule on R^n
-  is the case of one imaginary node 0 per coordinate.  ``R_F_apply``, ``R_H_apply``,
-  ``fock_norm``, the reproducing oracle and the direct route of
-  ``sigma_from_gamma`` sum their rules this way.
+  a block.  A block is laid out pair-major (re_0, im_0, re_1, im_1, ...);
+  a coordinate is written only when its real range changes: a whole one
+  once, a fixed one with each node and the chunked one with each chunk.
+  The integrand takes each block's points as an (N, n) complex array and
+  returns one value per point; the pairs are then contracted last to
+  first, each by one matrix product with its factor.  A rule on R^n is the
+  case of one imaginary node 0 per coordinate.  ``R_F_apply``,
+  ``R_H_apply``, ``fock_norm``, the reproducing oracle and the direct route
+  of ``sigma_from_gamma`` sum their rules this way.
 * **Budget** (:func:`check_rule_budget`).  The one size check: any tensor
   rule whose per-node arrays would exceed ``RULE_BYTES_BUDGET`` is refused
   before it is built.  :func:`tensor_rule` and :func:`legendre_panels` call
@@ -96,9 +99,10 @@ RULE_BYTES_BUDGET = 1 << 30
 
 # Largest block of nodes on which a streamed rule (see stream_pairs)
 # evaluates its integrand at once.  Small blocks keep the integrand's
-# temporaries in cache: on a 2-vCPU Xeon, R_F_apply at n = 2 and its default
-# order (blocks of 8000 nodes) took 7.3 ms, and 13.4 ms with 2^15 here,
-# where the chunks grow to 32,000 nodes.
+# temporaries in cache.  On a 2-vCPU Xeon (medians of 9 alternating passes),
+# R_F_apply at n = 2, m = 3 and its default order took 7.2 ms per call with
+# 2^13 here (blocks of 8000 nodes), 7.7 ms with 2^12 and 12.7 ms with 2^14;
+# a reproducing-suite case at n = 3, m = 3 took 139, 162 and 138 ms.
 BLOCK_NODES = 1 << 13
 
 # Widest Gauss-Legendre panel of legendre_panels: each panel then resolves
@@ -269,11 +273,12 @@ def gaussian_mean_rule(center, alpha: float, order: int | None = None):
 def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray:
     """Sum of integrand(w) prod_r factors[r][..., i_r, j_r] over a tensor grid on C^n.
 
-    The grid's points are w_r = re_nodes[r][i_r] + i im_nodes[r][j_r], with
-    axes re_0..re_{n-1}, im_0..im_{n-1}, the last fastest.  ``factors[r]``
-    has shape extra_r + (len(re_nodes[r]), len(im_nodes[r])) and carries
-    the weights of coordinate r.  The grid is never built; it is cut into
-    blocks of at most ``BLOCK_NODES`` nodes (read at call time):
+    The grid's points are w_r = re_nodes[r][i_r] + i im_nodes[r][j_r].
+    ``factors[r]`` has shape extra_r + (len(re_nodes[r]), len(im_nodes[r]))
+    and carries the weights of coordinate r.  The grid is never built; it
+    is cut into blocks of at most ``BLOCK_NODES`` nodes (read at call
+    time), the real axes in the order re_0..re_{n-1}, then the imaginary
+    axes:
 
     * leading real axes are fixed node by node while the axes after them
       hold more than ``BLOCK_NODES`` nodes;
@@ -282,18 +287,25 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
     * the remaining axes are whole in every block.
 
     A block exceeds ``BLOCK_NODES`` only when the imaginary axes alone do.
+    A block is laid out pair-major, axes re_0, im_0, ..., re_{n-1}, im_{n-1}
+    with the last fastest, so each coordinate pair is two adjacent axes.
     ``integrand`` is called once per block on a read-only (N, n) complex
     array of its points and must return one value per point (checked as by
     :func:`_evaluate`); ``points[:, r]`` is contiguous, and the points of
-    one block are overwritten by the next.  Every pair of the block is then
-    contracted against its factor, sliced to the block's real range.  The
-    pairs go in greedy order, as ``np.einsum_path`` would choose: the
-    largest ratio of block nodes on the pair to the size of extra_r first,
-    so the pairs that shrink the block most go first and a fixed axis (one
-    real node) goes last.  The block results are added in block order and
-    returned indexed extra_0 + ... + extra_{n-1}.  Cost: one integrand
-    value per node plus the contractions, about E multiply-adds per node
-    for the first pair's extra size E; peak memory is one block.
+    one block are overwritten by the next.  A coordinate is written only
+    when its real range changes: a whole one once and a fixed one when its
+    node changes, both into the whole buffer (so a wider chunk never reads a
+    stale point), and the chunked one into the block's prefix of its axis
+    with each new chunk.  The pairs are then contracted last to first, each
+    by one matrix product of its factor, sliced to the block's real range
+    and flattened to extra_r x pair, against the block flattened to rest x
+    pair x inner (inner: the extra sizes of the pairs already contracted).
+    The last pair, the largest in every block that does not cut it, shrinks
+    the block first, and no transpose is needed: the block results are added
+    in block order and come out indexed extra_0 + ... + extra_{n-1}.  Cost:
+    one integrand value per node plus the contractions, about E
+    multiply-adds per node for the last pair's extra size E; peak memory is
+    one block.
 
     A real axis is a pair whose imaginary axis is the single node 0 (with
     factors of shape extra_r + (len(re_nodes[r]), 1)); the integrand then
@@ -317,37 +329,37 @@ def stream_pairs(integrand: Callable, re_nodes, im_nodes, factors) -> np.ndarray
         ranges += [[(0, size)] for size in sizes[fixed + 1:n]]
     widths = [max(hi - lo for lo, hi in axis) for axis in ranges]
 
-    def along(values, axis):
-        return values.reshape([-1 if a == axis else 1 for a in range(2 * n)])
-
     # Coordinate-first points of the widest block; a narrower chunk is a
     # prefix of the chunked axis, so its points are a view of the same buffer.
-    # Coordinates on whole axes are written once, the others every block.
-    buf = np.empty((n, *widths, *sizes[n:]), dtype=complex)
-    for r in range(fixed + 1, n):
-        buf[r] = along(re_nodes[r], r) + 1j * along(im_nodes[r], n + r)
-    # Contraction plan: the cube's axis pair of each step, and the transpose
-    # that puts extra_0 .. extra_{n-1} in order at the end.
+    buf = np.empty((n, *(k for pair in zip(widths, sizes[n:]) for k in pair)), dtype=complex)
     extras = [f.shape[:-2] for f in factors]
-    steps, labels = [], list(range(2 * n))
-    for r in sorted(range(n), key=lambda r: -widths[r] * sizes[n + r] / math.prod(extras[r])):
-        steps.append((r, [labels.index(r), labels.index(n + r)]))
-        labels = [a for a in labels if a not in (r, n + r)]
-        labels += [(r, e) for e in range(len(extras[r]))]
-    final = sorted(range(len(labels)), key=labels.__getitem__)
-    total = 0.0
+    total, last = 0.0, (None,) * n
     for block in itertools.product(*ranges):
-        view = buf[(slice(None), *(slice(hi - lo) for lo, hi in block))]
-        for r, (lo, hi) in enumerate(block[:fixed + 1]):
-            view[r] = along(re_nodes[r][lo:hi], r) + 1j * along(im_nodes[r], n + r)
+        view = buf[(slice(None), *(k for lo, hi in block for k in (slice(hi - lo), slice(None))))]
+        for r, (lo, hi) in enumerate(block):
+            # Coordinate r along its pair's two axes, written only when its
+            # range changes; all but the chunked one into the whole buffer, so
+            # a wider chunk never reads a stale point.
+            if (lo, hi) != last[r]:
+                pair = re_nodes[r][lo:hi, None] + 1j * im_nodes[r]
+                pair = pair.reshape((1, 1) * r + pair.shape + (1, 1) * (n - r - 1))
+                (view if r == fixed else buf)[r] = pair
+        last = block
         points = view.reshape(n, -1).T
         points.flags.writeable = False
-        cube = _evaluate(integrand, points).reshape(view.shape[1:])
-        for r, axes in steps:
+        cube, inner = _evaluate(integrand, points), 1
+        for r in reversed(range(n)):
             lo, hi = block[r]
-            cube = np.tensordot(cube, factors[r][..., lo:hi, :], axes=(axes, [-2, -1]))
+            factor = factors[r][..., lo:hi, :].reshape(math.prod(extras[r]), -1)
+            # (rest, pair, inner) -> (rest, extra_r, inner).  While inner is 1
+            # this is one plain product, faster than a stack of rest ones.
+            if inner == 1:
+                cube = np.matmul(cube.reshape(-1, factor.shape[1]), factor.T)
+            else:
+                cube = np.matmul(factor, cube.reshape(-1, factor.shape[1], inner))
+            inner *= factor.shape[0]
         total = total + cube
-    return np.transpose(total, final)
+    return np.reshape(total, sum(extras, ()))
 
 
 def _evaluate(evaluator: Callable, points: np.ndarray) -> np.ndarray:

@@ -177,11 +177,11 @@ class RationalPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        return _sum_of_products(self.variables, ((1, (self,)), (1, (other,))))
+    def __add__(self, other: "RationalPoly | Scalar") -> "RationalPoly":
+        return _sum_of_products(self.variables, ((1, (self,)), (1, (self._operand(other),))))
 
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return _sum_of_products(self.variables, ((1, (self,)), (-1, (other,))))
+    def __sub__(self, other: "RationalPoly | Scalar") -> "RationalPoly":
+        return _sum_of_products(self.variables, ((1, (self,)), (-1, (self._operand(other),))))
 
     def __neg__(self) -> "RationalPoly":
         return self.scale(-1)
@@ -195,6 +195,12 @@ class RationalPoly:
 
     def scale(self, c: Scalar) -> "RationalPoly":
         return _sum_of_products(self.variables, ((_rational(c), (self,)),))
+
+    def _operand(self, other: "RationalPoly | Scalar") -> "RationalPoly":
+        """other as a polynomial; a scalar is parsed as the constant it names."""
+        if isinstance(other, RationalPoly):
+            return other
+        return RationalPoly.constant(_rational(other), self.variables)
 
     # -- queries -----------------------------------------------------------
 

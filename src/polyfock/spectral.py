@@ -122,10 +122,12 @@ def R_F_kernel_image(spec: KernelSpec, y, xi) -> FiberVector:
 
     components_j = 2^{-n/2} e^{alpha |y|^2 / 2} q_{phi(j), xi}(sqrt(alpha) y).
     Its squared norm integrated over xi against (2 pi)^{-n/2} d xi equals
-    C(n+m-1, n) e^{alpha |y|^2}.
+    C(n+m-1, n) e^{alpha |y|^2}.  y is one point (a grid raises ValueError,
+    since the front factor is one scalar); xi may be a grid of shape (k, n),
+    with components of shape (k, d).
     """
     table = build_index_table(spec.n, spec.m)
-    y, xi = _rpoint(y, spec.n), _rpoint(xi, spec.n, "frequency")
+    y, xi = _one_point(_rpoint(y, spec.n), "y"), _rpoint(xi, spec.n, "frequency")
     front = 2 ** (-spec.n / 2) * math.exp(spec.alpha * float(np.sum(y * y)) / 2)
     comps = front * q_matrix(table, xi, math.sqrt(spec.alpha) * y)
     return FiberVector(xi=xi, components=comps.astype(complex))
@@ -147,7 +149,7 @@ def R_true_poly_image(spec: KernelSpec, beta, y, xi) -> FiberVector:
     if sum(beta) - n > m - 1:
         raise ValueError(domain)
     j0 = build_index_table(n, m).position(tuple(b - 1 for b in beta))
-    full = R_F_kernel_image(spec, _one_point(_rpoint(y, n), "y"), _frequency(xi, n))
+    full = R_F_kernel_image(spec, y, _frequency(xi, n))
     comps = np.zeros_like(full.components)
     comps[j0 - 1] = full.components[j0 - 1]
     return FiberVector(xi=full.xi, components=comps)

@@ -123,7 +123,10 @@ class VerticalSymbol:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, v) -> np.ndarray:
-        v = _rpoint(v, self.n)
+        return self._values(_rpoint(v, self.n))
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        """g at real points v of shape (..., n), already parsed."""
         if self.kind == "polynomial":
             return self._poly(v)
         if self.kind == "gaussian-modulated-polynomial":
@@ -413,7 +416,7 @@ def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,
     for t, w in per_axis:
         psi = hermite_fn_table(m - 1, t)  # (m, N)
         factors.append((w * (psi[:, None] * psi[None, :]))[..., None])
-    acc = stream_pairs(lambda points: g((points.real + eta / 2) / math.sqrt(2.0)),
+    acc = stream_pairs(lambda points: g._values((points.real + eta / 2) / math.sqrt(2.0)),
                        [t for t, _ in per_axis], [np.zeros(1)] * n, factors)
     ps = table.array
     entries = acc[tuple(k for r in range(n) for k in (ps[:, r, None], ps[None, :, r]))]

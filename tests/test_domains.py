@@ -133,6 +133,7 @@ ONE_POINT = {
     "L_via_fourier": (lambda p: L_via_fourier(TABLE, p, [0.1, 0.2], [0.3, 0.4]), "frequency"),
     "R_true_poly_image": (lambda p: R_true_poly_image(SPEC, (1, 1), [0.1, 0.2], p), "frequency"),
     "R_true_poly_image-y": (lambda p: R_true_poly_image(SPEC, (1, 1), p, XI), "y"),
+    "R_F_kernel_image-y": (lambda p: R_F_kernel_image(SPEC, p, XI), "y"),
     "weyl_symbol-shift": (lambda p: weyl_symbol(TABLE, p, XI), "shift"),
     "check_intertwining": (lambda p: check_intertwining(SPEC, p, SECTION, [0.1, 0.2], [0.3, 0.4]),
                            "shift"),
@@ -333,6 +334,8 @@ EXACT = {
     "RationalPoly.constant": (lambda c: RationalPoly.constant(c, ("x",)), "coefficient"),
     "RationalPoly.scale": (lambda c: X.scale(c), "coefficient"),
     "RationalPoly.__mul__": (lambda c: X * c, "coefficient"),
+    "RationalPoly.__add__": (lambda c: X + c, "coefficient"),
+    "RationalPoly.__sub__": (lambda c: X - c, "coefficient"),
     "laguerre_poly": (lambda a: laguerre_poly(2, a), "Laguerre parameter"),
     "check_laguerre_of_sum-a": (lambda a: check_laguerre_of_sum(a, 0, 2), "Laguerre parameter"),
     "check_laguerre_of_sum-b": (lambda b: check_laguerre_of_sum(0, b, 2), "Laguerre parameter"),
@@ -383,6 +386,10 @@ def test_exact_entry_points_take_numpy_integers_as_ints():
         assert np.array_equal(got.coeffs, want.coeffs)
     expected = X * 2 + RationalPoly.constant(3, ("x",))
     assert ratpoly._sum_of_products(("x",), [(two, (X,)), (np.int32(3), ())]) == expected
+    # a scalar operand of + and - is the constant it names
+    assert X + 1 == X + RationalPoly.constant(1, ("x",))
+    assert X - Fraction(1, 2) == X - RationalPoly.constant(Fraction(1, 2), ("x",))
+    assert X * 2 + 3 == expected
 
 
 def test_specs_and_tables_store_python_ints():

@@ -398,13 +398,16 @@ def test_weights_are_overflow_compensated():
 
 
 def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, fixed, chunks):
-    """stream_pairs on a given block plan, each block's points stacked into a fresh (N, n) array.
+    """stream_pairs on a given block plan, each block's points listed into a fresh (N, n) array.
 
     The first ``fixed`` real axes go node by node, the next real axis (if
-    any) in ``chunks`` near-equal chunks, the rest whole.  Each pair is
-    contracted against its factor sliced to the block's real range, in one
-    order for every block: the largest (widest block's nodes on the pair) /
-    (extra size) first.
+    any) in ``chunks`` near-equal chunks, the rest whole.  A block's points
+    run pair-major, (re_0, im_0, ..., re_{n-1}, im_{n-1}) with the last
+    fastest.  Its pairs are contracted last to first, each by one np.matmul
+    of its factor, sliced to the block's real range and flattened to
+    (extra, pair): on the right, transposed, of the (rest, pair) values
+    while no pair is contracted yet, and on the left of the (rest, pair,
+    inner) block after that.
     """
     n = len(re_nodes)
     sizes = [len(nodes) for nodes in re_nodes]
@@ -412,46 +415,46 @@ def _stacked_stream_pairs(integrand, re_nodes, im_nodes, factors, fixed, chunks)
     ranges += [[(size * k // chunks, size * (k + 1) // chunks) for k in range(chunks)]
                for size in sizes[fixed:fixed + 1]]
     ranges += [[(0, size)] for size in sizes[fixed + 1:]]
-    ratio = [max(hi - lo for lo, hi in ranges[r]) * len(im_nodes[r]) / math.prod(f.shape[:-2])
-             for r, f in enumerate(factors)]
-
-    def along(values, axis):
-        return values.reshape([-1 if a == axis else 1 for a in range(2 * n)])
-
     total = 0.0
     for block in itertools.product(*ranges):
-        parts = [along(re_nodes[r][lo:hi], r) + 1j * along(im_nodes[r], n + r)
+        pairs = [itertools.product(range(lo, hi), range(len(im_nodes[r])))
                  for r, (lo, hi) in enumerate(block)]
-        points = np.stack(np.broadcast_arrays(*parts), axis=-1)
-        cube = integrand(points.reshape(-1, n)).reshape(points.shape[:-1])
-        labels = list(range(2 * n))
-        for r in sorted(range(n), key=lambda r: -ratio[r]):
+        points = np.array([[re_nodes[r][i] + 1j * im_nodes[r][j] for r, (i, j) in enumerate(node)]
+                           for node in itertools.product(*pairs)])
+        cube, inner = integrand(points), 1
+        for r in reversed(range(n)):
             lo, hi = block[r]
-            axes = [labels.index(r), labels.index(n + r)]
-            cube = np.tensordot(cube, factors[r][..., lo:hi, :], axes=(axes, [-2, -1]))
-            labels = [a for a in labels if a not in (r, n + r)]
-            labels += [(r, e) for e in range(factors[r].ndim - 2)]
-        total = total + np.transpose(cube, sorted(range(len(labels)), key=labels.__getitem__))
+            factor = factors[r][..., lo:hi, :].reshape(-1, (hi - lo) * len(im_nodes[r]))
+            if inner == 1:
+                cube = np.matmul(cube.reshape(-1, factor.shape[1]), factor.T)
+            else:
+                cube = np.matmul(factor, cube.reshape(-1, factor.shape[1], inner))
+            inner *= len(factor)
+        total = total + cube.reshape([k for f in factors for k in f.shape[:-2]])
     return total
 
 
-STREAM_SHAPES = {1: ([5], [4]), 2: ([3, 4], [5, 2]), 3: ([3, 2, 4], [2, 3, 2])}
-# BLOCK_NODES -> (real axes fixed node by node, chunks of the next real axis),
-# one row per count of fixed axes.  A plan that fixes every real axis has
-# blocks of the imaginary axes alone, larger than BLOCK_NODES here.
-STREAM_PLANS = {1: [(12, 0, 2), (3, 1, None)],
-                2: [(120, 0, 1), (30, 1, 2), (9, 2, None)],
-                3: [(200, 0, 2), (60, 1, 2), (30, 2, 2), (11, 3, None)]}
+# id -> (real sizes, imaginary sizes, BLOCK_NODES, real axes fixed node by
+# node, chunks of the next real axis); the id is n-fixed.  A plan that fixes
+# every real axis has blocks of the imaginary axes alone, larger than
+# BLOCK_NODES here.
+STREAM_PLANS = {"1-0": ([5], [4], 12, 0, 2), "1-1": ([5], [4], 3, 1, None),
+                "2-0": ([3, 4], [5, 2], 120, 0, 1), "2-1": ([3, 4], [5, 2], 30, 1, 2),
+                "2-2": ([3, 4], [5, 2], 9, 2, None),
+                # a fixed axis before the uneven chunks (0, 2), (2, 5)
+                "2-1-uneven": ([3, 5], [5, 2], 30, 1, 2),
+                "3-0": ([3, 2, 4], [2, 3, 2], 200, 0, 2), "3-1": ([3, 2, 4], [2, 3, 2], 60, 1, 2),
+                "3-2": ([3, 2, 4], [2, 3, 2], 30, 2, 2), "3-3": ([3, 2, 4], [2, 3, 2], 11, 3, None)}
 
 
-@pytest.mark.parametrize("n, fixed", [(n, fixed) for n in STREAM_SHAPES for fixed in range(n + 1)])
-def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(n, fixed, monkeypatch):
+@pytest.mark.parametrize("plan", STREAM_PLANS)
+def test_stream_pairs_matches_the_stacked_blocks_bit_for_bit(plan, monkeypatch):
     # Rows reach a whole rule, chunked axes (uneven chunks included), fixed
-    # axes before a chunked one, and every real axis fixed.
+    # axes before a chunked one (uneven chunks included), and every real
+    # axis fixed.
+    re_sizes, im_sizes, block_nodes, fixed, chunks = STREAM_PLANS[plan]
+    n = len(re_sizes)
     rng = np.random.default_rng([n, fixed])
-    re_sizes, im_sizes = STREAM_SHAPES[n]
-    block_nodes, plan_fixed, chunks = STREAM_PLANS[n][fixed]
-    assert plan_fixed == fixed
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     re_nodes = [rng.normal(size=k) for k in re_sizes]
     im_nodes = [rng.normal(size=k) for k in im_sizes]

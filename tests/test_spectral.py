@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from polyfock.kernels import KernelSpec, kernel_F
 from polyfock.multiindex import build_index_table
@@ -120,6 +120,20 @@ def test_L_diagonal_nonnegative():
         xi = rng.uniform(-3, 3, 2)
         y = rng.uniform(-2, 2, 2)
         assert L_closed(table, xi, y, y) >= 0
+
+
+def test_grids_where_taken_are_the_stacked_one_point_calls():
+    # L_closed takes grids of xi, y and v; R_F_kernel_image a grid of xi (a
+    # grid of y is refused, see tests/test_domains.py).
+    table, spec = build_index_table(2, 3), KernelSpec(2, 3, 1.3)
+    rng = np.random.default_rng(37)
+    xi, y, v = (rng.uniform(-1.5, 1.5, (3, 2)) for _ in range(3))
+    assert_array_equal(L_closed(table, xi, y, v),
+                       [L_closed(table, *point) for point in zip(xi, y, v)])
+    assert_array_equal(L_closed(table, xi[0], y[:, None], v[None]),
+                       [[L_closed(table, xi[0], a, b) for b in v] for a in y])
+    assert_array_equal(R_F_kernel_image(spec, y[0], xi).components,
+                       [R_F_kernel_image(spec, y[0], point).components for point in xi])
 
 
 def test_fiber_project_recovers_unit_vectors():
