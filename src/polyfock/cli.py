@@ -27,6 +27,7 @@ from .kernels import (
     kernel_true_poly,
 )
 from .multiindex import build_index_table
+from .quadrature import FIBER_ORDER
 from .spectral import R_F_kernel_image, default_xi_grid
 from . import symbols
 from .symbols import VerticalSymbol, gamma_toeplitz
@@ -207,6 +208,9 @@ def _build_symbol(args) -> dict:
     table = build_index_table(args.n, args.m)
     xi_grid = _parse_xi_grid(args.xi_grid)
     g = _parse_symbol(args.g, args.n)
+    if args.order is not None and all(g.breakpoints_on_axis(r) for r in range(args.n)):
+        raise ValueError(f"--order is the Gauss-Hermite order of an axis without jumps, "
+                         f"and --g {args.g} jumps on every axis")
     matrices = []
     for value in xi_grid:
         xi = np.full(args.n, value, dtype=float)
@@ -295,7 +299,9 @@ def _add_common(parser: argparse.ArgumentParser, *, alpha=False, order=False):
         parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                             help="weight parameter")
     if order:
-        parser.add_argument("--order", type=int, default=None, help="quadrature order override")
+        parser.add_argument("--order", type=int, default=None,
+                            help=f"Gauss-Hermite order of the axes without jumps "
+                                 f"(default {FIBER_ORDER}; jump axes are closed form)")
     parser.add_argument("--out", type=str, default=None, help="write to file instead of stdout")
 
 

@@ -16,22 +16,25 @@ is carried as a second evaluation route.  For m >= 2 the gamma matrices of
 two symbols generally fail to commute, which is what distinguishes the
 polyanalytic calculus from the classical m = 1 (scalar) one.
 
-Quadrature: every supported g is a sum of per-axis products,
+Assembly: every supported g is a sum of per-axis products,
 g(v) = sum_k c_k prod_p f_kp(v_p), so gamma_g(xi) is 2^{n/2} times a sum
 over k of Hadamard products of n one-dimensional m x m matrices
 M_kp[a, b] = int f_kp(v) psi_a(t) psi_b(t) dv, t = (xi_p + 2v)/sqrt(2),
-read at the table's multi-index coordinates.  Substituting t turns every
-smooth axis into a textbook Gauss-Hermite integral whose nodes, weights and
-Hermite table do not depend on xi; they are built once per (m, order) and
-cached, so a call on a smooth axis only shifts the nodes and evaluates the
-f_kp.  The sign and box kinds jump at axis-aligned breakpoints, so those
-axes use composite Gauss-Legendre panels split exactly at the jumps
-instead, built per xi.  The cost is one (terms, m, m) product per axis
-rather than one order^n tensor rule.  The direct route of
-:func:`sigma_from_gamma` evaluates g itself on every node of the order^n
-tensor rule, which :func:`~polyfock.quadrature.stream_pairs` sums in blocks
-without building it, so it stays an independent check of that
-factorization.
+read at the table's multi-index coordinates by one fancy index per axis.
+Substituting t turns every smooth axis into a textbook Gauss-Hermite
+integral whose nodes, weights and Hermite table do not depend on xi; they
+are built once per (m, order) and cached, so a call on a smooth axis only
+shifts the nodes and evaluates the f_kp.  The sign and box kinds are
+piecewise constant between axis-aligned breakpoints, so a jump axis needs
+no rule at all: M_kp is a sum over the jumps of f_kp times
+P(T) = int_{-inf}^T psi_a psi_b dt at each breakpoint, and P is closed
+form (:func:`_gram_below`).  Jump axes take no order and no cut, at any m.
+The cost is one (terms, m, m) matrix per axis rather than one order^n
+tensor rule.  The direct route of :func:`sigma_from_gamma` evaluates g
+itself on every node of the order^n tensor rule (Gauss-Legendre panels
+split at the jumps and cut at ``T_CUT`` on a jump axis), which
+:func:`~polyfock.quadrature.stream_pairs` sums in blocks without building
+it, so it stays an independent check of that factorization.
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .kernels import _frequency, _real, _rpoint, _scalar, _shift
-from .multiindex import IndexTable, _integer, _multi_index, index_products
+from .multiindex import IndexTable, _integer, _multi_index
 from .orthopoly import hermite_fn_table
 from .quadrature import (
     FIBER_ORDER,
@@ -58,8 +61,10 @@ from .quadrature import (
     stream_pairs,
 )
 
-# Gauss-Hermite tails are cut where e^{-t^2} has decayed to ~1e-35; the
-# Legendre panels for discontinuous axes cover the matching v-interval.
+# The direct sigma route's Legendre panels on a jump axis cover |t| <= T_CUT,
+# where e^{-t^2} has decayed to ~1e-35.  psi_{m-1} reaches |t| ~ sqrt(2m),
+# so box(-50, 50) misses I by 4e-13 at m = 20 and 2e-2 at m = 40 there
+# (ROADMAP item 19).  gamma's jump axes are closed form and need no cut.
 T_CUT = 9.0
 
 # The fields each kind reads besides n; every other field must keep its default.
@@ -274,16 +279,81 @@ def _smooth_axis(m: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return offsets, weights, psi
 
 
-def _v_rule(m: int, xi_r: float, breakpoints: Sequence[float], order: int):
-    """(v, w, psi) of one gamma axis: the nodes, weights and Hermite table at xi_r."""
-    if not breakpoints:
-        offsets, weights, psi = _smooth_axis(m, order)
-        return offsets - xi_r / 2, weights, psi
-    lo = (-math.sqrt(2.0) * T_CUT - xi_r) / 2
-    hi = (math.sqrt(2.0) * T_CUT - xi_r) / 2
-    cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    v, w = legendre_panels(cuts, order)
-    return v, w, hermite_fn_table(m - 1, (xi_r + 2 * v) / math.sqrt(2.0))
+# m -> the constants of _gram_below: the derivative matrix D with
+# psi' = psi @ D, the Wronskian's divisor 2(b - a), and the diagonal's step
+# coefficients sqrt((a - 1)/a), sqrt((a + 1)/a) and 1/sqrt(a/2) for a = 1..m-1.
+@functools.lru_cache(maxsize=64)
+def _gram_constants(m: int) -> tuple[np.ndarray, ...]:
+    k = np.arange(m + 1)
+    derivative = np.zeros((m + 2, m + 1))
+    derivative[k[1:] - 1, k[1:]] = np.sqrt(k[1:] / 2)
+    derivative[k + 1, k] = -np.sqrt((k + 1) / 2)
+    gap = 2.0 * (k - k[:, None])
+    np.fill_diagonal(gap, 1.0)  # the Wronskian is exactly 0 there
+    a = k[1:m]
+    out = (derivative, gap, np.sqrt((a - 1) / a), np.sqrt((a + 1) / a), 1 / np.sqrt(a / 2))
+    for values in out:
+        values.flags.writeable = False
+    return out
+
+
+def _gram_below(m: int, t: np.ndarray) -> np.ndarray:
+    """P[j, a, b] = int_{-inf}^{t_j} psi_a psi_b dt for a, b < m, in closed form.
+
+    psi_a'' = (t^2 - 2a - 1) psi_a makes the Wronskian psi_a' psi_b -
+    psi_a psi_b' an antiderivative of 2(b - a) psi_a psi_b, with
+    psi_a' = sqrt(a/2) psi_{a-1} - sqrt((a+1)/2) psi_{a+1}; that gives every
+    entry off the diagonal, exactly symmetric.  The diagonal starts at
+    P[0, 0] = erfc(-t)/2 and climbs by integrating d/dt (psi_a psi_{a-1}):
+    sqrt(a/2) (P[a, a] - P[a-1, a-1]) = sqrt((a-1)/2) P[a, a-2]
+    - sqrt((a+1)/2) P[a+1, a-1] - psi_a psi_{a-1}.
+    """
+    derivative, gap, lower, upper, scale = _gram_constants(m)
+    psi = hermite_fn_table(m + 1, t).T  # (J, m + 2): the last step reads P[m, m - 2]
+    p, dp = psi[:, :-1], psi @ derivative
+    P = (dp[:, :, None] * p[:, None] - p[:, :, None] * dp[:, None]) / gap
+    second = np.diagonal(P, -2, 1, 2)  # P[a + 1, a - 1] for a = 1..m-1
+    diagonal = np.empty((len(t), m))  # P[0, 0], then the steps up
+    diagonal[:, 0] = [math.erfc(-x) / 2 for x in t]
+    diagonal[:, 1:] = -upper * second - p[:, 1:m] * p[:, :m - 1] * scale
+    diagonal[:, 2:] += lower[1:] * second[:, :-1]  # P[a, a - 2], absent at a = 1
+    k = np.arange(m)
+    P = P[:, :m, :m]
+    P[:, k, k] = np.cumsum(diagonal, axis=1)
+    return P
+
+
+def _jump_axes(m: int, xi: np.ndarray, g: VerticalSymbol,
+               terms: list[tuple[complex, list[Callable]]]) -> dict[int, np.ndarray]:
+    """The (T, m, m) matrices int f_kr(v) psi_a(t) psi_b(t) dv,
+    t = (xi_r + 2v)/sqrt(2), of each axis r on which g jumps, keyed by r.
+
+    There every f_kr is piecewise constant: c_j between the finite
+    breakpoints b_j < b_{j+1} (read at probes between them; b_0 = -inf),
+    and it jumps to c_{J+1} = 0 at b_{J+1} = +inf.  So the integral is
+    sum_j (c_{j-1} - c_j) P(t_j) / sqrt(2) over j = 1..J+1, with P from
+    :func:`_gram_below` and P(+inf) = I; one call serves every axis.  Past
+    |t| = 40, e^{-t^2/2} underflows and P(t) is I or 0 in float, so t is
+    clipped there; that also takes +inf and a breakpoint whose t overflows.
+    """
+    jumps, ts = {}, []
+    for r in range(g.n):
+        breakpoints = g.breakpoints_on_axis(r)
+        if not breakpoints:
+            continue
+        edges = sorted({b for b in breakpoints if math.isfinite(b)})
+        probes = np.array([math.nextafter(edges[0], -math.inf)]
+                          + [a / 2 + b / 2 for a, b in zip(edges, edges[1:])]
+                          + [math.nextafter(edges[-1], math.inf)] if edges else [0.0])
+        c = np.stack([factors[r](probes) for _, factors in terms])  # (T, J + 1)
+        c[:, :-1] -= c[:, 1:]
+        jumps[r] = slice(len(ts), len(ts) + len(edges) + 1), c / math.sqrt(2.0)
+        ts += [min(max((float(xi[r]) + 2 * b) / math.sqrt(2.0), -40.0), 40.0)
+               for b in edges] + [40.0]
+    if not jumps:
+        return {}
+    P = _gram_below(m, np.array(ts)).reshape(len(ts), m * m)
+    return {r: (weights @ P[rows]).reshape(-1, m, m) for r, (rows, weights) in jumps.items()}
 
 
 def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
@@ -311,8 +381,8 @@ def _checked_order(table: IndexTable, g: VerticalSymbol, order) -> int:
 
     An order-N Gauss-Hermite axis integrates psi_a psi_b exactly only for
     a + b <= 2N - 1, so psi_{m-1}^2 needs N >= m: at N = m - 1 a constant
-    symbol's matrix misses I by 1.  Jump axes use Legendre panels and are
-    not checked here.
+    symbol's matrix misses I by 1.  Jump axes are not checked here: gamma
+    reads no order there, and direct sigma's Legendre panels take any.
     """
     order = _check_order(FIBER_ORDER if order is None else order)
     if table.m > order and not all(g.breakpoints_on_axis(r) for r in range(table.n)):
@@ -328,34 +398,37 @@ def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
     entries[r-1, s-1] = 2^{n/2} int g(v) P_r(v) P_s(v) dv with
     P_j(v) = prod_p psi_{phi(j)_p}((xi_p + 2 v_p)/sqrt(2)).  With g split
     into T per-axis products (:func:`_axis_factors`), each term is the
-    Hadamard product over p of the one-dimensional matrices
-    M_kp = Psi diag(w f_kp(v)) Psi^T, read at rows phi(r)_p and columns
-    phi(s)_p.  The T matrices of an axis are one (T, m, m) product, and
-    every M_kp is symmetrized, so a real g gives an exactly symmetric
-    matrix.  ``order`` is the Gauss-Hermite order of a smooth axis, or the
-    Gauss-Legendre order of each panel of a jump axis; with a smooth axis,
-    m above the order raises ValueError.
+    Hadamard product over p of the one-dimensional matrices M_kp, read at
+    rows phi(r)_p and columns phi(s)_p: one fancy index per axis gives its
+    (T, d, d) factors, multiplied left to right over p.  Every M_kp is
+    symmetrized, so a real g gives an exactly symmetric matrix.
 
-    A smooth axis's nodes, weights and Hermite table do not depend on xi
+    On a smooth axis M_kp = Psi diag(w f_kp(v)) Psi^T over a Gauss-Hermite
+    rule whose nodes, weights and Hermite table do not depend on xi
     (:func:`_smooth_axis`, cached per (m, order)), so a call there only
-    shifts the nodes and evaluates the f_kp.  A jump axis builds its
-    Legendre panels and Hermite table per xi, since the jumps move with xi.
+    shifts the nodes and evaluates the f_kp; the T matrices of an axis are
+    one (T, m, m) product.  A jump axis is closed form
+    (:func:`_jump_axes`).  ``order`` is only the Gauss-Hermite order of a
+    smooth axis; with a smooth axis, m above the order raises ValueError.
     """
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
     xi = _frequency(xi, table.n)
     order = _checked_order(table, g, order)
     terms = _axis_factors(g)
-    per_axis = []
+    jumps = _jump_axes(table.m, xi, g, terms)
+    S = None  # S[k, j, s] = prod_p M_kp[phi(j)_p, phi(s)_p], left to right over p
     for r, cols in enumerate(table.array.T):
-        v, w, psi = _v_rule(table.m, float(xi[r]), g.breakpoints_on_axis(r), order)
-        values = np.stack([factors[r](v) for _, factors in terms])  # (T, N)
-        M = (psi * (w * values)[:, None]) @ psi.T  # (T, m, m)
-        per_axis.append(((M + M.transpose(0, 2, 1)) / 2)[..., cols])  # (T, m, d)
-    # rows[j, k, s] = prod_p M_kp[phi(j)_p, phi(s)_p]
-    factors = np.stack(per_axis, axis=-1).transpose(1, 0, 2, 3)  # (m, T, d, n)
-    rows = np.stack(list(index_products(table, factors)))
-    entries = 2 ** (table.n / 2) * sum(coeff * rows[:, k] for k, (coeff, _) in enumerate(terms))
+        if r in jumps:
+            M = jumps[r]
+        else:
+            offsets, w, psi = _smooth_axis(table.m, order)
+            v = offsets - float(xi[r]) / 2
+            values = np.stack([factors[r](v) for _, factors in terms])  # (T, N)
+            M = (psi * (w * values)[:, None]) @ psi.T  # (T, m, m)
+        M = ((M + M.transpose(0, 2, 1)) / 2)[:, cols[:, None], cols]  # (T, d, d)
+        S = M if S is None else S * M
+    entries = 2 ** (table.n / 2) * sum(coeff * S[k] for k, (coeff, _) in enumerate(terms))
     if g.is_real:
         entries = entries.real.astype(complex)
     return SymbolMatrix(xi=xi, entries=entries)

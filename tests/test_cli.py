@@ -24,7 +24,7 @@ from polyfock.kernels import (
 )
 from polyfock.multiindex import build_index_table
 from polyfock.spectral import R_F_kernel_image
-from polyfock.symbols import box, gamma_toeplitz, gaussian_poly, polynomial
+from polyfock.symbols import box, gamma_toeplitz, gaussian_poly, polynomial, sign
 from polyfock.verify import CaseResult, VerificationReport
 
 
@@ -210,6 +210,25 @@ def test_symbol_gamma_refuses_m_above_the_order(argv, message, capsys):
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n, g", [(1, "sign"), (1, "box:-1,1"), (2, "box:-1,1"), (1, "box:-inf,inf")])
+def test_symbol_gamma_refuses_an_order_it_would_not_read(n, g, capsys):
+    # jump axes are closed form; --order is the Gauss-Hermite order of a smooth axis
+    with pytest.raises(SystemExit) as err:
+        main(["symbol", "gamma", "--n", str(n), "--m", "2", "--g", g, "--xi-grid", "0:0:1",
+              "--order", "16"])
+    assert err.value.code == 2
+    assert f"--order is the Gauss-Hermite order of an axis without jumps, and --g {g} jumps" \
+        in capsys.readouterr().err
+
+
+def test_symbol_gamma_reads_the_order_of_a_smooth_axis(capsys):
+    # sign on axis 0 of n = 2 leaves axis 1 smooth, so --order applies there
+    payload = _run_json(capsys, ["symbol", "gamma", "--n", "2", "--m", "2", "--g", "sign",
+                                 "--xi-grid", "0.5:0.5:1", "--order", "16"])
+    expected = gamma_toeplitz(build_index_table(2, 2), sign(0, n=2), [0.5, 0.5], order=16)
+    np.testing.assert_array_equal(_pairs_to_complex(payload["matrices"][0]), expected.entries)
 
 
 def test_symbol_gamma_grid_matches_library(capsys):

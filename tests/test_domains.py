@@ -326,6 +326,28 @@ def test_numpy_integers_are_integers():
     assert [(c.id, c.max_error) for c in cases[0]] == [(c.id, c.max_error) for c in cases[1]]
 
 
+# Infinite box bounds are in the domain (only NaN is refused): gamma skips a
+# jump at +-inf, and a huge finite one, whose t overflows, is clipped.
+INFINITE_BOXES = {
+    "whole-line": (box(-math.inf, math.inf), True),
+    "whole-line-1e308": (box(-1.7e308, 1.7e308), True),
+    "half-line": (box(-math.inf, 0.3), False),
+    "n=2-one-sided": (box([-math.inf, 0.0], [1.0, math.inf], n=2), False),
+}
+
+
+@pytest.mark.parametrize("g, whole", INFINITE_BOXES.values(), ids=INFINITE_BOXES)
+@pytest.mark.filterwarnings("error")
+def test_boxes_with_infinite_bounds_give_finite_symbols(g, whole):
+    table = build_index_table(g.n, 3)
+    for xi in ([0.0] * g.n, [-7.5] * g.n, [1e300] * g.n):
+        mats = [gamma_toeplitz(table, g, xi).entries,
+                sigma_from_gamma(table, g, xi, route="direct").entries]
+        assert all(np.all(np.isfinite(mat)) for mat in mats)
+        if whole:
+            assert all(np.max(np.abs(mat - np.eye(table.d))) <= 1e-14 for mat in mats)
+
+
 # Every exact entry point parses its rational through ratpoly._rational: a
 # bool, a float, a string or a complex value raises the one TypeError.
 X = RationalPoly.variable("x", ("x",))

@@ -126,9 +126,9 @@ ROWS = {
     **{f"gamma_toeplitz vs direct sigma, {kind}": in_turn(
         (partial(gamma_toeplitz, TABLE, g, XI, order=16),),
         (partial(sigma_from_gamma, TABLE, g, -np.sqrt(2.0) * XI, order=16, route="direct"),),
-        HERMITE_RULE | {"orthopoly.hermite_fn_table", "quadrature.legendre_panels",
-                        "quadrature._legendre_rule", "quadrature.check_rule_budget",
-                        "symbols._checked_order", "symbols.VerticalSymbol.breakpoints_on_axis",
+        # gamma's jump axes are closed form: no Legendre panel or rule budget is shared
+        HERMITE_RULE | {"orthopoly.hermite_fn_table", "symbols._checked_order",
+                        "symbols.VerticalSymbol.breakpoints_on_axis",
                         "symbols.VerticalSymbol.is_real"})
        for kind, g in SYMBOLS.items()},
     "raw Gauss rules vs Hermite functions": in_turn(

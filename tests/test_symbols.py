@@ -6,17 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.optimize import minimize
+from scipy.special import eval_hermite
 
 from polyfock import symbols
 from polyfock.kernels import KernelSpec
 from polyfock.multiindex import build_index_table, index_products
 from polyfock.orthopoly import hermite_fn_table
-from polyfock.quadrature import (FIBER_ORDER, gauss_hermite_1d, legendre_panels, place_hermite,
-                                 tensor_grid)
+from polyfock.quadrature import FIBER_ORDER, gauss_hermite_1d, place_hermite, tensor_grid
 from polyfock.spectral import R_F_kernel_image, q_matrix
 from polyfock.symbols import (
-    T_CUT,
     SymbolMatrix,
     VerticalSymbol,
     _axis_factors,
@@ -201,18 +201,13 @@ def test_sign_symbol_offdiagonal_closed_form():
 
 
 def _gamma_per_xi_and_term(table, g, xi):
-    """gamma_toeplitz assembled per xi and per term, with the Hermite table
-    of every axis built at t = (xi + 2v)/sqrt(2) from the placed nodes."""
+    """gamma_toeplitz of a smooth symbol assembled per xi and per term, with
+    the Hermite table of every axis built at t = (xi + 2v)/sqrt(2) from the
+    placed nodes."""
     n, m = table.n, table.m
     rules = []
     for r in range(n):
-        breakpoints = g.breakpoints_on_axis(r)
-        if breakpoints:
-            lo, hi = ((s * math.sqrt(2.0) * T_CUT - xi[r]) / 2 for s in (-1, 1))
-            v, w = legendre_panels(sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)}),
-                                   FIBER_ORDER)
-        else:
-            v, w = place_hermite(gauss_hermite_1d(FIBER_ORDER), -xi[r] / 2, math.sqrt(2.0) / 2)
+        v, w = place_hermite(gauss_hermite_1d(FIBER_ORDER), -xi[r] / 2, math.sqrt(2.0) / 2)
         rules.append((v, w, hermite_fn_table(m - 1, (xi[r] + 2 * v) / math.sqrt(2.0))))
     entries = np.zeros((table.d, table.d), dtype=complex)
     for coeff, factors in _axis_factors(g):
@@ -230,10 +225,13 @@ def _gamma_per_xi_and_term(table, g, xi):
 def test_gamma_matches_the_per_xi_per_term_assembly(n, m):
     # The cached smooth axes read the Hermite table at the raw Gauss-Hermite
     # nodes, and the terms of an axis are one stacked product; both move
-    # gamma by round-off only.
+    # gamma by round-off only.  Jump axes are closed form: _gram_below is
+    # pinned against quad below.
     rng = np.random.default_rng(70 + n)
     table = build_index_table(n, m)
     for g in _kind_samples(n, rng):
+        if g.kind in ("sign-of-coordinate", "box-indicator"):
+            continue
         for x in (-8.0, -3.3, 0.0, 2.7, 8.0):
             xi = np.full(n, x)
             got = gamma_toeplitz(table, g, xi).entries
@@ -242,6 +240,61 @@ def test_gamma_matches_the_per_xi_per_term_assembly(n, m):
             assert np.max(np.abs(got - want)) <= 2e-15 * scale, f"{g.kind} xi={x}"
             if g.is_real:
                 assert np.array_equal(got, got.T)
+
+
+def _psi(a, t):
+    """psi_a from scipy's physicists' Hermite polynomials, not the library's recurrence."""
+    return eval_hermite(a, t) * math.exp(-t * t / 2) / math.sqrt(
+        2.0 ** a * math.factorial(a) * math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_gram_below_matches_quad(m):
+    t = np.array([-6.0, -2.3, -0.4, 0.0, 0.7, 3.1, 7.5])
+    P = symbols._gram_below(m, t)
+    for j, top in enumerate(t):
+        for a in range(m):
+            for b in range(a, m):
+                # below t = -15 the integrand is under e^{-200}; quad itself
+                # lands within 1.3e-15 here, and a tighter epsabs only warns
+                want = quad(lambda s: _psi(a, s) * _psi(b, s), -15.0, top,
+                            epsabs=1e-13, epsrel=0.0)[0]
+                assert abs(P[j, a, b] - want) <= 1e-14, (top, a, b)
+                assert P[j, a, b] == P[j, b, a]
+
+
+@pytest.mark.parametrize("m", [1, 2, 20, 64, 128])
+def test_gram_below_identities(m):
+    t = np.array([-40.0, -12.0, -3.3, -0.6, 0.0, 0.6, 3.3, 12.0, 40.0])
+    P = symbols._gram_below(m, t)
+    assert np.all(np.isfinite(P))
+    assert np.array_equal(np.diagonal(P[4]), np.full(m, 0.5))  # psi_a^2 is even
+    assert np.array_equal(P[0], np.zeros((m, m))) and np.array_equal(P[-1], np.eye(m))
+    # reflection t -> -t: psi_a(-t) = (-1)^a psi_a(t), and the whole line gives I
+    D = (-1.0) ** np.arange(m)
+    reflected = D[:, None] * (np.eye(m) - P[::-1]) * D
+    assert np.max(np.abs(P - reflected)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [20, 30, 40, 64])
+def test_a_wide_box_is_the_identity_at_large_m(m):
+    # ROADMAP item 19: jump axes have no cut, so box(-50, 50) covers psi_{m-1}
+    # (support |t| < sqrt(2m)) at any m this table reaches.
+    table = build_index_table(1, m)
+    for xi in (-8.0, 0.0, 3.7):
+        mat = gamma_toeplitz(table, box(-50.0, 50.0), [xi]).entries
+        assert np.max(np.abs(mat - np.eye(m))) <= 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(1, 6), (1, 40), (2, 4)])
+def test_boxes_that_partition_the_line_sum_to_the_identity(n, m):
+    table = build_index_table(n, m)
+    for c in (-1.3, 0.0, 0.4):
+        for xi in (np.full(n, -2.0), np.linspace(0.5, 1.5, n)):
+            left = gamma_toeplitz(table, box([-np.inf] * n, [c] + [np.inf] * (n - 1), n=n), xi)
+            right = gamma_toeplitz(table, box([c] + [-np.inf] * (n - 1), [np.inf] * n, n=n), xi)
+            total = left.entries + right.entries
+            assert np.max(np.abs(total - np.eye(table.d))) <= 1e-14, (c, xi)
 
 
 def test_smooth_axis_cache_is_read_only_and_keyed_by_the_parsed_order():
