@@ -211,18 +211,15 @@ def _build_symbol(args) -> dict:
     if args.order is not None and all(g.breakpoints_on_axis(r) for r in range(args.n)):
         raise ValueError(f"--order is the Gauss-Hermite order of an axis without jumps, "
                          f"and --g {args.g} jumps on every axis")
-    matrices = []
-    for value in xi_grid:
-        xi = np.full(args.n, value, dtype=float)
-        sym = gamma_toeplitz(table, g, xi, order=args.order)
-        matrices.append(_complex_pairs(sym.entries))
+    # one call over the whole grid, xi = (v, ..., v) for each grid value v
+    sym = gamma_toeplitz(table, g, np.repeat(xi_grid[:, None], args.n, axis=1), order=args.order)
     return {
         "n": args.n,
         "m": args.m,
         "d": table.d,
         "g": args.g,
         "xi": xi_grid.tolist(),
-        "matrices": matrices,
+        "matrices": _complex_pairs(sym.entries),
     }
 
 
@@ -241,8 +238,12 @@ def _symbol_csv(payload: dict) -> str:
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "csv":
         return _symbol_csv(payload)
-    # NaN and Infinity are not JSON: refuse them (exit 2) rather than write them.
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # One top-level key per line, each value in one piece by json's C encoder
+    # (an indent would force the pure-Python one).  NaN and Infinity are not
+    # JSON: refuse them (exit 2) rather than write them.
+    lines = (f"  {json.dumps(key)}: {json.dumps(value, allow_nan=False)}"
+             for key, value in payload.items())
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _write_out(text: str, path: str | None) -> int:

@@ -28,11 +28,20 @@ shifts the nodes and evaluates the f_kp.  The sign and box kinds are
 piecewise constant between axis-aligned breakpoints, so a jump axis needs
 no rule at all: M_kp is a sum over the jumps of f_kp times
 P(T) = int_{-inf}^T psi_a psi_b dt at each breakpoint, and P is closed
-form (:func:`_gram_below`).  Jump axes take no order and no cut, at any m.
-The cost is one (terms, m, m) matrix per axis rather than one order^n
-tensor rule.  The direct route of :func:`sigma_from_gamma` evaluates g
-itself on every node of the order^n tensor rule (Gauss-Legendre panels
-split at the jumps and cut at ``T_CUT`` on a jump axis), which
+form (:func:`_gram_below`); the breakpoints and jump weights are cached
+per symbol.  Jump axes take no order and no cut; m is capped at
+``MAX_ORDER`` for every symbol.  The cost is one (terms, m, m) matrix per
+axis rather than one order^n tensor rule.
+
+:func:`gamma_toeplitz` takes one xi of shape (n,) or a grid of shape
+(X, n), and returns d x d or (X, d, d) entries.  A single xi is the X = 1
+case of the same body: every step is a stacked matmul or elementwise, one
+xi at a time, so row i of a grid call equals the call at xi_i bit for bit,
+and a sweep is one call.
+
+The direct route of :func:`sigma_from_gamma` evaluates g itself on every
+node of the order^n tensor rule (Gauss-Legendre panels split at the jumps
+and cut at ``T_CUT`` on a jump axis), which
 :func:`~polyfock.quadrature.stream_pairs` sums in blocks without building
 it, so it stays an independent check of that factorization.
 """
@@ -53,6 +62,7 @@ from .multiindex import IndexTable, _integer, _multi_index
 from .orthopoly import hermite_fn_table
 from .quadrature import (
     FIBER_ORDER,
+    MAX_ORDER,
     _check_order,
     check_rule_budget,
     gauss_hermite_1d,
@@ -254,7 +264,9 @@ def _normalize_terms(terms, n: int):
 
 @dataclass(frozen=True)
 class SymbolMatrix:
-    """One fiber's d x d matrix at frequency xi."""
+    """One fiber's d x d matrix at frequency xi of shape (n,), or, from
+    :func:`gamma_toeplitz` on a grid xi of shape (X, n), the (X, d, d)
+    matrices of its rows."""
 
     xi: np.ndarray
     entries: np.ndarray
@@ -298,7 +310,7 @@ def _gram_constants(m: int) -> tuple[np.ndarray, ...]:
 
 
 def _gram_below(m: int, t: np.ndarray) -> np.ndarray:
-    """P[j, a, b] = int_{-inf}^{t_j} psi_a psi_b dt for a, b < m, in closed form.
+    """P[..., a, b] = int_{-inf}^{t} psi_a psi_b dt for a, b < m at every t, in closed form.
 
     psi_a'' = (t^2 - 2a - 1) psi_a makes the Wronskian psi_a' psi_b -
     psi_a psi_b' an antiderivative of 2(b - a) psi_a psi_b, with
@@ -307,36 +319,44 @@ def _gram_below(m: int, t: np.ndarray) -> np.ndarray:
     P[0, 0] = erfc(-t)/2 and climbs by integrating d/dt (psi_a psi_{a-1}):
     sqrt(a/2) (P[a, a] - P[a-1, a-1]) = sqrt((a-1)/2) P[a, a-2]
     - sqrt((a+1)/2) P[a+1, a-1] - psi_a psi_{a-1}.
+
+    The derivative is a stacked matmul, one product per row of a 2-D t,
+    and every other step is elementwise, so a row's values do not depend
+    on the rows beside it.
     """
     derivative, gap, lower, upper, scale = _gram_constants(m)
-    psi = hermite_fn_table(m + 1, t).T  # (J, m + 2): the last step reads P[m, m - 2]
-    p, dp = psi[:, :-1], psi @ derivative
+    table = hermite_fn_table(m + 1, t)  # (m + 2,) + t.shape: the last step reads P[m, m - 2]
+    dp = (table.transpose(*range(1, table.ndim), 0) @ derivative).reshape(-1, m + 1)
+    p = table.reshape(m + 2, -1).T[:, :-1]
     P = (dp[:, :, None] * p[:, None] - p[:, :, None] * dp[:, None]) / gap
     second = np.diagonal(P, -2, 1, 2)  # P[a + 1, a - 1] for a = 1..m-1
-    diagonal = np.empty((len(t), m))  # P[0, 0], then the steps up
-    diagonal[:, 0] = [math.erfc(-x) / 2 for x in t]
+    diagonal = np.empty((len(p), m))  # P[0, 0], then the steps up
+    diagonal[:, 0] = [math.erfc(-x) / 2 for x in t.ravel().tolist()]
     diagonal[:, 1:] = -upper * second - p[:, 1:m] * p[:, :m - 1] * scale
     diagonal[:, 2:] += lower[1:] * second[:, :-1]  # P[a, a - 2], absent at a = 1
     k = np.arange(m)
     P = P[:, :m, :m]
     P[:, k, k] = np.cumsum(diagonal, axis=1)
-    return P
+    return P.reshape(t.shape + (m, m))
 
 
-def _jump_axes(m: int, xi: np.ndarray, g: VerticalSymbol,
-               terms: list[tuple[complex, list[Callable]]]) -> dict[int, np.ndarray]:
-    """The (T, m, m) matrices int f_kr(v) psi_a(t) psi_b(t) dv,
-    t = (xi_r + 2v)/sqrt(2), of each axis r on which g jumps, keyed by r.
+# VerticalSymbol -> the xi-independent parts of gamma: its per-axis terms,
+# whether it is real, and one (axis, finite edges, jump weights c / sqrt(2))
+# triple per axis on which it jumps.  Keyed by the frozen symbol, so equal
+# symbols built apart share an entry; two floats per edge and T per jump.
+@functools.lru_cache(maxsize=64)
+def _symbol_parts(g: VerticalSymbol) -> tuple[tuple, bool, tuple]:
+    """(terms of :func:`_axis_factors`, g.is_real, read-only (r, edges, weights)
+    of every axis r on which g jumps).
 
-    There every f_kr is piecewise constant: c_j between the finite
+    On a jump axis every f_kr is piecewise constant: c_j between the finite
     breakpoints b_j < b_{j+1} (read at probes between them; b_0 = -inf),
-    and it jumps to c_{J+1} = 0 at b_{J+1} = +inf.  So the integral is
-    sum_j (c_{j-1} - c_j) P(t_j) / sqrt(2) over j = 1..J+1, with P from
-    :func:`_gram_below` and P(+inf) = I; one call serves every axis.  Past
-    |t| = 40, e^{-t^2/2} underflows and P(t) is I or 0 in float, so t is
-    clipped there; that also takes +inf and a breakpoint whose t overflows.
+    and it jumps to c_{J+1} = 0 at b_{J+1} = +inf.  ``edges`` holds the J
+    finite b_j, sorted, and ``weights[k, j - 1]`` = (c_{j-1} - c_j) / sqrt(2)
+    for term k and j = 1..J+1.
     """
-    jumps, ts = {}, []
+    terms = tuple((coeff, tuple(factors)) for coeff, factors in _axis_factors(g))
+    jumps = []
     for r in range(g.n):
         breakpoints = g.breakpoints_on_axis(r)
         if not breakpoints:
@@ -347,13 +367,35 @@ def _jump_axes(m: int, xi: np.ndarray, g: VerticalSymbol,
                           + [math.nextafter(edges[-1], math.inf)] if edges else [0.0])
         c = np.stack([factors[r](probes) for _, factors in terms])  # (T, J + 1)
         c[:, :-1] -= c[:, 1:]
-        jumps[r] = slice(len(ts), len(ts) + len(edges) + 1), c / math.sqrt(2.0)
-        ts += [min(max((float(xi[r]) + 2 * b) / math.sqrt(2.0), -40.0), 40.0)
-               for b in edges] + [40.0]
+        jumps.append((r, np.array(edges, dtype=float), c / math.sqrt(2.0)))
+    for _, edges, weights in jumps:
+        edges.flags.writeable = weights.flags.writeable = False
+    return terms, g.is_real, tuple(jumps)
+
+
+def _jump_axes(m: int, xi: np.ndarray, jumps: tuple) -> dict[int, np.ndarray]:
+    """The (X T, m, m) matrices int f_kr(v) psi_a(t) psi_b(t) dv,
+    t = (xi_r + 2v)/sqrt(2), of each jump axis r of :func:`_symbol_parts`,
+    keyed by r, for a grid xi of shape (X, n), xi-major (row x T + k).
+
+    The integral is sum_j (c_{j-1} - c_j) P(t_j) / sqrt(2) over the jumps,
+    with P from :func:`_gram_below` and P(+inf) = I; one call serves every
+    axis and every xi.  Past |t| = 40, e^{-t^2/2} underflows and P(t) is I
+    or 0 in float, so t is clipped there; that also takes +inf and a
+    breakpoint whose t overflows.
+    """
     if not jumps:
         return {}
-    P = _gram_below(m, np.array(ts)).reshape(len(ts), m * m)
-    return {r: (weights @ P[rows]).reshape(-1, m, m) for r, (rows, weights) in jumps.items()}
+    t = np.full((len(xi), sum(len(edges) + 1 for _, edges, _ in jumps)), 40.0)
+    rows, start = {}, 0
+    with np.errstate(over="ignore"):  # 2b or xi + 2b may overflow to inf, clipped to 40
+        for r, edges, _ in jumps:
+            stop = start + len(edges)
+            t[:, start:stop] = (xi[:, r, None] + 2 * edges) / math.sqrt(2.0)
+            rows[r], start = slice(start, stop + 1), stop + 1
+    P = _gram_below(m, np.minimum(np.maximum(t, -40.0, out=t), 40.0, out=t))
+    P = P.reshape(t.shape + (m * m,))
+    return {r: (weights @ P[:, rows[r]]).reshape(-1, m, m) for r, _, weights in jumps}
 
 
 def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
@@ -377,13 +419,19 @@ def _axis_factors(g: VerticalSymbol) -> list[tuple[complex, list[Callable]]]:
 
 
 def _checked_order(table: IndexTable, g: VerticalSymbol, order) -> int:
-    """The parsed order of gamma and direct sigma, refused below m on a smooth axis.
+    """The parsed order of gamma and direct sigma; m is refused above MAX_ORDER,
+    and above the order on a smooth axis.
 
     An order-N Gauss-Hermite axis integrates psi_a psi_b exactly only for
     a + b <= 2N - 1, so psi_{m-1}^2 needs N >= m: at N = m - 1 a constant
-    symbol's matrix misses I by 1.  Jump axes are not checked here: gamma
-    reads no order there, and direct sigma's Legendre panels take any.
+    symbol's matrix misses I by 1.  Jump axes read no order in gamma, and
+    direct sigma's Legendre panels take any, but both read the Hermite
+    table, whose psi_0 underflows to 0 past |t| ~ 38.6: past m ~ 745 a
+    jump axis would be silently wrong, so every symbol takes the smooth
+    axes' cap m <= MAX_ORDER.
     """
+    if table.m > MAX_ORDER:
+        raise ValueError(f"m = {table.m} exceeds {MAX_ORDER}, the largest m of a matrix symbol")
     order = _check_order(FIBER_ORDER if order is None else order)
     if table.m > order and not all(g.breakpoints_on_axis(r) for r in range(table.n)):
         raise ValueError(f"m = {table.m} exceeds the order {order}: an axis without jumps "
@@ -393,45 +441,59 @@ def _checked_order(table: IndexTable, g: VerticalSymbol, order) -> int:
 
 def gamma_toeplitz(table: IndexTable, g: VerticalSymbol, xi,
                    order: int | None = None) -> SymbolMatrix:
-    """Matrix symbol gamma_g(xi) of the vertical multiplier g.
+    """Matrix symbol gamma_g(xi) of the vertical multiplier g, at one xi or a grid.
+
+    xi of shape (n,) (a bare number at n = 1) gives d x d entries; a grid
+    of shape (X, n) gives (X, d, d) entries, row i being gamma_g(xi_i).
+    One body serves both: a single xi is the X = 1 grid, and every step
+    acts on one xi at a time (stacked matmuls, elementwise products), so
+    row i of a grid call equals the call at xi_i bit for bit.
 
     entries[r-1, s-1] = 2^{n/2} int g(v) P_r(v) P_s(v) dv with
     P_j(v) = prod_p psi_{phi(j)_p}((xi_p + 2 v_p)/sqrt(2)).  With g split
     into T per-axis products (:func:`_axis_factors`), each term is the
     Hadamard product over p of the one-dimensional matrices M_kp, read at
     rows phi(r)_p and columns phi(s)_p: one fancy index per axis gives its
-    (T, d, d) factors, multiplied left to right over p.  Every M_kp is
+    (X T, d, d) factors, multiplied left to right over p.  Every M_kp is
     symmetrized, so a real g gives an exactly symmetric matrix.
 
     On a smooth axis M_kp = Psi diag(w f_kp(v)) Psi^T over a Gauss-Hermite
     rule whose nodes, weights and Hermite table do not depend on xi
     (:func:`_smooth_axis`, cached per (m, order)), so a call there only
-    shifts the nodes and evaluates the f_kp; the T matrices of an axis are
-    one (T, m, m) product.  A jump axis is closed form
-    (:func:`_jump_axes`).  ``order`` is only the Gauss-Hermite order of a
-    smooth axis; with a smooth axis, m above the order raises ValueError.
+    shifts the nodes and evaluates the f_kp; the X T matrices of an axis
+    are one stacked product, each slice the (m, N) @ (N, m) product of a
+    one-point call.  A jump axis is closed form (:func:`_jump_axes`), its
+    xi-independent part cached per symbol.  ``order`` is only the
+    Gauss-Hermite order of a smooth axis; with a smooth axis, m above the
+    order raises ValueError, and so does m > MAX_ORDER for every symbol.
     """
     if g.n != table.n:
         raise ValueError(f"symbol dimension {g.n} != table dimension {table.n}")
-    xi = _frequency(xi, table.n)
+    xi = _rpoint(xi, table.n, "frequency")
+    if xi.ndim > 2:
+        raise ValueError(f"frequency must be one point or a grid of shape (X, {table.n}), "
+                         f"got shape {xi.shape}")
     order = _checked_order(table, g, order)
-    terms = _axis_factors(g)
-    jumps = _jump_axes(table.m, xi, g, terms)
-    S = None  # S[k, j, s] = prod_p M_kp[phi(j)_p, phi(s)_p], left to right over p
+    grid = xi.reshape(-1, table.n)
+    terms, is_real, jump_parts = _symbol_parts(g)
+    jumps = _jump_axes(table.m, grid, jump_parts)
+    shifts = (grid / 2).T[:, :, None]  # (n, X, 1): a smooth axis's nodes sit at offsets - xi_r/2
+    S = None  # S[x T + k, j, s] = prod_p M_kp[phi(j)_p, phi(s)_p] at xi_x, left to right over p
     for r, cols in enumerate(table.array.T):
         if r in jumps:
             M = jumps[r]
         else:
             offsets, w, psi = _smooth_axis(table.m, order)
-            v = offsets - float(xi[r]) / 2
-            values = np.stack([factors[r](v) for _, factors in terms])  # (T, N)
-            M = (psi * (w * values)[:, None]) @ psi.T  # (T, m, m)
-        M = ((M + M.transpose(0, 2, 1)) / 2)[:, cols[:, None], cols]  # (T, d, d)
+            v = offsets - shifts[r]
+            values = np.stack([factors[r](v) for _, factors in terms], axis=1)  # (X, T, N)
+            M = (psi * (w * values.reshape(-1, len(offsets)))[:, None]) @ psi.T  # (X T, m, m)
+        M = ((M + M.transpose(0, 2, 1)) / 2)[:, cols[:, None], cols]  # (X T, d, d)
         S = M if S is None else S * M
-    entries = 2 ** (table.n / 2) * sum(coeff * S[k] for k, (coeff, _) in enumerate(terms))
-    if g.is_real:
+    S = S.reshape(len(grid), len(terms), table.d, table.d)
+    entries = 2 ** (table.n / 2) * sum(coeff * S[:, k] for k, (coeff, _) in enumerate(terms))
+    if is_real:
         entries = entries.real.astype(complex)
-    return SymbolMatrix(xi=xi, entries=entries)
+    return SymbolMatrix(xi=xi, entries=entries.reshape(xi.shape[:-1] + entries.shape[1:]))
 
 
 def sigma_from_gamma(table: IndexTable, g: VerticalSymbol, eta,

@@ -24,7 +24,7 @@ from polyfock.kernels import (
 )
 from polyfock.multiindex import build_index_table
 from polyfock.spectral import R_F_kernel_image
-from polyfock.symbols import box, gamma_toeplitz, gaussian_poly, polynomial, sign
+from polyfock.symbols import box, constant, gamma_toeplitz, gaussian_poly, polynomial, sign
 from polyfock.verify import CaseResult, VerificationReport
 
 
@@ -256,6 +256,91 @@ def test_symbol_mini_language_matches_library_bit_for_bit(text, g, capsys):
     for value, matrix in zip(payload["xi"], payload["matrices"]):
         expected = gamma_toeplitz(table, g, [value]).entries
         np.testing.assert_array_equal(_pairs_to_complex(matrix), expected)
+
+
+# --g text -> the library symbol at dimension n, as the CLI builds it; the
+# flat coefficient lists of poly and gausspoly are defined at n = 1 only
+GAMMA_SYMBOLS = {
+    "const:1": lambda n: constant(1.0, n=n),
+    "poly:0,1": lambda n: polynomial([0.0, 1.0]),
+    "gausspoly:1,0,1;0.2;1.1": lambda n: gaussian_poly([1.0, 0.0, 1.0], 0.2, 1.1),
+    "sign:0": lambda n: sign(0, n=n),
+    "box:-1,1": lambda n: box(-1.0, 1.0, n=n),
+}
+
+
+@pytest.mark.parametrize("text, n", [(text, n) for text in GAMMA_SYMBOLS for n in (1, 2, 3)
+                                     if n == 1 or not text.startswith(("poly", "gausspoly"))])
+def test_symbol_gamma_json_matches_per_xi_library_calls_bit_for_bit(text, n, capsys):
+    # the CLI makes one gamma call over the whole grid; every matrix must
+    # still equal the one-point call at its xi = (v, ..., v)
+    m = 3 if n < 3 else 2
+    payload = _run_json(capsys, ["symbol", "gamma", "--n", str(n), "--m", str(m), "--g", text,
+                                 "--xi-grid", "-8:8:64"])
+    table, g = build_index_table(n, m), GAMMA_SYMBOLS[text](n)
+    assert len(payload["matrices"]) == 64 and payload["d"] == table.d
+    for value, matrix in zip(payload["xi"], payload["matrices"]):
+        entries = gamma_toeplitz(table, g, np.full(n, value)).entries
+        got = np.asarray(matrix)
+        assert np.array_equal(got[..., 0], entries.real)
+        assert np.array_equal(got[..., 1], entries.imag)
+
+
+def _csv_per_xi(n, m, g, values):
+    """The CSV of `symbol gamma`, written from one library call per xi."""
+    table = build_index_table(n, m)
+    d = table.d
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["xi"] + [f"g_{r}{s}_{part}" for r in range(d) for s in range(d)
+                              for part in ("re", "im")])
+    for value in values:
+        entries = gamma_toeplitz(table, g, np.full(n, value)).entries
+        writer.writerow([repr(value)] + [repr(float(x)) for z in entries.ravel()
+                                         for x in (z.real, z.imag)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n, m, text", [(1, 4, "const:1"), (1, 2, "poly:0,1"), (2, 3, "sign:0"),
+                                        (2, 3, "box:-1,1"), (3, 2, "sign:0")])
+def test_symbol_gamma_csv_is_the_per_xi_csv_byte_for_byte(n, m, text, capsys):
+    rc = main(["symbol", "gamma", "--n", str(n), "--m", str(m), "--g", text,
+               "--xi-grid", "-8:8:64", "--format", "csv"])
+    assert rc == 0
+    expected = _csv_per_xi(n, m, GAMMA_SYMBOLS[text](n), np.linspace(-8.0, 8.0, 64).tolist())
+    assert capsys.readouterr().out == expected
+
+
+PAYLOAD_COMMANDS = {
+    "indices": (["indices", "--n", "2", "--m", "3"], cli._build_indices),
+    "kernel-eval": (["kernel", "eval", "--space", "true", "--n", "2", "--m", "2", "--seed", "3"],
+                    cli._build_kernel),
+    "fiber": (["fiber", "--n", "1", "--m", "3", "--xi", "0.7", "--input", "kernel:iy=0.4"],
+              cli._build_fiber),
+    "symbol-gamma": (["symbol", "gamma", "--n", "2", "--m", "3", "--g", "sign",
+                      "--xi-grid=-8:8:5"], cli._build_symbol),
+}
+
+
+@pytest.mark.parametrize("argv, builder", PAYLOAD_COMMANDS.values(), ids=PAYLOAD_COMMANDS)
+def test_payload_json_has_one_top_level_key_per_line(argv, builder, capsys):
+    # the same object as json.dumps(payload, indent=2) wrote, one key per line
+    payload = builder(cli.build_parser().parse_args(argv))
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert json.loads(text) == json.loads(json.dumps(payload, indent=2))
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and len(lines) == len(payload) + 2
+    assert [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-1]] \
+        == [{key: value} for key, value in json.loads(text).items()]
+
+
+def test_symbol_gamma_refuses_m_above_the_cap(capsys):
+    # psi_0 underflows past |t| ~ 38.6; every symbol takes m <= 128
+    with pytest.raises(SystemExit) as err:
+        main(["symbol", "gamma", "--n", "1", "--m", "129", "--g", "sign"])
+    assert err.value.code == 2
+    assert "m = 129 exceeds 128, the largest m of a matrix symbol" in capsys.readouterr().err
 
 
 def test_symbol_gamma_csv_output(capsys):

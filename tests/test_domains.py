@@ -15,10 +15,11 @@
 Index tables are built from (n, m) alone, and alpha is also checked by
 ``KernelSpec``.  A lone frequency or shift must be one point:
 ``kernels._one_point`` refuses a grid of them with ValueError naming the
-argument and its shape.  ``VerticalSymbol`` parses its own fields, so its
-direct constructor refuses what the named ones do.  Every row must raise
-its exception, with its message, before anything large is allocated and
-before any ``RationalPoly`` is built.
+argument and its shape.  ``gamma_toeplitz`` alone takes a grid of xi, of
+shape (X, n), and refuses a deeper one.  ``VerticalSymbol`` parses its own
+fields, so its direct constructor refuses what the named ones do.  Every
+row must raise its exception, with its message, before anything large is
+allocated and before any ``RationalPoly`` is built.
 """
 
 import math
@@ -120,7 +121,6 @@ ROWS.update({
 
 # name -> (call taking a grid of three points where one is due, the argument's label)
 ONE_POINT = {
-    "gamma_toeplitz": (lambda p: gamma_toeplitz(TABLE, sign(n=2), p), "frequency"),
     "sigma_from_gamma": (lambda p: sigma_from_gamma(TABLE, sign(n=2), p), "frequency"),
     "sigma_from_gamma-direct": (lambda p: sigma_from_gamma(TABLE, sign(n=2), p, route="direct"),
                                 "frequency"),
@@ -144,6 +144,18 @@ GRID = np.array([[0.4, -0.3], [0.1, 0.2], [0.0, 0.5]])
 for name, (call, label) in ONE_POINT.items():
     ROWS[f"{name}-grid"] = (lambda call=call: call(GRID), ValueError,
                             f"{label} must be one point, got shape (3, 2)")
+
+# gamma_toeplitz takes one xi or a grid of shape (X, n), nothing deeper, and
+# a NaN in any row of the grid refuses the whole call.
+ROWS["gamma_toeplitz-3d-xi"] = (lambda: gamma_toeplitz(TABLE, sign(n=2), GRID[None]), ValueError,
+                                "frequency must be one point or a grid of shape (X, 2), "
+                                "got shape (1, 3, 2)")
+for i in range(len(GRID)):
+    NAN_GRID = GRID.copy()
+    NAN_GRID[i, i % 2] = math.nan
+    ROWS[f"gamma_toeplitz-nan-in-grid-row-{i}"] = (
+        lambda grid=NAN_GRID: gamma_toeplitz(TABLE, sign(n=2), grid), ValueError,
+        "frequency must be finite")
 
 # name -> (call taking one bad integer, the label its message starts with, bad values)
 INTEGERS = {
@@ -292,6 +304,22 @@ ROWS.update({
         ValueError, ABOVE.format(11, 10)),
     "sigma_from_gamma-via-gamma-m=49": (lambda: sigma_from_gamma(M49, constant(1.0), [0.0]),
                                         ValueError, ABOVE.format(49, 48)),
+})
+
+# m above MAX_ORDER, for every symbol: psi_0 underflows past |t| ~ 38.6, so
+# a jump axis would be silently wrong once psi_{m-1} reaches that far.
+M129 = build_index_table(1, 129)
+CAP = "m = 129 exceeds 128, the largest m of a matrix symbol"
+ROWS.update({
+    "gamma_toeplitz-m=129-sign": (lambda: gamma_toeplitz(M129, sign(), [0.0]), ValueError, CAP),
+    "gamma_toeplitz-m=129-box": (lambda: gamma_toeplitz(M129, box(-27.5, 27.5), [0.0]),
+                                 ValueError, CAP),
+    "gamma_toeplitz-m=129-order=128": (
+        lambda: gamma_toeplitz(M129, constant(1.0), [0.0], order=128), ValueError, CAP),
+    "sigma_from_gamma-direct-m=129-sign": (
+        lambda: sigma_from_gamma(M129, sign(), [0.0], route="direct"), ValueError, CAP),
+    "sigma_from_gamma-via-gamma-m=129-box": (
+        lambda: sigma_from_gamma(M129, box(-1.0, 1.0), [0.0]), ValueError, CAP),
 })
 
 

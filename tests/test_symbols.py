@@ -314,6 +314,55 @@ def test_smooth_axis_cache_is_read_only_and_keyed_by_the_parsed_order():
     assert not any(values.flags.writeable for values in (offsets, weights, psi))
 
 
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 3), (2, 5)])
+def test_gamma_grid_rows_equal_one_point_calls_bit_for_bit(n, m):
+    # One body serves both: every step acts on one xi at a time, so a row of
+    # a grid call cannot depend on the rows beside it or on the grid's size.
+    rng = np.random.default_rng(90 + 10 * n + m)
+    table = build_index_table(n, m)
+    diagonal = np.repeat(np.linspace(-8.0, 8.0, 64)[:, None], n, axis=1)  # the CLI's grid
+    seeded = rng.uniform(-8.0, 8.0, (17, n))
+    for g in _kind_samples(n, rng):
+        for grid in (diagonal, seeded, np.concatenate([seeded[:5], diagonal[::9]])):
+            got = gamma_toeplitz(table, g, grid)
+            assert got.entries.shape == (len(grid), table.d, table.d)
+            assert got.xi.shape == grid.shape
+            for xi, entries in zip(grid, got.entries):
+                assert np.array_equal(entries, gamma_toeplitz(table, g, xi).entries), \
+                    f"{g.kind} xi={xi.tolist()}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gamma_grid_of_one_row_keeps_its_grid_axis(n):
+    table = build_index_table(n, 2)
+    xi = np.linspace(-0.7, 0.9, n)
+    for g in (constant(1.0, n=n), sign(n=n)):
+        grid = gamma_toeplitz(table, g, xi[None])
+        assert grid.entries.shape == (1, table.d, table.d)
+        assert np.array_equal(grid.entries[0], gamma_toeplitz(table, g, xi).entries)
+    if n == 1:  # a bare number is one xi, a flat list of k numbers k of them
+        assert gamma_toeplitz(table, sign(), 0.3).entries.shape == (table.d, table.d)
+        assert gamma_toeplitz(table, sign(), [[0.3], [0.4]]).entries.shape == (2, table.d, table.d)
+
+
+def test_symbol_parts_cache_is_read_only_and_keyed_by_the_symbol():
+    table = build_index_table(2, 3)
+    symbols._symbol_parts.cache_clear()
+    first = gamma_toeplitz(table, box([-1, -0.5], [1, 0.5], n=2), [0.1, 0.2]).entries
+    again = gamma_toeplitz(table, box([-1.0, -0.5], [1.0, 0.5], n=2), [0.1, 0.2]).entries
+    info = symbols._symbol_parts.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert np.array_equal(first, again)
+    gamma_toeplitz(table, box([-1.0, -0.5], [1.0, 0.6], n=2), [0.1, 0.2])
+    assert symbols._symbol_parts.cache_info().currsize == 2
+    terms, is_real, jumps = symbols._symbol_parts(box([-1.0, -0.5], [1.0, 0.5], n=2))
+    assert len(terms) == 1 and is_real and [r for r, _, _ in jumps] == [0, 1]
+    assert np.array_equal(jumps[0][1], [-1.0, 1.0]) and jumps[0][2].shape == (1, 3)
+    assert not any(values.flags.writeable for _, *arrays in jumps for values in arrays)
+    # a smooth symbol has no jump axis
+    assert symbols._symbol_parts(constant(1.0, n=2))[2] == ()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_axis_factors_reproduce_symbol(n):
     rng = np.random.default_rng(40 + n)
@@ -375,7 +424,9 @@ def test_direct_route_refuses_large_products_before_allocating(monkeypatch):
 
 # A 2x2 rule with a 100^4 complex sum (n = 2, m = 100), and a 1000x1000
 # factor on each of 384 sign-axis nodes (n = 1, m = 1000): each rule is tiny
-# at its word count, but the sum or the factors are over the budget.
+# at its word count, but the sum or the factors are over the budget.  The
+# factor count stays as a guard behind the m cap (MAX_ORDER = 128, under
+# which no order reaches it); the test lifts the cap to exercise it.
 DIRECT_MEMORY_REFUSALS = {
     "sum-n2-m100": ((2, 100, box([-1, -1], [1, 1], n=2), 2),
                     r"100000000 nodes \(100x100x100x100\) at 2 words per node "
@@ -393,6 +444,7 @@ def test_direct_route_refuses_large_sums_and_factors_before_allocating(case, mes
     n, m, g, order = case
     table = build_index_table(n, m)
     _refuse_direct_route_work(monkeypatch)
+    monkeypatch.setattr(symbols, "MAX_ORDER", max(m, symbols.MAX_ORDER))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
