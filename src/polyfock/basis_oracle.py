@@ -8,23 +8,22 @@ coordinate,
     <z^a conj(z)^b, z^c conj(z)^d> = (a+d)! / alpha^(a+d)   if a + d = b + c,
                                      0                      otherwise,
 
-so two monomials are orthogonal unless p1 - q1 = p2 - q2 componentwise.
-Gram-Schmidt therefore runs independently inside each such charge class,
-always a family of at most C(n+m-1, n) monomials once conj-degree is capped
-at m - 1.  Summing B(w) conj(B(z)) over the resulting orthonormal basis
-(conj-degree <= m-1, holomorphic degree <= p_max) reproduces the space's
-kernel up to a super-geometrically small truncation tail, which is what
-makes this an independent check of the closed form.
+so two monomials are orthogonal unless p1 - q1 = p2 - q2 componentwise, and
+Gram-Schmidt runs inside each such charge class.  Summing B(w) conj(B(z))
+over the resulting orthonormal basis (conj-degree <= m-1, holomorphic
+degree <= p_max) reproduces the space's kernel up to a super-geometrically
+small truncation tail: an independent check of the closed form.
 
+Both routes read one class enumeration, :func:`_class_charges` as
+(c+, c-, level): class c+ - c- holds z^(c+ + s) conj(z)^(c- + s) for the
+first C(n+level, n) rows s of :func:`_graded_members`.
 :func:`build_orthonormal_basis` materializes the basis by exact rational
-Gram-Schmidt (alpha rational), where orthogonality is exact and only the
-final normalization leaves the rationals; it is the reference the
-streamed :func:`kernel_via_basis` is tested against.  The latter never
-forms a monomial value: each class adds a phase times a small real
-quadratic form in the radial values |z_r|^(2 s_r), whose matrix comes from
-a batched float Cholesky of the alpha-free norm-scaled class Grams and
-from :func:`solve_triangular`, a forward substitution that inverts a whole
-stack of class factors one row at a time.
+Gram-Schmidt (alpha rational); it is the reference the streamed
+:func:`kernel_via_basis` is tested against.  The latter never forms a
+monomial value: each class adds a phase times a small real quadratic form
+in the radial values |z_r|^(2 s_r), through a batched float Cholesky of the
+alpha-free norm-scaled class Grams and :func:`solve_triangular`, a forward
+substitution over a whole stack of class factors.
 
 Sharing input validation with :mod:`polyfock.multiindex`, the kernels'
 point rule, :class:`KernelSpec` and ``ratpoly._rational``, none of which
@@ -97,28 +96,6 @@ class BasisElement:
         return total
 
 
-def _charge_classes(n: int, m: int, p_max: int):
-    """Group monomials (|q| <= m-1, |p| <= p_max) by the charge p - q.
-
-    Returns ``(P, Q, starts)``: exponent arrays of shape (N, n), sorted by
-    (charge, |q|, q), and the offsets at which the classes start, with N
-    appended.  The class Gram matrices are dense and everything across
-    classes is orthogonal.
-    """
-    ps = index_array(n, p_max)
-    qs = build_index_table(n, m).array
-    P = np.repeat(ps, len(qs), axis=0)
-    Q = np.tile(qs, (len(ps), 1))
-    charge = P - Q
-    # np.lexsort sorts by its last key first.
-    keys = tuple(Q[:, ::-1].T) + (Q.sum(axis=1),) + tuple(charge[:, ::-1].T)
-    order = np.lexsort(keys)
-    P, Q, charge = P[order], Q[order], charge[order]
-    new = np.ones(len(charge), dtype=bool)
-    new[1:] = np.any(charge[1:] != charge[:-1], axis=1)
-    return P, Q, np.append(np.flatnonzero(new), len(charge))
-
-
 def _class_charges(n: int, m: int, p_max: int):
     """Every charge class as exponents (c+, c-) with disjoint supports, and its level.
 
@@ -132,13 +109,14 @@ def _class_charges(n: int, m: int, p_max: int):
     return plus, minus, np.minimum(m - 1 - minus.sum(axis=1), p_max - plus.sum(axis=1))
 
 
+def _graded_members(n: int, m: int) -> np.ndarray:
+    """The s with |s| <= m-1 by (|s|, s), s lexicographic: level K is the first C(n+K, n) rows."""
+    members = build_index_table(n, m).array
+    return members[np.argsort(members.sum(axis=1), kind="stable")]
+
+
 # Elements per batched array; bounds the memory of the class batches.
 _BATCH_ELEMENTS = 1 << 19
-
-
-def _log_factorials(top: int) -> np.ndarray:
-    """log(k!) for k = 0..top, each rounded once from the exact factorial."""
-    return np.array([math.log(math.factorial(k)) for k in range(top + 1)])
 
 
 def _coordinate_factors(alpha: float, top: int, m: int):
@@ -149,7 +127,8 @@ def _coordinate_factors(alpha: float, top: int, m: int):
     1 at x = y, and scale[a, x] = sqrt(alpha^(a+2x) / (a+2x)!), both through
     log-factorials to stay in range.
     """
-    log_fact = _log_factorials(top + 2 * (m - 1))
+    # log(k!), each rounded once from the exact factorial
+    log_fact = np.array([math.log(math.factorial(k)) for k in range(top + 2 * m - 1)])
     a = np.arange(top + 1)[:, None]
     x = np.arange(m)
     own = log_fact[a + 2 * x]
@@ -180,67 +159,48 @@ def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _class_factor_exact(members, alpha: Fraction):
-    """Rational Gram-Schmidt: orthogonal columns over Q, normalized at the end.
+    """Classical Gram-Schmidt of the monomials over Fractions, normalized at the end.
 
-    Runs classical Gram-Schmidt on the raw monomials with Fraction
-    arithmetic (inner products from :func:`gaussian_monomial_inner`), so the
-    pairwise orthogonality of the output is exact; square roots enter only
-    in the final scaling column by column.
+    Inner products come from :func:`gaussian_monomial_inner`, so the columns
+    are exactly orthogonal; a square root enters only in each column's scaling.
     """
     k = len(members)
-    G = [[gaussian_monomial_inner(alpha, members[i][0], members[i][1],
-                                  members[j][0], members[j][1])
-          for j in range(k)] for i in range(k)]
-    cols: list[list[Fraction]] = []
-    norms2: list[Fraction] = []
+    G = [[gaussian_monomial_inner(alpha, *a, *b) for b in members] for a in members]
+    C = np.zeros((k, k))
+    cols: list[tuple[list[Fraction], Fraction]] = []
     for j in range(k):
-        vec = [Fraction(0)] * k
-        vec[j] = Fraction(1)
-        for i in range(j):
-            # <m_j, o_i> with o_i = cols[i]
-            proj = sum(G[j][t] * cols[i][t] for t in range(k) if cols[i][t])
-            if proj:
-                ratio = proj / norms2[i]
-                for t in range(k):
-                    if cols[i][t]:
-                        vec[t] -= ratio * cols[i][t]
-        nrm2 = Fraction(0)
-        for a in range(k):
-            if not vec[a]:
-                continue
-            nrm2 += vec[a] * sum(G[a][b] * vec[b] for b in range(k) if vec[b])
+        vec = [Fraction(int(t == j)) for t in range(k)]
+        for col, nrm2 in cols:  # subtract the projection of m_j on each o_i = col
+            ratio = sum(g * c for g, c in zip(G[j], col)) / nrm2
+            vec = [v - ratio * c for v, c in zip(vec, col)]
+        nrm2 = sum(v * sum(g * u for g, u in zip(row, vec)) for v, row in zip(vec, G))
         if nrm2 <= 0:
             raise ArithmeticError("class Gram matrix is not positive definite")
-        cols.append(vec)
-        norms2.append(nrm2)
-    C = np.zeros((k, k))
-    for j in range(k):
-        scale = 1 / math.sqrt(norms2[j])
-        for i in range(k):
-            if cols[j][i]:
-                C[i, j] = float(cols[j][i]) * scale
+        cols.append((vec, nrm2))
+        C[:, j] = [float(v) * (1 / math.sqrt(nrm2)) for v in vec]
     return C
 
 
 def build_orthonormal_basis(alpha, n: int, m: int, p_max: int) -> list[BasisElement]:
     """Orthonormal basis of the span of z^p conj(z)^q, |q| <= m-1, |p| <= p_max.
 
-    Exact rational Gram-Schmidt, so alpha must be an int or a Fraction.
-    Output order is deterministic: classes sorted by charge, elements by
-    conj-degree.
+    Exact rational Gram-Schmidt, so alpha must be an int or a Fraction.  The
+    classes are those :func:`kernel_via_basis` reads, listed by the charge
+    p - q (lexicographic); a class's elements are listed by (|q|, q), q
+    lexicographic, which is :func:`_graded_members` shifted by c-.
     """
     alpha = _exact_alpha(alpha)
     KernelSpec(n, m, alpha)  # refuses bad (n, m) before any class is built
     p_max = _integer(p_max, "p_max")
-    P, Q, starts = _charge_classes(n, m, p_max)
+    plus, minus, level = _class_charges(n, m, p_max)
+    members = _graded_members(n, m)
     out = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        members = list(zip(map(tuple, P[lo:hi].tolist()), map(tuple, Q[lo:hi].tolist())))
-        C = _class_factor_exact(members, alpha)
-        for j in range(len(members)):
-            p, q = members[j]
-            out.append(BasisElement(p=p, q=q, monomials=tuple(members[: j + 1]),
-                                    coeffs=C[: j + 1, j].copy()))
+    for c in np.lexsort((plus - minus)[:, ::-1].T).tolist():  # last key sorts first
+        s = members[: math.comb(n + int(level[c]), n)]
+        pairs = list(zip(map(tuple, (plus[c] + s).tolist()), map(tuple, (minus[c] + s).tolist())))
+        C = _class_factor_exact(pairs, alpha)
+        out.extend(BasisElement(p=p, q=q, monomials=tuple(pairs[: j + 1]), coeffs=C[: j + 1, j].copy())
+                   for j, (p, q) in enumerate(pairs))
     return out
 
 
@@ -270,8 +230,7 @@ def kernel_via_basis(alpha, n: int, m: int, p_max: int, z, w):
     points = z.shape[0]
 
     plus, minus, level = _class_charges(n, m, p_max)
-    members = build_index_table(n, m).array
-    members = members[np.argsort(members.sum(axis=1), kind="stable")]  # level K: C(n+K, n) rows
+    members = _graded_members(n, m)
     # rho_s at columns [w points | z points]; phi_c(w) conj(phi_c(z)) per
     # coordinate from powers of w conj(z), indexed by c_r + m - 1.
     x = np.concatenate([w, z])

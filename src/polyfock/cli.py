@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -53,7 +54,12 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_symbol(text: str, n: int) -> VerticalSymbol:
     """Symbol mini-language: const:c | poly:c0,c1,... | sign[:axis] |
-    box:lo,hi | gausspoly:c0,...;center;halfwidth."""
+    box:lo,hi | gausspoly:c0,...;center;halfwidth.
+
+    const, sign and box hold at every n.  The flat coefficient lists of poly
+    and gausspoly are defined at n = 1 only; at n >= 2 the library refuses
+    them with ValueError (exit 2).
+    """
     kind, _, rest = text.partition(":")
     if kind == "const":
         return symbols.constant(float(rest or "1"), n=n)
@@ -306,7 +312,13 @@ def _add_common(parser: argparse.ArgumentParser, *, alpha=False, order=False):
     parser.add_argument("--out", type=str, default=None, help="write to file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built on first use and then shared.
+
+    Parsing leaves the parser as it was and gives each call a new namespace,
+    so :func:`main` reuses one tree rather than building it per call.
+    """
     parser = argparse.ArgumentParser(
         prog="polyfock",
         description="Polyanalytic Fock space kernels, transforms, and operator symbols.",
@@ -354,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_gamma, order=True)
     p_gamma.add_argument("--format", choices=("json", "csv"), default="json")
     p_gamma.add_argument("--g", type=str, required=True,
-                         help="vertical symbol, e.g. const:1 | poly:0,1 | sign | box:-1,1")
+                         help="vertical symbol: const:c | poly:c0,c1,... | sign[:axis] | "
+                              "box:lo,hi | gausspoly:c0,...;center;halfwidth.  const, sign "
+                              "and box hold at every n; the flat coefficient lists of poly "
+                              "and gausspoly at n = 1 only")
     p_gamma.add_argument("--xi-grid", dest="xi_grid", type=str, default="-8:8:17",
                          help="frequency grid as lo:hi:count")
     p_gamma.set_defaults(fn=_make_builder_cmd(_build_symbol))

@@ -1,5 +1,6 @@
 """Tests for the moment-based orthonormal basis and its kernel reconstruction."""
 
+import itertools
 import logging
 import math
 import tracemalloc
@@ -14,7 +15,6 @@ from numpy.testing import assert_allclose
 import polyfock.basis_oracle as basis_oracle
 from polyfock.basis_oracle import (
     BasisElement,
-    _charge_classes,
     _class_charges,
     _coordinate_factors,
     build_orthonormal_basis,
@@ -209,14 +209,19 @@ def _class_members(n, m, p_max):
     return out
 
 
+def _exponents(n, top):
+    """Every e in N_0^n with |e| <= top, by brute force over the cube."""
+    return [e for e in itertools.product(range(top + 1), repeat=n) if sum(e) <= top]
+
+
 @pytest.mark.parametrize("n, m, p_max", [(1, 3, 4), (2, 3, 5), (3, 2, 3), (3, 4, 2)])
 def test_class_charges_enumerate_the_exact_route_classes(n, m, p_max):
-    P, Q, starts = _charge_classes(n, m, p_max)
-    exact = {tuple(P[lo] - Q[lo]): sorted(zip(map(tuple, P[lo:hi].tolist()),
-                                              map(tuple, Q[lo:hi].tolist())))
-             for lo, hi in zip(starts[:-1], starts[1:])}
-    assert _class_members(n, m, p_max) == exact
-    assert len(_class_charges(n, m, p_max)[2]) == len(starts) - 1
+    brute = {}
+    for p in _exponents(n, p_max):
+        for q in _exponents(n, m - 1):
+            brute.setdefault(tuple(a - b for a, b in zip(p, q)), []).append((p, q))
+    assert _class_members(n, m, p_max) == {c: sorted(pairs) for c, pairs in brute.items()}
+    assert len(_class_charges(n, m, p_max)[2]) == len(brute)
 
 
 def test_class_grams_match_normalized_moments():
@@ -241,17 +246,21 @@ def test_class_grams_match_normalized_moments():
                 assert_allclose(got_scale, 1 / np.array(norms), rtol=1e-14)
 
 
-def test_charge_classes_are_sorted_and_complete():
-    n, m, p_max = 2, 3, 5
-    P, Q, starts = _charge_classes(n, m, p_max)
-    assert len(P) == math.comb(n + p_max, n) * math.comb(n + m - 1, n)
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        charge = P[lo:hi] - Q[lo:hi]
-        assert (charge == charge[0]).all()
-        keys = [(sum(q), tuple(q)) for q in Q[lo:hi].tolist()]
-        assert keys == sorted(keys)
-    first = [tuple(c) for c in (P - Q)[starts[:-1]].tolist()]
-    assert first == sorted(set(first))
+def test_exact_basis_is_sorted_and_complete():
+    for n, m, p_max in [(2, 3, 5), (3, 2, 3)]:
+        basis = build_orthonormal_basis(1, n=n, m=m, p_max=p_max)
+        assert len(basis) == math.comb(n + p_max, n) * math.comb(n + m - 1, n)
+        assert len({(b.p, b.q) for b in basis}) == len(basis)
+        charges = [tuple(np.subtract(b.p, b.q).tolist()) for b in basis]
+        starts = [0] + [i for i in range(1, len(basis)) if charges[i] != charges[i - 1]]
+        firsts = [charges[i] for i in starts]
+        assert firsts == sorted(set(firsts))  # classes by charge, each in one run
+        for lo, hi in zip(starts, starts[1:] + [len(basis)]):
+            keys = [(sum(b.q), b.q) for b in basis[lo:hi]]
+            assert keys == sorted(keys)
+            # element j of a class combines the class's first j + 1 monomials
+            assert [b.monomials for b in basis[lo:hi]] == [
+                tuple((b.p, b.q) for b in basis[lo : lo + j + 1]) for j in range(hi - lo)]
 
 
 def test_kernel_via_basis_logs_class_statistics(caplog):

@@ -343,6 +343,34 @@ def test_symbol_gamma_refuses_m_above_the_cap(capsys):
     assert "m = 129 exceeds 128, the largest m of a matrix symbol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g", ["poly:0,1", "gausspoly:1,0,1;0.2;1.1"])
+def test_flat_coefficient_lists_exit_2_at_n_above_1(g, capsys):
+    # the mini-language's poly and gausspoly lists are the n = 1 form of the library's terms
+    with pytest.raises(SystemExit) as err:
+        main(["symbol", "gamma", "--n", "2", "--m", "2", "--g", g])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == "error: flat coefficient lists are only defined for n = 1\n"
+
+
+def test_the_shared_parser_gives_each_call_its_own_namespace(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = cli.build_parser().parse_args(["symbol", "gamma", "--n", "2", "--m", "3", "--g", "sign"])
+    second = cli.build_parser().parse_args(["indices", "--n", "3", "--m", "2", "--out", "x.json"])
+    assert first is not second
+    assert (first.command, first.n, first.m, first.g, first.out) == ("symbol", 2, 3, "sign", None)
+    assert (second.command, second.n, second.m, second.out) == ("indices", 3, 2, "x.json")
+    assert not hasattr(second, "g")
+    # a usage error leaves the next call as it would have been
+    expected = _run_json(capsys, ["symbol", "gamma", "--n", "1", "--m", "2", "--g", "box:-1,1"])
+    with pytest.raises(SystemExit) as err:
+        main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign", "--format", "xml"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert _run_json(capsys, ["symbol", "gamma", "--n", "1", "--m", "2", "--g", "box:-1,1"]) == expected
+    again = cli.build_parser().parse_args(["symbol", "gamma", "--n", "2", "--m", "3", "--g", "sign"])
+    assert vars(again) == vars(first)
+
+
 def test_symbol_gamma_csv_output(capsys):
     rc = main(["symbol", "gamma", "--n", "1", "--m", "2", "--g", "sign",
                "--xi-grid", "0:1:3", "--format", "csv"])

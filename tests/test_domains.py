@@ -328,9 +328,8 @@ def test_out_of_domain_input_is_refused_up_front(call, error, message, monkeypat
     def fail(*args, **kwargs):
         raise AssertionError("a charge class or a polynomial was built")
 
-    # the exact route's classes, the float route's enumeration, and every
-    # RationalPoly: its constructor and the one primitive that builds the rest
-    monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
+    # the class enumeration both basis routes read, and every RationalPoly:
+    # its constructor and the one primitive that builds the rest
     monkeypatch.setattr(basis_oracle, "_class_charges", fail)
     monkeypatch.setattr(RationalPoly, "__init__", fail)
     monkeypatch.setattr(ratpoly, "_sum_of_products", fail)
@@ -410,7 +409,7 @@ def test_exact_entry_points_refuse_what_is_not_rational(name, bad, monkeypatch):
         init(self, *args, **kwargs)
         raise AssertionError("a polynomial was built")
 
-    monkeypatch.setattr(basis_oracle, "_charge_classes", fail)
+    monkeypatch.setattr(basis_oracle, "_class_charges", fail)
     monkeypatch.setattr(RationalPoly, "__init__", init_unless_built)
     monkeypatch.setattr(ratpoly, "_sum_of_products", fail)
     monkeypatch.setattr(orthopoly, "_sum_of_products", fail)

@@ -243,10 +243,10 @@ def constants(names) -> set:
     return found
 
 
-# ROADMAP item 19: gamma and direct sigma cut at the same T_CUT and
-# default to the same FIBER_ORDER.  Fixing that turns these rows green,
-# and strict marks then fail until they are taken off.
-ITEM_19 = pytest.mark.xfail(strict=True, reason="ROADMAP item 19: T_CUT and FIBER_ORDER shared")
+# ROADMAP item 19: gamma and direct sigma default to the same FIBER_ORDER
+# (gamma's jump axes are closed form and read no cut).  Fixing that turns
+# these rows green, and strict marks then fail until they are taken off.
+ITEM_19 = pytest.mark.xfail(strict=True, reason="ROADMAP item 19: FIBER_ORDER shared")
 
 
 @pytest.mark.parametrize("key", [pytest.param(key, marks=ITEM_19) if key.startswith("gamma_") else key
