@@ -58,7 +58,11 @@ def gaussian_monomial_inner(alpha, p1, q1, p2, q2):
     """
     alpha = _exact_alpha(alpha)
     n = np.size(p1)
-    p1, q1, p2, q2 = (_multi_index(t, n) for t in (p1, q1, p2, q2))
+    return _monomial_inner(alpha, *(_multi_index(t, n) for t in (p1, q1, p2, q2)))
+
+
+def _monomial_inner(alpha: Fraction, p1, q1, p2, q2) -> Fraction:
+    """:func:`gaussian_monomial_inner` on arguments it has already checked."""
     total = Fraction(1)
     for a, b, c, d in zip(p1, q1, p2, q2):
         if a + d != b + c:
@@ -161,11 +165,16 @@ def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _class_factor_exact(members, alpha: Fraction):
     """Classical Gram-Schmidt of the monomials over Fractions, normalized at the end.
 
-    Inner products come from :func:`gaussian_monomial_inner`, so the columns
-    are exactly orthogonal; a square root enters only in each column's scaling.
+    Inner products come from :func:`gaussian_monomial_inner`'s unchecked
+    core, one per entry of the upper triangle (the Gram is real and
+    symmetric), so the columns are exactly orthogonal; a square root enters
+    only in each column's scaling.
     """
     k = len(members)
-    G = [[gaussian_monomial_inner(alpha, *a, *b) for b in members] for a in members]
+    G = [[Fraction(0)] * k for _ in range(k)]
+    for i, a in enumerate(members):
+        for j in range(i, k):
+            G[i][j] = G[j][i] = _monomial_inner(alpha, *a, *members[j])
     C = np.zeros((k, k))
     cols: list[tuple[list[Fraction], Fraction]] = []
     for j in range(k):

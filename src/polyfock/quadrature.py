@@ -81,8 +81,7 @@ MAX_ORDER = 128
 
 # Default nodes per axis by total dimension; chosen so the verification
 # integrals converge past their tolerances.  At dimension 6 that is 12^6
-# (about 3M) nodes, which the reproducing oracle visits in blocks without
-# building the grid.
+# (about 3M) nodes.
 DEFAULT_ORDERS = {1: 48, 2: 32, 3: 24, 4: 20, 5: 16, 6: 12}
 
 # Per-axis order of the fiber and symbol integrals (L_via_fourier,

@@ -4,17 +4,19 @@ Each suite re-derives a family of identities by a route that shares no code
 with the closed forms it checks: exact rational polynomial expansion for
 the Laguerre identities, moment-based Gram-Schmidt for the kernel,
 streamed Gaussian-mean and Gauss-Hermite rules, Legendre panels at jumps,
-for everything integral.  Each suite is one :class:`Suite` row of
-``_SUITE_TABLE``: its jobs, its tolerance (exact for the identities and
-2-4 decades above observed double-precision error for the float suites),
-the sizes and orders it reads, and the names of the closed form and the
-oracle its jobs call.  The tests trace each float suite's own run through
-those names to check that the two sides share no code, and patch faults
-into the closed form through them.  The original
-computer-algebra versions of these checks ran symbolically (identities, the
-reproducing property) or in extended precision (kernel-vs-basis to 1e-15 at
-truncation 128); the desk-scale substitutes here are documented next to
-each suite.
+for everything integral.  The reproducing property's Gaussian-mean rule is
+rotated to the kernel's centre in each coordinate, so that only the axis
+across it carries a phase and the axis along it is integrated exactly.
+Each suite is one :class:`Suite` row of ``_SUITE_TABLE``: its jobs, its
+tolerance (exact for the identities and 2-4 decades above observed
+double-precision error for the float suites), the sizes and orders it
+reads, and the names of the closed form and the oracle its jobs call.  The
+tests trace each float suite's own run through those names to check that
+the two sides share no code, and patch faults into the closed form through
+them.  The original computer-algebra versions of these checks ran
+symbolically (identities, the reproducing property) or in extended
+precision (kernel-vs-basis to 1e-15 at truncation 128); the desk-scale
+substitutes here are documented next to each suite.
 
 Cases inside a suite are independent and pure, with one exception: the
 laguerre decomposition cases of one n read a table of per-degree results
@@ -236,27 +238,47 @@ def _kernel_basis_jobs(params: dict) -> _Jobs:
 # suite: reproducing  (quadrature of f against the kernel section)
 # ---------------------------------------------------------------------------
 
-def _check_reproducing_budget(n: int, order: int | None) -> None:
-    """Refuse an order^{2n} Gaussian-mean rule over the budget at 2n + 1 words per node.
+def _exact_order(p_bound: int, m: int) -> int:
+    """Gauss-Hermite nodes that integrate the s axes of the rotated rule exactly.
 
-    The oracle never builds the rule, but it evaluates kernel_F at every
-    node, so the rule's size still bounds its run time.
+    On each s_r the integrand is the Gaussian times a polynomial of degree
+    <= p_bound + 3(m - 1): 2(m - 1) from the Laguerre factor of the kernel
+    and p_bound + m - 1 from the monomial.
     """
-    size = default_order(2 * n) if order is None else order
-    check_rule_budget([size] * (2 * n), 2 * n + 1)
+    return (p_bound + 3 * (m - 1)) // 2 + 1
 
 
-def _coordinate_factors(x_axis, y_axis, p_bound: int, m: int) -> np.ndarray:
-    """F[a, b, i, j] = wx_i wy_j w^a conj(w)^b at w = x_i + i y_j, a <= p_bound, b <= m - 1.
+def _check_reproducing_budget(n: int, m: int, p_bound: int, order: int | None) -> tuple[int, int]:
+    """(phase, exact) per-axis orders of the rotated rule, refused over the budget.
 
-    ``x_axis`` and ``y_axis`` are the (nodes, weights) rules of the real and
-    imaginary part of one coordinate.
+    The rule has phase^n t nodes times exact^n s nodes (see
+    :func:`_reproducing_moments`), counted at 2n + 1 words per node.  The
+    phase axes take ``order``, or by default :func:`default_order` of 2n at
+    n <= 2 and 14 at n = 3 (12 misses the tolerance at alpha = 4); the exact
+    axes take :func:`_exact_order`, capped at ``order``.  The oracle never
+    builds the rule, but it evaluates kernel_F at every node, so the rule's
+    size still bounds its run time.
     """
-    (x, wx), (y, wy) = x_axis, y_axis
-    w = x[:, None] + 1j * y[None, :]
+    exact = _exact_order(p_bound, m)
+    if order is None:
+        phase = default_order(2 * n) if n <= 2 else 14
+    else:
+        phase, exact = order, min(order, exact)
+    check_rule_budget([phase] * n + [exact] * n, 2 * n + 1)
+    return phase, exact
+
+
+def _coordinate_factors(s_axis, t_axis, rot: complex, p_bound: int, m: int) -> np.ndarray:
+    """F[a, b, i, j] = ws_i wt_j w^a conj(w)^b at w = rot (s_i + i t_j), a <= p_bound, b <= m - 1.
+
+    ``s_axis`` and ``t_axis`` are the (nodes, weights) rules of the real and
+    imaginary part of one rotated coordinate, and ``rot`` the unit rotation.
+    """
+    (s, ws), (t, wt) = s_axis, t_axis
+    w = rot * (s[:, None] + 1j * t[None, :])
     powers = w ** np.arange(p_bound + 1)[:, None, None]
     conj_powers = np.conj(w) ** np.arange(m)[:, None, None]
-    return powers[:, None] * conj_powers[None, :] * np.outer(wx, wy)
+    return powers[:, None] * conj_powers[None, :] * np.outer(ws, wt)
 
 
 def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
@@ -264,19 +286,29 @@ def _reproducing_moments(spec: KernelSpec, z: np.ndarray, p_bound: int,
     """Gaussian means of conj(K_z(w)) w^p conj(w)^q for |p| <= p_bound, |q| <= m - 1.
 
     Rows follow build_index_table(n, p_bound + 1), columns
-    build_index_table(n, m).  Only kernel_F is not a product over the
-    coordinate pairs (x_r, y_r) of the order^{2n} Gaussian-mean rule, so
-    the rule is streamed by :func:`stream_pairs`: conj(kernel_F) is
-    evaluated once per block and each coordinate pair is contracted
-    against its factor table F_r.  The sum, indexed (a_1, b_1, ..., a_n,
-    b_n), is read out at the (p, q) entries, by the two ``tables`` if given.
+    build_index_table(n, m).  Each coordinate is rotated to z: w_r = rot_r
+    v_r with rot_r = e^{i arg z_r} and v_r = s_r + i t_r.  The Gaussian mean
+    is rotation-invariant, and conj(K_z(w)) e^{-alpha|w|^2} is then a
+    Gaussian centred at (|z_r|/2, 0) times a polynomial times the phase
+    e^{-i alpha |z_r| t_r}, which reads t alone.  So the s axes, placed at
+    |z|/2, are integrated exactly by :func:`_exact_order` nodes, and only
+    the t axes, placed at 0, resolve the phase (orders from
+    :func:`_check_reproducing_budget`).  Only kernel_F is not a product
+    over the coordinate pairs (s_r, t_r), so the rule is streamed by
+    :func:`stream_pairs`: conj(kernel_F) is evaluated once per block and
+    each coordinate pair is contracted against its factor table F_r.  The
+    sum, indexed (a_1, b_1, ..., a_n, b_n), is read out at the (p, q)
+    entries, by the two ``tables`` if given.
     """
     n = spec.n
-    _check_reproducing_budget(n, order)
-    axes = gaussian_mean_axes(np.concatenate((np.real(z), np.imag(z))) / 2, spec.alpha, order)
-    factors = [_coordinate_factors(axes[r], axes[n + r], p_bound, spec.m) for r in range(n)]
-    acc = stream_pairs(lambda w: np.conj(kernel_F(spec, z, w)),
-                       [x for x, _ in axes[:n]], [y for y, _ in axes[n:]], factors)
+    phase, exact = _check_reproducing_budget(n, spec.m, p_bound, order)
+    rot = np.exp(1j * np.angle(z))
+    s_axes = gaussian_mean_axes(np.abs(z) / 2, spec.alpha, exact)
+    t_axes = gaussian_mean_axes(np.zeros(n), spec.alpha, phase)
+    factors = [_coordinate_factors(s_axes[r], t_axes[r], rot[r], p_bound, spec.m)
+               for r in range(n)]
+    acc = stream_pairs(lambda v: np.conj(kernel_F(spec, z, v * rot)),
+                       [s for s, _ in s_axes], [t for t, _ in t_axes], factors)
     ps, qs = (t.array for t in tables or (build_index_table(n, p_bound + 1),
                                           build_index_table(n, spec.m)))
     return acc[tuple(k for r in range(n) for k in (ps[:, r, None], qs[None, :, r]))]
@@ -286,8 +318,8 @@ def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
                        z: np.ndarray, order: int | None) -> float:
     """Max relative error of <w^p conj(w)^q, K_z> = z^p conj(z)^q over the range.
 
-    The left side is :func:`_reproducing_moments`, the order^{2n}
-    Gaussian-mean rule streamed in blocks and contracted per coordinate.
+    The left side is :func:`_reproducing_moments`, the Gaussian-mean rule
+    rotated to z, streamed in blocks and contracted per coordinate.
     """
     tables = build_index_table(n, p_bound + 1), build_index_table(n, m)
     moments = _reproducing_moments(KernelSpec(n, m, alpha), z, p_bound, order, tables)
@@ -300,13 +332,17 @@ def _reproducing_error(n: int, m: int, alpha: float, p_bound: int,
 def _reproducing_jobs(params: dict) -> _Jobs:
     alpha, order = params["alpha"], params["order"]
 
-    # Every case's rule is checked before the first case runs.
-    for n in range(1, params["n_max"] + 1):
-        _check_reproducing_budget(n, order)
+    # At n = 3, p_bound 3 keeps the exact order at 5 and lets the m = 3
+    # case see a conjugated kernel.
+    p_bounds = {n: params["p_max"] if n <= 2 else min(params["p_max"], 3)
+                for n in range(1, params["n_max"] + 1)}
+    # Every case's rule is checked before the first case runs; the rule
+    # grows with m, so each n's m_max rule bounds the others.
+    for n, p_bound in p_bounds.items():
+        _check_reproducing_budget(n, params["m_max"], p_bound, order)
 
     jobs = []
-    for n in range(1, params["n_max"] + 1):
-        p_bound = params["p_max"] if n <= 2 else min(params["p_max"], 2)
+    for n, p_bound in p_bounds.items():
         for m in range(1, params["m_max"] + 1):
             def job(n=n, m=m, p_bound=p_bound) -> float:
                 rng = np.random.default_rng([params["seed"], n, m])

@@ -342,38 +342,94 @@ def test_all_aggregates_nested_reports(monkeypatch):
 
 def test_coordinate_factors_match_direct_powers():
     rng = np.random.default_rng(3)
-    x_axis = (rng.normal(size=5), rng.uniform(0.1, 1.0, 5))
-    y_axis = (rng.normal(size=4), rng.uniform(0.1, 1.0, 4))
+    s_axis = (rng.normal(size=5), rng.uniform(0.1, 1.0, 5))
+    t_axis = (rng.normal(size=4), rng.uniform(0.1, 1.0, 4))
+    rot = np.exp(0.7j)
     p_bound, m = 4, 3
-    table = verify._coordinate_factors(x_axis, y_axis, p_bound, m)
+    table = verify._coordinate_factors(s_axis, t_axis, rot, p_bound, m)
     assert table.shape == (p_bound + 1, m, 5, 4)
     for a, b, i, j in np.ndindex(*table.shape):
-        w = complex(x_axis[0][i], y_axis[0][j])
-        direct = x_axis[1][i] * y_axis[1][j] * w ** a * w.conjugate() ** b
+        w = rot * complex(s_axis[0][i], t_axis[0][j])
+        direct = s_axis[1][i] * t_axis[1][j] * w ** a * w.conjugate() ** b
         assert abs(table[a, b, i, j] - direct) <= 1e-14 * abs(direct)
+
+
+def _plain_moments(spec, z, p_bound, w, weights):
+    """The moments of _reproducing_moments summed over a built rule's points w (N, n)."""
+    base = weights * np.conj(verify.kernel_F(spec, z, w))
+    ps, qs = build_index_table(spec.n, p_bound + 1).array, build_index_table(spec.n, spec.m).array
+    powers = np.prod(w[:, None, :] ** ps, axis=2)
+    conj_powers = np.prod(np.conj(w)[:, None, :] ** qs, axis=2)
+    return powers.T @ (base[:, None] * conj_powers)
+
+
+def _suite_point(seed, n, m):
+    rng = np.random.default_rng([seed, n, m])
+    return verify._sample_disc(rng, 1, n, 0.35 * math.sqrt(n), 0.75 * math.sqrt(n))[0]
 
 
 @pytest.mark.parametrize("n, order, cut", [(1, 8, 0), (1, 8, 1), (2, 6, 0), (2, 6, 1), (2, 6, 2)])
 def test_reproducing_moments_match_the_materialized_rule(n, order, cut, monkeypatch):
-    # At cut = 0 the rule is one whole block; at cut = k >= 1 blocks of
-    # 2 order^{2n - k} nodes fix the first k - 1 x axes and cut x axis
-    # k - 1 into chunks of two nodes, so whole, chunked and fixed axes are
-    # all contracted.
-    block_nodes = 2 * order ** (2 * n - cut) if cut else order ** (2 * n)
+    # The rotated rule: coordinate r is w_r = rot_r (s_r + i t_r) with
+    # rot_r = z_r / |z_r|, the s axes placed at |z_r| / 2 with 5 nodes (at
+    # m = 3, p_bound = 3 the integrand has degree 9 on each s axis) and the t
+    # axes at 0 with ``order`` nodes.  The s axes are the real axes of
+    # stream_pairs.  At cut = 0 the rule is one whole block; at cut = k >= 1
+    # blocks of 2 5^{n - k} order^n nodes fix the first k - 1 s axes and cut
+    # s axis k - 1 into chunks of one or two nodes, so whole, chunked and
+    # fixed axes are all contracted.
+    exact = 5
+    block_nodes = 2 * exact ** (n - cut) * order ** n if cut else exact ** n * order ** n
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     m, p_bound = 3, 3
     spec = verify.KernelSpec(n, m, 0.8)
     z = np.array([0.4 - 0.3j, -0.2 + 0.5j])[:n]
     moments = verify._reproducing_moments(spec, z, p_bound, order)
 
-    nodes, weights = gaussian_mean_rule(np.concatenate((z.real, z.imag)) / 2, spec.alpha, order)
-    w = nodes[:, :n] + 1j * nodes[:, n:]
-    base = weights * np.conj(verify.kernel_F(spec, z, w))
-    ps, qs = build_index_table(n, p_bound + 1), build_index_table(n, m)
-    plain = np.array([[np.sum(base * np.prod(w ** np.array(p) * np.conj(w) ** np.array(q), axis=1))
-                       for q in qs] for p in ps])
+    axes = (quadrature.gaussian_mean_axes(np.abs(z) / 2, spec.alpha, exact)
+            + quadrature.gaussian_mean_axes(np.zeros(n), spec.alpha, order))
+    nodes, weights = quadrature.tensor_rule(axes)
+    w = z / np.abs(z) * (nodes[:, :n] + 1j * nodes[:, n:])
+    plain = _plain_moments(spec, z, p_bound, w, weights)
     assert moments.shape == plain.shape
     assert np.max(np.abs(moments - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [1.0, 4.0])
+def test_rotated_rule_agrees_with_the_axis_aligned_rule(n, alpha):
+    # The axis-aligned Gaussian-mean rule at its default order, placed at
+    # z / 2 on the real and imaginary axes, converges to the same moments.
+    for m in (1, 3):
+        z = _suite_point(7, n, m)
+        spec = verify.KernelSpec(n, m, alpha)
+        moments = verify._reproducing_moments(spec, z, 5, None)
+        nodes, weights = gaussian_mean_rule(np.concatenate((z.real, z.imag)) / 2, alpha)
+        aligned = _plain_moments(spec, z, 5, nodes[:, :n] + 1j * nodes[:, n:], weights)
+        assert np.max(np.abs(moments - aligned)) <= 1e-12 * np.max(np.abs(aligned))
+
+
+@pytest.mark.parametrize("n, p_bound", [(1, 5), (2, 5), (3, 3)])
+def test_the_exact_axes_are_converged(n, p_bound, monkeypatch):
+    # Two more nodes on every s axis change nothing beyond round-off.
+    for m in (1, 2, 3):
+        z = _suite_point(11, n, m)
+        spec = verify.KernelSpec(n, m, 2.5)
+        moments = verify._reproducing_moments(spec, z, p_bound, None)
+        exact_order = verify._exact_order
+        monkeypatch.setattr(verify, "_exact_order", lambda p_bound, m: exact_order(p_bound, m) + 2)
+        raised = verify._reproducing_moments(spec, z, p_bound, None)
+        monkeypatch.undo()
+        assert np.max(np.abs(raised - moments)) <= 1e-13 * np.max(np.abs(moments))
+
+
+def test_reproducing_sees_a_conjugated_kernel_at_n3_m3(monkeypatch):
+    # A p_bound of m - 1 = 2 lets this case pass a conjugated kernel
+    # (1.0e-11); the suite's p_bound 3 at n = 3 reads moments it gets wrong.
+    monkeypatch.setattr(verify, "kernel_F", _conj(verify.kernel_F))
+    params = verify._resolve("reproducing", SuiteConfig())
+    job = dict(verify._reproducing_jobs(params))["reproducing n=3 m=3"]
+    assert job() > 1.0
 
 
 def test_reproducing_refuses_an_over_budget_order_before_any_work(monkeypatch):
@@ -381,14 +437,15 @@ def test_reproducing_refuses_an_over_budget_order_before_any_work(monkeypatch):
         raise AssertionError("kernel_F called before the budget check")
 
     monkeypatch.setattr(verify, "kernel_F", fail)
-    # The n = 2 rule, 128^4 nodes at 5 words per node, is over the budget.
-    with pytest.raises(ValueError, match=r"tensor rule of 268435456 nodes \(128x128x128x128\) "
-                                         r"at 5 words per node"):
+    # The n = 3, m = 3 rule, 128^3 t nodes times 5^3 s nodes at 7 words per
+    # node, is over the budget; the n = 2 one (128^2 x 6^2) is not.
+    with pytest.raises(ValueError, match=r"tensor rule of 262144000 nodes \(128x128x128x5x5x5\) "
+                                         r"at 7 words per node"):
         run_suite("reproducing", SuiteConfig(order=128))
 
 
 def test_reproducing_job_never_holds_the_full_rule():
-    # The n = 3 rule has 12^6 nodes; built, it took 205 MiB.
+    # The n = 3 rule has 14^3 x 5^3 nodes; built, it would take 18 MiB.
     params = verify._resolve("reproducing", SuiteConfig())
     job = dict(verify._reproducing_jobs(params))["reproducing n=3 m=3"]
     tracemalloc.start()
